@@ -25,7 +25,6 @@
 #include "mem/allocator.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
-#include "sim/stats.hh"
 
 namespace mondrian {
 

@@ -214,23 +214,21 @@ Socket::localPort() const
     return 0;
 }
 
-ssize_t
-Socket::readSome(void *buf, std::size_t size) const
-{
-    for (;;) {
-        const ssize_t n = ::read(fd_, buf, size);
-        if (n >= 0 || errno != EINTR)
-            return n;
-    }
-}
-
 bool
-Socket::writeAll(const void *buf, std::size_t size) const
+writeAll(int fd, const void *buf, std::size_t size)
 {
     const char *p = static_cast<const char *>(buf);
     std::size_t off = 0;
+    bool socket = true;
     while (off < size) {
-        const ssize_t n = ::send(fd_, p + off, size - off, MSG_NOSIGNAL);
+        // send(MSG_NOSIGNAL) keeps a reset TCP peer from raising SIGPIPE;
+        // a pipe answers ENOTSOCK once and is written with write() after.
+        ssize_t n = socket ? ::send(fd, p + off, size - off, MSG_NOSIGNAL)
+                           : ::write(fd, p + off, size - off);
+        if (n < 0 && errno == ENOTSOCK) {
+            socket = false;
+            continue;
+        }
         if (n > 0) {
             off += static_cast<std::size_t>(n);
             continue;
@@ -243,9 +241,8 @@ Socket::writeAll(const void *buf, std::size_t size) const
             // so a short writability wait is enough; a peer that stays
             // unwritable is treated as gone and lands on the ordinary
             // kill/requeue path.
-            pollfd pfd{fd_, POLLOUT, 0};
-            const int rc = ::poll(&pfd, 1, 5000);
-            if (rc > 0)
+            pollfd pfd{fd, POLLOUT, 0};
+            if (::poll(&pfd, 1, 5000) > 0)
                 continue;
             errno = ETIMEDOUT;
             return false;

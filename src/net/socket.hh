@@ -4,9 +4,10 @@
  *
  * The coordinator's event loop is a single-threaded poll() reactor; this
  * layer gives it exactly what it needs and nothing more: an RAII fd
- * wrapper, listen/connect/accept, and read/write primitives with the
- * EINTR and partial-transfer handling done once instead of at every call
- * site. No frames, no protocol — that is src/net/transport.hh's job.
+ * wrapper, listen/connect/accept, and the one write-all loop every
+ * channel uses, with the EINTR and partial-transfer handling done once
+ * instead of at every call site. No frames, no protocol — that is
+ * src/net/transport.hh's job.
  *
  * Endpoint grammar (shared by --listen and --worker-connect):
  * `HOST:PORT` where HOST is a hostname or numeric address resolved via
@@ -17,12 +18,23 @@
 #ifndef MONDRIAN_NET_SOCKET_HH
 #define MONDRIAN_NET_SOCKET_HH
 
-#include <sys/types.h>
-
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace mondrian {
+
+/**
+ * Write all @p size bytes to @p fd (pipe or socket), retrying EINTR and
+ * partial writes. On a non-blocking fd with a full kernel buffer it
+ * waits up to five seconds for writability; a peer that stays
+ * unwritable is treated as gone. A socket is written with
+ * send(MSG_NOSIGNAL), so a reset peer fails with EPIPE whatever the
+ * caller's SIGPIPE disposition; a pipe has no such flag, so a write to
+ * a pipe whose reader is gone raises SIGPIPE unless the caller ignores it.
+ * @return false with errno set when the peer is gone or the write fails.
+ */
+bool writeAll(int fd, const void *buf, std::size_t size);
 
 /** A parsed HOST:PORT endpoint. */
 struct Endpoint
@@ -108,23 +120,6 @@ class Socket
 
     /** Locally bound port (0 on error) — how tests recover a port-0 bind. */
     std::uint16_t localPort() const;
-
-    /**
-     * Read up to @p size bytes, retrying EINTR.
-     * @return bytes read (> 0), 0 on orderly EOF, -1 with errno set
-     * otherwise (EAGAIN/EWOULDBLOCK = nothing available right now).
-     */
-    ssize_t readSome(void *buf, std::size_t size) const;
-
-    /**
-     * Write all @p size bytes, retrying EINTR and partial writes.
-     * Only valid on blocking sockets or when short-term blocking is
-     * acceptable (protocol messages are small; the kernel buffer
-     * absorbs them).
-     * @return false with errno set when the peer is gone (EPIPE,
-     * ECONNRESET) or the write fails.
-     */
-    bool writeAll(const void *buf, std::size_t size) const;
 
   private:
     int fd_ = -1;

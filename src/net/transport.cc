@@ -7,7 +7,6 @@
 #include <array>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 namespace mondrian {
 
@@ -59,13 +58,11 @@ crc32(const void *data, std::size_t size)
 }
 
 std::string
-encodeFrame(const std::string &payload, bool with_crc)
+encodeFrame(const std::string &payload)
 {
     std::string out = std::to_string(payload.size());
-    if (with_crc) {
-        out += ' ';
-        out += crcHex(crc32(payload.data(), payload.size()));
-    }
+    out += ' ';
+    out += crcHex(crc32(payload.data(), payload.size()));
     out += '\n';
     out += payload;
     out += '\n';
@@ -73,25 +70,21 @@ encodeFrame(const std::string &payload, bool with_crc)
 }
 
 int
-decodeFrame(std::string &buf, std::string &payload, bool with_crc)
+decodeFrame(std::string &buf, std::string &payload)
 {
     const std::size_t nl = buf.find('\n');
     if (nl == std::string::npos)
         return buf.size() > kMaxHeaderLine ? -1 : 0;
     std::string header = buf.substr(0, nl);
 
-    std::string crc_text;
-    if (with_crc) {
-        const std::size_t space = header.find(' ');
-        if (space == std::string::npos)
-            return -1;
-        crc_text = header.substr(space + 1);
-        header.resize(space);
-        if (crc_text.size() != 8 ||
-            crc_text.find_first_not_of("0123456789abcdef") !=
-                std::string::npos)
-            return -1;
-    }
+    const std::size_t space = header.find(' ');
+    if (space == std::string::npos)
+        return -1;
+    const std::string crc_text = header.substr(space + 1);
+    header.resize(space);
+    if (crc_text.size() != 8 ||
+        crc_text.find_first_not_of("0123456789abcdef") != std::string::npos)
+        return -1;
     if (header.empty() ||
         header.find_first_not_of("0123456789") != std::string::npos)
         return -1;
@@ -105,191 +98,79 @@ decodeFrame(std::string &buf, std::string &payload, bool with_crc)
         return -1;
     payload = buf.substr(nl + 1, len);
     buf.erase(0, nl + 1 + len + 1);
-    if (with_crc) {
-        const std::uint32_t declared = static_cast<std::uint32_t>(
-            std::strtoull(crc_text.c_str(), nullptr, 16));
-        if (crc32(payload.data(), payload.size()) != declared)
-            return -1;
-    }
+    const std::uint32_t declared = static_cast<std::uint32_t>(
+        std::strtoull(crc_text.c_str(), nullptr, 16));
+    if (crc32(payload.data(), payload.size()) != declared)
+        return -1;
     return 1;
 }
 
-int
-decodeLine(std::string &buf, std::string &payload)
+bool
+Channel::send(const std::string &payload)
 {
-    for (;;) {
-        const std::size_t nl = buf.find('\n');
-        if (nl == std::string::npos)
-            return 0;
-        std::string line = buf.substr(0, nl);
-        buf.erase(0, nl + 1);
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue; // blank keep-alive noise, as std::getline skipped
-        payload = std::move(line);
-        return 1;
-    }
+    std::lock_guard<std::mutex> lock(send_mutex_);
+    if (write_fd_ < 0)
+        return false;
+    const std::string wire = encodeFrame(payload);
+    return writeAll(write_fd_, wire.data(), wire.size());
 }
 
-namespace {
-
-/** Shared read-into-buffer step for both transports. */
-Transport::Pump
-pumpFd(int fd, std::string &buf)
+Channel::Pump
+Channel::pump()
 {
+    if (read_fd_ < 0)
+        return Pump::kEof;
     bool got_data = false;
     char chunk[65536];
     for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+        const ssize_t n = ::read(read_fd_, chunk, sizeof(chunk));
         if (n > 0) {
-            buf.append(chunk, static_cast<std::size_t>(n));
+            buf_.append(chunk, static_cast<std::size_t>(n));
             got_data = true;
             // The fd may be in blocking mode (a worker's stdin or
             // socket): keep reading only while bytes are already
             // waiting, never block a second time inside one pump —
             // the caller must get a chance to decode what arrived.
-            struct pollfd pfd;
-            pfd.fd = fd;
-            pfd.events = POLLIN;
-            pfd.revents = 0;
+            pollfd pfd{read_fd_, POLLIN, 0};
             if (::poll(&pfd, 1, 0) <= 0 ||
                 !(pfd.revents & (POLLIN | POLLHUP)))
-                return Transport::Pump::kData;
+                return Pump::kData;
             continue;
         }
         if (n == 0)
-            return got_data ? Transport::Pump::kData : Transport::Pump::kEof;
+            return got_data ? Pump::kData : Pump::kEof;
         if (errno == EINTR)
             continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return got_data ? Transport::Pump::kData : Transport::Pump::kIdle;
-        return got_data ? Transport::Pump::kData : Transport::Pump::kError;
+            return got_data ? Pump::kData : Pump::kIdle;
+        return got_data ? Pump::kData : Pump::kError;
     }
 }
 
-bool
-writeAllFd(int fd, const std::string &data)
-{
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-} // namespace
-
-// ----------------------------------------------------------- PipeTransport
-
-PipeTransport::PipeTransport(Role role, int read_fd, int write_fd,
-                             bool own_fds)
-    : role_(role), read_fd_(read_fd), write_fd_(write_fd), own_fds_(own_fds)
-{}
-
-PipeTransport::~PipeTransport()
-{
-    close();
-}
-
-bool
-PipeTransport::send(const std::string &payload)
+void
+Channel::shutdownSend()
 {
     std::lock_guard<std::mutex> lock(send_mutex_);
     if (write_fd_ < 0)
-        return false;
-    // Coordinator commands are newline-delimited JSON; worker replies
-    // are length-prefixed frames — the exact PR 7 pipe protocol.
-    const std::string wire = role_ == Role::kCoordinator
-                                 ? payload + "\n"
-                                 : encodeFrame(payload, false);
-    return writeAllFd(write_fd_, wire);
-}
-
-Transport::Pump
-PipeTransport::pump()
-{
-    if (read_fd_ < 0)
-        return Pump::kEof;
-    return pumpFd(read_fd_, buf_);
-}
-
-int
-PipeTransport::next(std::string &payload)
-{
-    return role_ == Role::kCoordinator ? decodeFrame(buf_, payload, false)
-                                       : decodeLine(buf_, payload);
+        return;
+    if (write_fd_ == read_fd_)
+        ::shutdown(write_fd_, SHUT_WR);
+    else
+        ::close(write_fd_);
+    write_fd_ = -1;
 }
 
 void
-PipeTransport::shutdownSend()
-{
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    if (write_fd_ >= 0) {
-        if (own_fds_ && write_fd_ != read_fd_)
-            ::close(write_fd_);
-        write_fd_ = -1;
-    }
-}
-
-void
-PipeTransport::close()
-{
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    if (own_fds_) {
-        if (read_fd_ >= 0)
-            ::close(read_fd_);
-        if (write_fd_ >= 0 && write_fd_ != read_fd_)
-            ::close(write_fd_);
-    }
-    read_fd_ = write_fd_ = -1;
-}
-
-// ------------------------------------------------------------ TcpTransport
-
-bool
-TcpTransport::send(const std::string &payload)
-{
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    if (!socket_.valid())
-        return false;
-    const std::string wire = encodeFrame(payload, true);
-    return socket_.writeAll(wire.data(), wire.size());
-}
-
-Transport::Pump
-TcpTransport::pump()
-{
-    if (!socket_.valid())
-        return Pump::kEof;
-    return pumpFd(socket_.fd(), buf_);
-}
-
-int
-TcpTransport::next(std::string &payload)
-{
-    return decodeFrame(buf_, payload, true);
-}
-
-void
-TcpTransport::shutdownSend()
-{
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    if (socket_.valid())
-        ::shutdown(socket_.fd(), SHUT_WR);
-}
-
-void
-TcpTransport::close()
+Channel::close()
 {
     // Serialized against send(): the worker's heartbeat thread may be
     // mid-write when the job loop tears the channel down.
     std::lock_guard<std::mutex> lock(send_mutex_);
-    socket_.close();
+    if (read_fd_ >= 0)
+        ::close(read_fd_);
+    if (write_fd_ >= 0 && write_fd_ != read_fd_)
+        ::close(write_fd_);
+    read_fd_ = write_fd_ = -1;
 }
 
 } // namespace mondrian

@@ -1,28 +1,20 @@
 /**
  * @file
- * Transport: the message channel between a campaign coordinator and one
- * worker, abstracted over pipes and TCP.
+ * Channel: the message channel between a campaign coordinator and one
+ * worker, over a pipe pair or a TCP socket.
  *
- * PR 7's wire protocol was designed transport-agnostic: JSON command
- * messages flow coordinator -> worker, framed payloads flow back. This
- * file is where that abstraction becomes real. Two implementations:
- *
- *  - PipeTransport — the original subprocess transport, extracted from
- *    coordinator.cc behavior-preservingly: commands are newline-delimited
- *    compact JSON on the worker's stdin, replies are length-prefixed
- *    frames ("<decimal length>\n<payload>\n") on its stdout.
- *
- *  - TcpTransport — one socket, the SAME protocol messages, but BOTH
- *    directions carry CRC-framed payloads:
- *    "<decimal length> <8-hex crc32>\n<payload>\n". The CRC means a bit
- *    flip on the wire is detected at the transport layer (next() returns
- *    a desync, which maps to the coordinator's kill/requeue path) instead
- *    of surfacing as a JSON parse error deep in result handling.
+ * Every channel carries the same frames in both directions:
+ * "<decimal length> <8-hex crc32>\n<payload>\n". The CRC means a bit
+ * flip on the wire is detected at the transport layer (next() returns a
+ * desync, which maps to the coordinator's kill/requeue path) instead of
+ * surfacing as a JSON parse error deep in result handling. Pipes and
+ * sockets differ only in their file descriptors: a local worker's
+ * channel reads one pipe and writes another, a socket reads and writes
+ * the same fd.
  *
  * Threading: send() is serialized by an internal mutex — the worker's
- * dedicated heartbeat thread writes concurrently with the job loop (the
- * same contract FrameSender provided on stdout). pump()/next() are
- * single-consumer: only the owning event loop reads.
+ * dedicated heartbeat thread writes concurrently with the job loop.
+ * pump()/next() are single-consumer: only the owning event loop reads.
  */
 
 #ifndef MONDRIAN_NET_TRANSPORT_HH
@@ -30,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -41,44 +32,25 @@ namespace mondrian {
 /** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of @p data. */
 std::uint32_t crc32(const void *data, std::size_t size);
 
-/**
- * Encode one payload as a transport frame:
- * without CRC, "<decimal length>\n<payload>\n" (the pipe format);
- * with CRC, "<decimal length> <8-hex crc32>\n<payload>\n" (TCP).
- */
-std::string encodeFrame(const std::string &payload, bool with_crc);
+/** Encode one payload as "<decimal length> <8-hex crc32>\n<payload>\n". */
+std::string encodeFrame(const std::string &payload);
 
 /**
  * Extract the next complete frame from @p buf, consuming it.
  * @return 1 on a frame (payload out), 0 when more bytes are needed, -1
- * on a framing violation — unparseable header, nonsense length,
- * missing trailer, or (with @p with_crc) a CRC mismatch. -1 means the
- * stream is no longer trustworthy: the caller must drop the channel.
+ * on a framing violation — unparseable header, nonsense length, missing
+ * trailer or a CRC mismatch. -1 means the stream is no longer
+ * trustworthy: the caller must drop the channel.
  */
-int decodeFrame(std::string &buf, std::string &payload, bool with_crc);
+int decodeFrame(std::string &buf, std::string &payload);
 
 /**
- * Extract the next newline-delimited message from @p buf (the pipe
- * command channel), consuming it; blank lines are skipped.
- * @return 1 on a message, 0 when more bytes are needed.
+ * Bidirectional framed message channel between a coordinator and one
+ * worker. Owns its fds and closes them on destruction.
  */
-int decodeLine(std::string &buf, std::string &payload);
-
-/**
- * Bidirectional message channel between a coordinator and one worker.
- * The role decides the encoding each direction uses on asymmetric
- * transports (pipes): a coordinator sends commands and receives frames,
- * a worker the reverse.
- */
-class Transport
+class Channel
 {
   public:
-    enum class Role
-    {
-        kCoordinator,
-        kWorker
-    };
-
     /** pump() outcome. */
     enum class Pump
     {
@@ -88,18 +60,31 @@ class Transport
         kError ///< read error: channel dead
     };
 
-    virtual ~Transport() = default;
+    /** A pipe pair (or any two fds): read one, write the other. */
+    Channel(int read_fd, int write_fd)
+        : read_fd_(read_fd), write_fd_(write_fd)
+    {}
+
+    /** A socket: the same fd both ways. */
+    explicit Channel(Socket socket)
+        : read_fd_(socket.fd()), write_fd_(socket.release())
+    {}
+
+    ~Channel() { close(); }
+
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
 
     /**
      * Send one protocol message (thread-safe).
      * @return false when the peer is gone or the write fails.
      */
-    virtual bool send(const std::string &payload) = 0;
+    bool send(const std::string &payload);
 
     /** Read available bytes from the fd into the reassembly buffer.
      *  Blocking fds block until data/EOF; non-blocking fds drain until
      *  EAGAIN and report kIdle when nothing was pending. */
-    virtual Pump pump() = 0;
+    Pump pump();
 
     /**
      * Extract the next complete inbound message from the reassembly
@@ -107,76 +92,27 @@ class Transport
      * bytes are needed (pump() again), -1 on a framing violation or CRC
      * mismatch (drop the channel).
      */
-    virtual int next(std::string &payload) = 0;
+    int next(std::string &payload) { return decodeFrame(buf_, payload); }
 
     /** poll()able fd of the receive side. */
-    virtual int fd() const = 0;
+    int fd() const { return read_fd_; }
 
     /**
      * Half-close the send direction only (idempotent): the peer sees
      * EOF on its read side while our receive side stays open. This is
      * how the coordinator's shutdown works — after the exit message the
-     * command channel closes, but the reply channel stays readable
-     * until the worker is reaped.
+     * command direction closes, but replies stay readable until the
+     * worker is reaped. A socket is shut down for writing; a pipe's
+     * write end is closed.
      */
-    virtual void shutdownSend() = 0;
+    void shutdownSend();
 
     /** Close both directions (idempotent). */
-    virtual void close() = 0;
-
-    virtual bool closed() const = 0;
-
-    /** "pipe" or "tcp" — for log lines and the --dry-run listing. */
-    virtual const char *kind() const = 0;
-};
-
-/**
- * The stdin/stdout subprocess transport (see file header). Owns neither,
- * either, or both fds depending on @p own_fds — the worker side wraps
- * fds 0 and 1 without owning them; the coordinator side owns its pipe
- * ends.
- */
-class PipeTransport : public Transport
-{
-  public:
-    PipeTransport(Role role, int read_fd, int write_fd, bool own_fds);
-    ~PipeTransport() override;
-
-    bool send(const std::string &payload) override;
-    Pump pump() override;
-    int next(std::string &payload) override;
-    int fd() const override { return read_fd_; }
-    void shutdownSend() override;
-    void close() override;
-    bool closed() const override { return read_fd_ < 0 && write_fd_ < 0; }
-    const char *kind() const override { return "pipe"; }
+    void close();
 
   private:
-    Role role_;
     int read_fd_;
     int write_fd_;
-    bool own_fds_;
-    std::string buf_;
-    std::mutex send_mutex_;
-};
-
-/** The TCP transport: one socket, CRC frames both ways (see header). */
-class TcpTransport : public Transport
-{
-  public:
-    explicit TcpTransport(Socket socket) : socket_(std::move(socket)) {}
-
-    bool send(const std::string &payload) override;
-    Pump pump() override;
-    int next(std::string &payload) override;
-    int fd() const override { return socket_.fd(); }
-    void shutdownSend() override;
-    void close() override;
-    bool closed() const override { return !socket_.valid(); }
-    const char *kind() const override { return "tcp"; }
-
-  private:
-    Socket socket_;
     std::string buf_;
     std::mutex send_mutex_;
 };

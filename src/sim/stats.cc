@@ -46,53 +46,4 @@ LatencySample::percentile(double p) const
     return samples_[rank - 1];
 }
 
-std::uint64_t
-StatRegistry::value(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-std::uint64_t
-StatRegistry::sumBySuffix(const std::string &suffix) const
-{
-    std::uint64_t sum = 0;
-    for (const auto &[name, ctr] : counters_) {
-        if (name.size() >= suffix.size() &&
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) == 0) {
-            sum += ctr.value();
-        }
-    }
-    return sum;
-}
-
-std::uint64_t
-StatRegistry::sumByPrefix(const std::string &prefix) const
-{
-    std::uint64_t sum = 0;
-    for (const auto &[name, ctr] : counters_) {
-        if (name.compare(0, prefix.size(), prefix) == 0)
-            sum += ctr.value();
-    }
-    return sum;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-StatRegistry::dump() const
-{
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto &[name, ctr] : counters_)
-        out.emplace_back(name, ctr.value());
-    return out;
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &[name, ctr] : counters_)
-        ctr.reset();
-}
-
 } // namespace mondrian

@@ -1,37 +1,17 @@
 /**
  * @file
- * Lightweight named-statistics registry.
- *
- * Components register counters under hierarchical names
- * ("vault03.rowActivations"); reports and the energy model read them back.
+ * LatencySample: duration samples and their order statistics.
  */
 
 #ifndef MONDRIAN_SIM_STATS_HH
 #define MONDRIAN_SIM_STATS_HH
 
-#include <cstdint>
-#include <map>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
 
 namespace mondrian {
-
-/** A single accumulating statistic. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void inc(std::uint64_t delta = 1) { value_ += delta; }
-    void set(std::uint64_t v) { value_ = v; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /**
  * Accumulates duration samples (ticks) and answers order statistics.
@@ -67,32 +47,6 @@ class LatencySample
 
     mutable std::vector<Tick> samples_;
     mutable bool sorted_ = true;
-};
-
-/** Registry mapping hierarchical names to counters. */
-class StatRegistry
-{
-  public:
-    /** Get (creating if needed) the counter called @p name. */
-    Counter &counter(const std::string &name) { return counters_[name]; }
-
-    /** Read a counter's value; 0 if absent. */
-    std::uint64_t value(const std::string &name) const;
-
-    /** Sum of all counters whose name ends with @p suffix. */
-    std::uint64_t sumBySuffix(const std::string &suffix) const;
-
-    /** Sum of all counters whose name starts with @p prefix. */
-    std::uint64_t sumByPrefix(const std::string &prefix) const;
-
-    /** All (name, value) pairs in name order. */
-    std::vector<std::pair<std::string, std::uint64_t>> dump() const;
-
-    /** Reset every counter to zero. */
-    void resetAll();
-
-  private:
-    std::map<std::string, Counter> counters_;
 };
 
 } // namespace mondrian

@@ -739,71 +739,90 @@ campaignJournalLine(const CampaignJob &job, const RunResult &result)
     return JsonWriter::compact(w.str()) + "\n";
 }
 
-CampaignReport
-CampaignRunner::run(unsigned jobs)
+std::vector<CampaignJob>
+beginCampaign(const CampaignGrid &grid, const ResumeCache *resume,
+              CampaignReport &report)
 {
     std::string grid_error;
-    if (!validateGrid(grid_, grid_error))
+    if (!validateGrid(grid, grid_error))
         throw std::invalid_argument("invalid campaign grid: " + grid_error);
 
-    const std::vector<CampaignJob> grid_jobs = expandGrid(grid_);
+    std::vector<CampaignJob> todo;
+    report = CampaignReport{};
+    report.grid = grid;
+    for (CampaignJob &job : expandGrid(grid)) {
+        CampaignRun &slot = report.runs.emplace_back();
+        slot.job = job;
+        const ResumeCache::Entry *hit =
+            resume ? resume->find(campaignJobKey(job)) : nullptr;
+        if (hit) {
+            slot.result = hit->result;
+            slot.rawResultJson = hit->rawResultJson;
+            slot.cached = true;
+            report.cachedRuns++;
+            continue;
+        }
+        todo.push_back(std::move(job));
+    }
+    return todo;
+}
 
-    CampaignReport report;
-    report.grid = grid_;
-    report.runs.resize(grid_jobs.size());
-
-    // Each worker writes only its own grid slot; the mutex guards the
-    // progress callback, not the results.
+void
+runCampaignJobs(const std::vector<CampaignJob> &jobs, unsigned threads,
+                const std::function<void(const CampaignRun &)> &progress,
+                const std::atomic<bool> *abort, CampaignReport &report)
+{
+    // Each pool thread writes only its own grid slot; the mutex guards
+    // the progress callback, not the results.
     std::mutex progress_mutex;
     {
-        // jobs == 1 -> inline execution on this thread (no workers).
-        ThreadPool pool(jobs == 1 ? 0 : ThreadPool::resolveThreads(jobs));
-        for (const CampaignJob &job : grid_jobs) {
-            if (resume_) {
-                const ResumeCache::Entry *hit =
-                    resume_->find(campaignJobKey(job));
-                if (hit) {
-                    CampaignRun &slot = report.runs[job.index];
-                    slot.job = job;
-                    slot.result = hit->result;
-                    slot.rawResultJson = hit->rawResultJson;
-                    slot.cached = true;
-                    report.cachedRuns++;
-                    continue;
-                }
-            }
-            if (abort_ && abort_->load()) {
+        // threads == 1 -> inline execution on this thread (no workers).
+        ThreadPool pool(threads == 1 ? 0
+                                     : ThreadPool::resolveThreads(threads));
+        for (const CampaignJob &job : jobs) {
+            CampaignRun &slot = report.runs[job.index];
+            if (abort && abort->load()) {
                 // Interrupted: don't start new work; mark the slot so
                 // the partial report never misreads it as a result.
-                CampaignRun &slot = report.runs[job.index];
-                slot.job = job;
                 slot.failed = true;
                 continue;
             }
-            pool.submit([this, job, &report, &progress_mutex] {
-                CampaignRun &slot = report.runs[job.index];
-                slot.job = job;
-                if (abort_ && abort_->load()) {
+            pool.submit([&slot, &progress, abort, &progress_mutex] {
+                if (abort && abort->load()) {
                     slot.failed = true;
                     return;
                 }
-                slot.result = executeCampaignJob(job);
-                if (progress_) {
+                slot.result = executeCampaignJob(slot.job);
+                if (progress) {
                     std::lock_guard<std::mutex> lock(progress_mutex);
-                    progress_(slot);
+                    progress(slot);
                 }
             });
         }
         pool.wait();
     }
-    if (abort_ && abort_->load())
+    if (abort && abort->load())
         report.aborted = true;
+}
 
+void
+finishCampaign(CampaignReport &report)
+{
     SystemKind baseline;
-    if (findBaseline(grid_, baseline)) {
+    if (findBaseline(report.grid, baseline)) {
         report.baseline = systemKindName(baseline);
-        report.summaries = summarizeRuns(grid_, report.runs, baseline);
+        report.summaries = summarizeRuns(report.grid, report.runs, baseline);
     }
+}
+
+CampaignReport
+CampaignRunner::run(unsigned jobs)
+{
+    CampaignReport report;
+    const std::vector<CampaignJob> todo =
+        beginCampaign(grid_, resume_, report);
+    runCampaignJobs(todo, jobs, progress_, abort_, report);
+    finishCampaign(report);
     return report;
 }
 

@@ -143,9 +143,8 @@ std::vector<CampaignJob> expandGrid(const CampaignGrid &grid);
 /**
  * Execute one expanded grid point: the single place that maps a job
  * onto a Runner (degenerate traffic) or ServedRunner (open-loop
- * traffic). Shared by the in-process CampaignRunner, the distributed
- * worker loop and the coordinator's degraded in-process fallback, so
- * the three can never diverge.
+ * traffic). Shared by the in-process executor (runCampaignJobs) and the
+ * distributed worker loop, so the two can never diverge.
  */
 RunResult executeCampaignJob(const CampaignJob &job);
 
@@ -355,6 +354,34 @@ class ResumeCache
   private:
     std::map<std::string, Entry> entries_;
 };
+
+/**
+ * Campaign set-up shared by CampaignRunner and CampaignCoordinator:
+ * validate and expand @p grid into @p report (one slot per job, in grid
+ * order) and splice the grid points @p resume (may be null) already
+ * holds into their slots.
+ * @return the jobs still to run, in grid order.
+ * @throw std::invalid_argument when the grid fails validateGrid().
+ */
+std::vector<CampaignJob> beginCampaign(const CampaignGrid &grid,
+                                       const ResumeCache *resume,
+                                       CampaignReport &report);
+
+/**
+ * The in-process executor: run @p jobs into their slots of @p report on
+ * @p threads threads (1 = serially on the calling thread; 0 = one per
+ * hardware thread). @p progress (may be empty) sees each finished run,
+ * serialized; once @p abort (may be null) reads true, unstarted jobs are
+ * marked failed and the report aborted. CampaignRunner::run is this
+ * call; the coordinator uses it when it has no workers or degrades.
+ */
+void runCampaignJobs(const std::vector<CampaignJob> &jobs, unsigned threads,
+                     const std::function<void(const CampaignRun &)> &progress,
+                     const std::atomic<bool> *abort, CampaignReport &report);
+
+/** Fill the report's baseline and per-system summaries (the first kCpu
+ *  system of the grid is the baseline; none = no summaries). */
+void finishCampaign(CampaignReport &report);
 
 /** Expands a grid and executes it on a thread pool. */
 class CampaignRunner

@@ -4,8 +4,9 @@
  * the distributed coordinator.
  *
  * A spec document serializes a CampaignGrid — every axis, in axis order —
- * so that a worker process can re-expand the identical job list from a
- * file instead of re-parsing CLI flags. Expansion order is part of the
+ * so that a worker process can re-expand the identical job list from the
+ * document its coordinator sends in the join handshake instead of
+ * re-parsing CLI flags. Expansion order is part of the
  * contract: job index N in the coordinator IS job index N in every
  * worker, which is what lets the wire protocol ship bare indices.
  *

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -24,7 +25,6 @@
 #include "common/json_parse.hh"
 #include "common/logging.hh"
 #include "net/transport.hh"
-#include "sim/thread_pool.hh"
 #include "system/campaign_spec.hh"
 #include "system/report.hh"
 
@@ -143,22 +143,6 @@ monotonicSeconds()
         .count();
 }
 
-bool
-writeAll(int fd, const std::string &data)
-{
-    std::size_t off = 0;
-    while (off < data.size()) {
-        const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
 std::string
 selfExecutable()
 {
@@ -192,7 +176,7 @@ pickFault(std::vector<FaultInjection> &faults, std::vector<bool> &fired,
  * coordinator is gone", and reconnect-or-exit is the caller's call.
  */
 bool
-awaitMessage(Transport &t, std::string &payload)
+awaitMessage(Channel &t, std::string &payload)
 {
     for (;;) {
         const int st = t.next(payload);
@@ -200,8 +184,8 @@ awaitMessage(Transport &t, std::string &payload)
             return true;
         if (st < 0)
             return false;
-        const Transport::Pump p = t.pump();
-        if (p == Transport::Pump::kEof || p == Transport::Pump::kError)
+        const Channel::Pump p = t.pump();
+        if (p == Channel::Pump::kEof || p == Channel::Pump::kError)
             return false;
     }
 }
@@ -325,40 +309,27 @@ workerCacheStore(const std::string &dir, const CampaignJob &job,
 
 namespace {
 
-/** How serveCampaignJobs() ended. */
+/** How joinAndServe() ended. */
 enum class ServeStatus
 {
-    kExit,           ///< coordinator sent an orderly exit message
-    kEof,            ///< channel hit EOF or a read error
-    kDesync,         ///< unparseable traffic from the coordinator
-    kDisconnectFault ///< an injected disconnect fault fired
-};
-
-/** Everything a worker's serve loop needs besides the channel. */
-struct ServeContext
-{
-    const std::vector<CampaignJob> *jobs = nullptr;
-    double heartbeatIntervalSec = 1.0;
-    std::string cacheDir; ///< empty = no result cache
-    /** Env-var fault plan (standalone chaos path) and its fired state;
-     *  owned by the caller so stickiness survives TCP reconnects. */
-    std::vector<FaultInjection> *envFaults = nullptr;
-    std::vector<bool> *envFired = nullptr;
+    kExit,            ///< coordinator sent an orderly exit message
+    kLost,            ///< EOF, a read error, a bad frame or unparseable
+                      ///< traffic: the coordinator is gone
+    kDisconnectFault, ///< an injected disconnect fault fired
+    kRefused          ///< handshake refused for good: a reject, or a
+                      ///< spec this worker cannot use
 };
 
 /**
- * The worker serve loop, shared verbatim by pipe workers (--worker) and
- * TCP workers (--worker-connect): answer job messages with result
- * frames, beat a heartbeat from a dedicated thread, apply injected
- * faults, and serve repeats from the result cache when one is
- * configured.
+ * The worker serve loop: answer job messages with result frames, beat a
+ * heartbeat from a dedicated thread, apply injected faults, and serve
+ * repeats from the result cache at @p cache_dir when one is configured.
  */
 ServeStatus
-serveCampaignJobs(Transport &t, ServeContext &ctx)
+serveCampaignJobs(Channel &t, const std::vector<CampaignJob> &jobs,
+                  double heartbeat_interval_sec, const std::string &cache_dir)
 {
-    const std::vector<CampaignJob> &jobs = *ctx.jobs;
-    const bool cache_ok =
-        !ctx.cacheDir.empty() && ensureWorkerCacheDir(ctx.cacheDir);
+    const bool cache_ok = !cache_dir.empty() && ensureWorkerCacheDir(cache_dir);
 
     // Heartbeats come from a dedicated thread so a long-running
     // simulation never reads as a hang; the "hang" fault suppresses
@@ -371,7 +342,7 @@ serveCampaignJobs(Transport &t, ServeContext &ctx)
         std::unique_lock<std::mutex> lock(hb_mutex);
         while (!hb_stop) {
             hb_cv.wait_for(lock, std::chrono::duration<double>(
-                                     ctx.heartbeatIntervalSec));
+                                     heartbeat_interval_sec));
             if (hb_stop)
                 break;
             if (hb_suppress.load())
@@ -388,19 +359,16 @@ serveCampaignJobs(Transport &t, ServeContext &ctx)
         heartbeat.join();
     };
 
-    ServeStatus status = ServeStatus::kEof;
+    ServeStatus status = ServeStatus::kLost;
     std::string payload;
     for (;;) {
-        if (!awaitMessage(t, payload)) {
-            status = ServeStatus::kEof;
+        if (!awaitMessage(t, payload))
             break;
-        }
         JsonValue msg;
         std::string parse_error;
         if (!parseJson(payload, msg, parse_error)) {
             std::fprintf(stderr, "worker: bad message: %s\n",
                          parse_error.c_str());
-            status = ServeStatus::kDesync;
             break;
         }
         const JsonValue *type = msg.find("type");
@@ -413,21 +381,12 @@ serveCampaignJobs(Transport &t, ServeContext &ctx)
         const JsonValue *idx = msg.find("index");
         if (!idx || idx->asU64() >= jobs.size()) {
             std::fprintf(stderr, "worker: job index out of range\n");
-            status = ServeStatus::kDesync;
             break;
         }
         const std::size_t index = static_cast<std::size_t>(idx->asU64());
 
-        // Fault to apply on this attempt: the coordinator's directive
-        // wins; otherwise the env-var path.
-        std::string fault;
-        if (const JsonValue *f = msg.find("fault"))
-            fault = f->asString();
-        if (fault.empty() && ctx.envFaults) {
-            if (const FaultInjection *f =
-                    pickFault(*ctx.envFaults, *ctx.envFired, index))
-                fault = faultKindName(f->kind);
-        }
+        const JsonValue *f = msg.find("fault");
+        const std::string fault = f ? f->asString() : "";
         if (fault == "crash") {
             // Die without a result or an exit frame — exactly what an
             // OOM kill or a segfault looks like from the coordinator.
@@ -442,7 +401,7 @@ serveCampaignJobs(Transport &t, ServeContext &ctx)
         }
         if (fault == "disconnect") {
             // Drop the channel mid-job without a result — what a cable
-            // pull looks like. A pipe worker just exits (the
+            // pull looks like. A local worker just exits (the
             // coordinator sees EOF and respawns); a --worker-connect
             // worker reconnects and rejoins as a fresh worker.
             status = ServeStatus::kDisconnectFault;
@@ -465,7 +424,7 @@ serveCampaignJobs(Transport &t, ServeContext &ctx)
 
         if (cache_ok) {
             std::string raw;
-            if (workerCacheLookup(ctx.cacheDir, campaignJobKey(jobs[index]),
+            if (workerCacheLookup(cache_dir, campaignJobKey(jobs[index]),
                                   raw)) {
                 // The stored subtree carries exact doubles, so splicing
                 // it verbatim is byte-equivalent to re-simulating.
@@ -493,7 +452,7 @@ serveCampaignJobs(Transport &t, ServeContext &ctx)
             w.endObject();
             t.send(JsonWriter::compact(w.str()));
             if (cache_ok)
-                workerCacheStore(ctx.cacheDir, jobs[index], result);
+                workerCacheStore(cache_dir, jobs[index], result);
         } catch (const std::exception &e) {
             JsonWriter w;
             w.beginObject();
@@ -509,76 +468,92 @@ serveCampaignJobs(Transport &t, ServeContext &ctx)
     return status;
 }
 
-/** Parse MONDRIAN_FAULT_INJECT; false (with a message) on bad grammar. */
-bool
-loadEnvFaults(std::vector<FaultInjection> &out)
+/**
+ * Join a coordinator over @p t and serve its jobs. The handshake is the
+ * same for every worker: hello (with @p token) -> the campaign spec and
+ * heartbeat interval -> ready with the expanded job count. Local
+ * (--worker) and remote (--worker-connect) workers differ only in how
+ * @p t was opened. @p peer names the coordinator in the join log line;
+ * empty keeps a local worker quiet on the stderr it shares with its
+ * coordinator. @p joined reports whether the handshake completed.
+ */
+ServeStatus
+joinAndServe(Channel &t, const std::string &token,
+             const std::string &cache_dir, const std::string &peer,
+             bool &joined)
 {
-    if (const char *env = std::getenv("MONDRIAN_FAULT_INJECT");
-        env && *env) {
-        std::string fault_error;
-        if (!parseFaultInject(env, out, fault_error)) {
-            std::fprintf(stderr, "worker: MONDRIAN_FAULT_INJECT: %s\n",
-                         fault_error.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
-
-int
-runCampaignWorker(const std::string &spec_path,
-                  double heartbeat_interval_sec,
-                  const std::string &cache_dir)
-{
-    // Writes to a dead coordinator must fail with EPIPE, not a signal.
-    ::signal(SIGPIPE, SIG_IGN);
-
-    std::ifstream in(spec_path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "worker: cannot open spec '%s'\n",
-                     spec_path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-
-    CampaignGrid grid;
-    std::string error;
-    if (!parseCampaignSpec(ss.str(), grid, error) ||
-        !validateGrid(grid, error)) {
-        std::fprintf(stderr, "worker: bad spec '%s': %s\n",
-                     spec_path.c_str(), error.c_str());
-        return 2;
-    }
-    const std::vector<CampaignJob> jobs = expandGrid(grid);
-
-    std::vector<FaultInjection> env_faults;
-    if (!loadEnvFaults(env_faults))
-        return 2;
-    std::vector<bool> env_fired(env_faults.size(), false);
-
-    PipeTransport t(Transport::Role::kWorker, STDIN_FILENO, STDOUT_FILENO,
-                    false);
+    joined = false;
     {
         JsonWriter w;
         w.beginObject();
         w.member("type", "hello");
         w.member("pid", std::uint64_t(::getpid()));
-        w.member("jobs", std::uint64_t{jobs.size()});
+        w.member("token", token);
         w.endObject();
-        t.send(JsonWriter::compact(w.str()));
+        if (!t.send(JsonWriter::compact(w.str())))
+            return ServeStatus::kLost;
     }
 
-    ServeContext ctx;
-    ctx.jobs = &jobs;
-    ctx.heartbeatIntervalSec = heartbeat_interval_sec;
-    ctx.cacheDir = cache_dir;
-    ctx.envFaults = &env_faults;
-    ctx.envFired = &env_fired;
-    serveCampaignJobs(t, ctx);
-    return 0;
+    std::string payload;
+    if (!awaitMessage(t, payload))
+        return ServeStatus::kLost;
+    JsonValue msg;
+    std::string error;
+    if (!parseJson(payload, msg, error)) {
+        std::fprintf(stderr, "worker: bad handshake message: %s\n",
+                     error.c_str());
+        return ServeStatus::kRefused;
+    }
+    const JsonValue *type = msg.find("type");
+    const std::string kind = type ? type->asString() : "";
+    if (kind == "reject") {
+        const JsonValue *reason = msg.find("reason");
+        std::fprintf(stderr, "worker: coordinator rejected us: %s\n",
+                     reason ? reason->asString().c_str() : "no reason given");
+        return ServeStatus::kRefused; // final: a retry would be rejected too
+    }
+    if (kind != "spec") {
+        std::fprintf(stderr, "worker: expected a spec message, got '%s'\n",
+                     kind.c_str());
+        return ServeStatus::kRefused;
+    }
+    const JsonValue *spec_text = msg.find("spec");
+    const JsonValue *hb = msg.find("heartbeat_interval");
+    CampaignGrid grid;
+    if (!spec_text || !spec_text->isString() ||
+        !parseCampaignSpec(spec_text->asString(), grid, error) ||
+        !validateGrid(grid, error)) {
+        std::fprintf(stderr, "worker: bad campaign spec: %s\n",
+                     error.c_str());
+        return ServeStatus::kRefused;
+    }
+    const std::vector<CampaignJob> jobs = expandGrid(grid);
+
+    if (!t.send("{\"type\": \"ready\", \"jobs\": " +
+                std::to_string(jobs.size()) + "}"))
+        return ServeStatus::kLost;
+    joined = true;
+    if (!peer.empty())
+        std::fprintf(stderr, "worker: joined %s (%zu jobs in the grid)\n",
+                     peer.c_str(), jobs.size());
+    return serveCampaignJobs(t, jobs,
+                             hb && hb->isNumber() ? hb->asDouble() : 1.0,
+                             cache_dir);
+}
+
+} // namespace
+
+int
+runCampaignWorker(const std::string &cache_dir)
+{
+    // Writes to a dead coordinator must fail with EPIPE, not a signal.
+    ::signal(SIGPIPE, SIG_IGN);
+    Channel t(STDIN_FILENO, STDOUT_FILENO);
+    bool joined = false;
+    return joinAndServe(t, "", cache_dir, "", joined) ==
+                   ServeStatus::kRefused
+               ? 2
+               : 0;
 }
 
 int
@@ -593,11 +568,6 @@ runConnectWorker(const std::string &endpoint_spec,
         std::fprintf(stderr, "worker: %s\n", error.c_str());
         return 2;
     }
-
-    std::vector<FaultInjection> env_faults;
-    if (!loadEnvFaults(env_faults))
-        return 2;
-    std::vector<bool> env_fired(env_faults.size(), false);
 
     // Consecutive connect/rejoin failures; reset by a successful join so
     // a long campaign tolerates any number of isolated drops.
@@ -617,7 +587,6 @@ runConnectWorker(const std::string &endpoint_spec,
         return true;
     };
 
-    std::vector<CampaignJob> jobs;
     for (;;) {
         Socket conn = Socket::connect(ep, error);
         if (!conn.valid()) {
@@ -625,93 +594,22 @@ runConnectWorker(const std::string &endpoint_spec,
                 return kExitNetwork;
             continue;
         }
-        TcpTransport t(std::move(conn));
-
-        // ---- handshake: hello(token) -> spec -> ready(job count)
-        {
-            JsonWriter w;
-            w.beginObject();
-            w.member("type", "hello");
-            w.member("pid", std::uint64_t(::getpid()));
-            w.member("token", options.helloToken);
-            w.endObject();
-            if (!t.send(JsonWriter::compact(w.str()))) {
-                if (!fail_retry("connection dropped during hello"))
-                    return kExitNetwork;
-                continue;
-            }
-        }
-
-        std::string payload;
-        if (!awaitMessage(t, payload)) {
-            if (!fail_retry("connection dropped before the campaign spec "
-                            "arrived"))
-                return kExitNetwork;
-            continue;
-        }
-        JsonValue msg;
-        if (!parseJson(payload, msg, error)) {
-            std::fprintf(stderr, "worker: bad handshake message: %s\n",
-                         error.c_str());
-            return kExitNetwork;
-        }
-        const JsonValue *type = msg.find("type");
-        const std::string kind = type ? type->asString() : "";
-        if (kind == "reject") {
-            const JsonValue *reason = msg.find("reason");
-            std::fprintf(stderr, "worker: coordinator rejected us: %s\n",
-                         reason ? reason->asString().c_str()
-                                : "no reason given");
-            return kExitNetwork; // final: a retry would be rejected too
-        }
-        if (kind != "spec") {
-            std::fprintf(stderr, "worker: expected a spec message, got "
-                         "'%s'\n", kind.c_str());
-            return kExitNetwork;
-        }
-        const JsonValue *spec_text = msg.find("spec");
-        const JsonValue *hb = msg.find("heartbeat_interval");
-        CampaignGrid grid;
-        if (!spec_text || !spec_text->isString() ||
-            !parseCampaignSpec(spec_text->asString(), grid, error) ||
-            !validateGrid(grid, error)) {
-            std::fprintf(stderr, "worker: bad campaign spec over the "
-                         "wire: %s\n", error.c_str());
-            return kExitNetwork;
-        }
-        jobs = expandGrid(grid);
-
-        {
-            JsonWriter w;
-            w.beginObject();
-            w.member("type", "ready");
-            w.member("jobs", std::uint64_t{jobs.size()});
-            w.endObject();
-            if (!t.send(JsonWriter::compact(w.str()))) {
-                if (!fail_retry("connection dropped during the ready "
-                                "reply"))
-                    return kExitNetwork;
-                continue;
-            }
-        }
-        std::fprintf(stderr, "worker: joined %s (%zu jobs in the grid)\n",
-                     ep.name().c_str(), jobs.size());
-        failures = 0;
-
-        ServeContext ctx;
-        ctx.jobs = &jobs;
-        ctx.heartbeatIntervalSec =
-            hb && hb->isNumber() ? hb->asDouble() : 1.0;
-        ctx.cacheDir = options.cacheDir;
-        ctx.envFaults = &env_faults;
-        ctx.envFired = &env_fired;
-        const ServeStatus st = serveCampaignJobs(t, ctx);
+        Channel t(std::move(conn));
+        bool joined = false;
+        const ServeStatus st = joinAndServe(t, options.helloToken,
+                                            options.cacheDir, ep.name(),
+                                            joined);
         t.close();
+        if (joined)
+            failures = 0;
         if (st == ServeStatus::kExit)
             return 0; // orderly campaign end
+        if (st == ServeStatus::kRefused)
+            return kExitNetwork;
         const char *why = st == ServeStatus::kDisconnectFault
                               ? "injected disconnect fault"
-                              : "connection to the coordinator lost";
+                          : joined ? "connection to the coordinator lost"
+                                   : "connection dropped during the handshake";
         if (!fail_retry(why))
             return kExitNetwork;
     }
@@ -722,50 +620,20 @@ runConnectWorker(const std::string &endpoint_spec,
 namespace {
 
 /** One worker channel — a local subprocess over pipes or a remote TCP
- *  connection; the event loop treats them uniformly via Transport. */
+ *  connection; the event loop treats them uniformly. */
 struct WorkerChan
 {
     unsigned id = 0;
-    std::unique_ptr<Transport> transport;
+    std::unique_ptr<Channel> chan;
     pid_t pid = -1; ///< local subprocess pid; -1 for remote workers
     bool remote = false;
     bool alive = false;
     bool hello = false;
-    /** Assignable: local workers from spawn, remote workers only after
-     *  the hello/spec/ready handshake completed. */
+    /** Assignable: the hello/spec/ready handshake completed. */
     bool ready = false;
     double lastSeen = 0.0;
     double jobStart = 0.0;
     std::ptrdiff_t job = -1; ///< assigned grid index, -1 when idle
-};
-
-/** Temp file that unlinks itself. */
-struct SpecFile
-{
-    std::string path;
-
-    ~SpecFile()
-    {
-        if (!path.empty())
-            ::unlink(path.c_str());
-    }
-
-    bool
-    create(const std::string &text, std::string &error)
-    {
-        char tmpl[] = "/tmp/mondrian-campaign-XXXXXX";
-        const int fd = ::mkstemp(tmpl);
-        if (fd < 0) {
-            error = std::string("mkstemp: ") + std::strerror(errno);
-            return false;
-        }
-        path = tmpl;
-        const bool ok = writeAll(fd, text);
-        ::close(fd);
-        if (!ok)
-            error = "cannot write job spec " + path;
-        return ok;
-    }
 };
 
 } // namespace
@@ -796,141 +664,64 @@ CampaignCoordinator::listenPort() const
 CampaignReport
 CampaignCoordinator::run()
 {
-    std::string grid_error;
-    if (!validateGrid(grid_, grid_error))
-        throw std::invalid_argument("invalid campaign grid: " + grid_error);
-
-    if (!config_.listenEndpoint.empty() && !listenSocket_.valid()) {
-        std::string listen_error;
-        if (!listen(listen_error))
-            throw std::runtime_error(listen_error);
-    }
-    const bool listening = listenSocket_.valid();
-
-    const std::vector<CampaignJob> jobs = expandGrid(grid_);
-
     CampaignReport report;
-    report.grid = grid_;
-    report.runs.resize(jobs.size());
-    for (const CampaignJob &job : jobs)
-        report.runs[job.index].job = job;
+    const std::vector<CampaignJob> todo =
+        beginCampaign(grid_, resume_, report);
 
-    std::vector<bool> done(jobs.size(), false);
+    std::string listen_error;
+    if (!listen(listen_error))
+        throw std::runtime_error(listen_error);
+
+    // With no workers and nobody to wait for, every job runs in-process
+    // rather than the loop spinning forever; otherwise only what a
+    // degraded worker population left behind does.
+    const bool use_workers = config_.workers > 0 || listenSocket_.valid();
+    const std::vector<CampaignJob> rest =
+        use_workers && !todo.empty() ? dispatch(todo, report) : todo;
+    if (!rest.empty())
+        runCampaignJobs(rest, std::max(1u, config_.workers), progress_,
+                        abort_, report);
+    finishCampaign(report);
+    return report;
+}
+
+std::vector<CampaignJob>
+CampaignCoordinator::dispatch(const std::vector<CampaignJob> &todo,
+                              CampaignReport &report)
+{
+    const bool listening = listenSocket_.valid();
+    const std::size_t grid_jobs = report.runs.size();
+
     std::deque<std::pair<std::size_t, double>> pending; // (index, readyAt)
-    for (const CampaignJob &job : jobs) {
-        if (resume_) {
-            const ResumeCache::Entry *hit =
-                resume_->find(campaignJobKey(job));
-            if (hit) {
-                CampaignRun &slot = report.runs[job.index];
-                slot.result = hit->result;
-                slot.rawResultJson = hit->rawResultJson;
-                slot.cached = true;
-                done[job.index] = true;
-                report.cachedRuns++;
-                continue;
-            }
-        }
+    for (const CampaignJob &job : todo)
         pending.push_back({job.index, 0.0});
-    }
 
-    const std::size_t target = pending.size();
+    const std::size_t target = todo.size();
     std::size_t completed = 0, failed = 0;
-    std::vector<unsigned> attempts(jobs.size(), 0);
+    std::vector<unsigned> attempts(grid_jobs, 0);
     std::vector<FaultInjection> faults = config_.faults;
     std::vector<bool> fault_fired(faults.size(), false);
 
-    auto finalize = [&] {
-        SystemKind baseline;
-        for (SystemKind k : grid_.systems) {
-            if (k == SystemKind::kCpu) {
-                baseline = k;
-                report.baseline = systemKindName(baseline);
-                report.summaries =
-                    summarizeRuns(grid_, report.runs, baseline);
-                break;
-            }
-        }
-        return report;
-    };
-    if (target == 0)
-        return finalize();
-
-    // Progress callback serialization for the degraded thread-pool path
-    // (the event loop itself is single-threaded).
-    std::mutex progress_mutex;
-    auto run_done = [&](std::size_t index) {
-        done[index] = true;
-        ++completed;
-        if (progress_) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            progress_(report.runs[index]);
-        }
-    };
-
-    // Degraded in-process execution of every unresolved job (spawn
-    // failure fallback); also reused when the worker population proves
-    // unusable mid-campaign.
-    auto run_inline = [&] {
-        // Snapshot the unresolved slots before anything is submitted:
-        // pool workers flip bits of `done` (std::vector<bool> packs
-        // sixty-four slots per word, so done[i] and done[j] share
-        // storage) and this loop must not keep reading it concurrently —
-        // a data race TSan flagged on the degraded --workers path.
-        std::vector<std::size_t> todo;
-        for (const CampaignJob &job : jobs)
-            if (!done[job.index] && !report.runs[job.index].failed)
-                todo.push_back(job.index);
-        ThreadPool pool(config_.workers <= 1
-                            ? 0
-                            : ThreadPool::resolveThreads(config_.workers));
-        for (std::size_t index : todo) {
-            const CampaignJob &job = jobs[index];
-            if (abort_ && abort_->load()) {
-                report.runs[job.index].failed = true;
-                report.aborted = true;
-                continue;
-            }
-            pool.submit([&, job] {
-                if (abort_ && abort_->load()) {
-                    report.runs[job.index].failed = true;
-                    return;
-                }
-                report.runs[job.index].result = executeCampaignJob(job);
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                done[job.index] = true;
-                ++completed;
-                if (progress_)
-                    progress_(report.runs[job.index]);
-            });
-        }
-        pool.wait();
-        if (abort_ && abort_->load())
-            report.aborted = true;
-    };
-
-    // Nothing to run workers with and nobody to wait for: execute
-    // in-process rather than spinning forever.
-    if (!listening && config_.workers == 0) {
-        run_inline();
-        return finalize();
+    // Every worker, spawned or dialed in, gets the spec and the beat
+    // period in reply to its hello.
+    const double hb_interval =
+        std::min(1.0, std::max(0.02, config_.heartbeatTimeoutSec / 4.0));
+    std::string spec_msg;
+    {
+        JsonWriter sm;
+        sm.beginObject();
+        sm.member("type", "spec");
+        sm.member("spec", campaignSpecJson(grid_));
+        sm.member("heartbeat_interval", hb_interval);
+        sm.endObject();
+        spec_msg = JsonWriter::compact(sm.str());
     }
 
     // --------------------------------------------------- spawn machinery
-    const std::string spec_json = campaignSpecJson(grid_);
-    std::string spec_error;
-    SpecFile spec;
-    if (!spec.create(spec_json, spec_error))
-        throw std::runtime_error(spec_error);
-
     std::vector<std::string> argv_prefix = config_.workerCommand;
     if (argv_prefix.empty())
         argv_prefix = {selfExecutable()};
-    const double hb_interval =
-        std::min(1.0, std::max(0.02, config_.heartbeatTimeoutSec / 4.0));
-    std::vector<std::string> argv_tail = {
-        "--worker", spec.path, "--heartbeat-interval",
-        JsonWriter::doubleString(hb_interval)};
+    std::vector<std::string> argv_tail = {"--worker"};
     if (!config_.workerCacheDir.empty()) {
         argv_tail.push_back("--worker-cache");
         argv_tail.push_back(config_.workerCacheDir);
@@ -973,10 +764,6 @@ CampaignCoordinator::run()
             ::close(to_child[1]);
             ::close(from_child[0]);
             ::close(from_child[1]);
-            // Faults are the coordinator's to deliver (one-shot, via
-            // job messages); a user-level env fault must not also
-            // re-fire inside every respawned worker.
-            ::unsetenv("MONDRIAN_FAULT_INJECT");
             std::vector<std::string> args = argv_prefix;
             args.insert(args.end(), argv_tail.begin(), argv_tail.end());
             std::vector<char *> argv;
@@ -992,11 +779,8 @@ CampaignCoordinator::run()
         WorkerChan w;
         w.id = next_worker_id++;
         w.pid = pid;
-        w.transport = std::make_unique<PipeTransport>(
-            Transport::Role::kCoordinator, from_child[0], to_child[1],
-            true);
+        w.chan = std::make_unique<Channel>(from_child[0], to_child[1]);
         w.alive = true;
-        w.ready = true; // pipe workers are assignable from spawn
         w.lastSeen = monotonicSeconds();
         workers.push_back(std::move(w));
         return true;
@@ -1008,8 +792,8 @@ CampaignCoordinator::run()
             ::waitpid(w.pid, nullptr, 0);
             w.pid = -1;
         }
-        if (w.transport)
-            w.transport->close();
+        if (w.chan)
+            w.chan->close();
         w.alive = false;
         w.ready = false;
     };
@@ -1151,7 +935,7 @@ CampaignCoordinator::run()
             msg.endObject();
             w.job = static_cast<std::ptrdiff_t>(index);
             w.jobStart = t;
-            if (!w.transport->send(JsonWriter::compact(msg.str()))) {
+            if (!w.chan->send(JsonWriter::compact(msg.str()))) {
                 // Dead before the assignment landed: requeue with no
                 // attempt penalty, recycle the worker.
                 w.job = -1;
@@ -1170,7 +954,7 @@ CampaignCoordinator::run()
         for (std::size_t i = 0; i < workers.size(); ++i) {
             if (!workers[i].alive)
                 continue;
-            fds.push_back({workers[i].transport->fd(), POLLIN, 0});
+            fds.push_back({workers[i].chan->fd(), POLLIN, 0});
             fd_worker.push_back(i);
         }
         if (fds.empty())
@@ -1201,8 +985,7 @@ CampaignCoordinator::run()
                     w.id = next_worker_id++;
                     w.remote = true;
                     w.alive = true;
-                    w.transport =
-                        std::make_unique<TcpTransport>(std::move(conn));
+                    w.chan = std::make_unique<Channel>(std::move(conn));
                     w.lastSeen = monotonicSeconds();
                     inform("coordinator: remote worker %u connected",
                            w.id);
@@ -1211,15 +994,15 @@ CampaignCoordinator::run()
                 continue;
             }
             WorkerChan &w = workers[fd_worker[i]];
-            const Transport::Pump pumped = w.transport->pump();
-            const bool gone = pumped == Transport::Pump::kEof ||
-                              pumped == Transport::Pump::kError;
+            const Channel::Pump pumped = w.chan->pump();
+            const bool gone = pumped == Channel::Pump::kEof ||
+                              pumped == Channel::Pump::kError;
 
             // Parse every complete message.
             bool desync = false, rejected = false;
             std::string payload;
             int st;
-            while ((st = w.transport->next(payload)) == 1) {
+            while ((st = w.chan->next(payload)) == 1) {
                 JsonValue msg;
                 std::string parse_error;
                 if (!parseJson(payload, msg, parse_error)) {
@@ -1230,56 +1013,42 @@ CampaignCoordinator::run()
                 const std::string kind = type ? type->asString() : "";
                 w.lastSeen = monotonicSeconds();
                 if (kind == "hello") {
-                    if (w.remote) {
-                        const JsonValue *tok = msg.find("token");
-                        const std::string token =
-                            tok && tok->isString() ? tok->asString() : "";
-                        if (token != config_.helloToken) {
-                            warn("coordinator: remote worker %u sent a "
-                                 "bad hello token; rejecting it", w.id);
-                            w.transport->send(
-                                "{\"type\": \"reject\", \"reason\": "
-                                "\"bad hello token\"}");
-                            rejected = true;
-                            break;
-                        }
-                        w.hello = true;
-                        any_hello_ever = true;
-                        // A remote worker has no spec file: ship the
-                        // spec (and the beat period) over the wire.
-                        JsonWriter sm;
-                        sm.beginObject();
-                        sm.member("type", "spec");
-                        sm.member("spec", spec_json);
-                        sm.member("heartbeat_interval", hb_interval);
-                        sm.endObject();
-                        if (!w.transport->send(
-                                JsonWriter::compact(sm.str()))) {
-                            desync = true;
-                            break;
-                        }
-                    } else {
-                        w.hello = true;
-                        any_hello_ever = true;
+                    // Local workers are our own children; only a worker
+                    // that dialed in must present the shared secret.
+                    const JsonValue *tok = msg.find("token");
+                    const std::string token =
+                        tok && tok->isString() ? tok->asString() : "";
+                    if (w.remote && token != config_.helloToken) {
+                        warn("coordinator: remote worker %u sent a bad "
+                             "hello token; rejecting it", w.id);
+                        w.chan->send("{\"type\": \"reject\", \"reason\": "
+                                     "\"bad hello token\"}");
+                        rejected = true;
+                        break;
+                    }
+                    w.hello = true;
+                    any_hello_ever = true;
+                    if (!w.chan->send(spec_msg)) {
+                        desync = true;
+                        break;
                     }
                 } else if (kind == "ready") {
                     // The worker expanded the spec we shipped; a job
                     // count mismatch means we would be assigning indices
                     // into a DIFFERENT grid — never assign to it.
                     const JsonValue *count = msg.find("jobs");
-                    if (!w.remote || !count ||
-                        count->asU64() != jobs.size()) {
+                    if (!w.hello || !count || count->asU64() != grid_jobs) {
                         desync = true;
                         break;
                     }
                     w.ready = true;
-                    inform("coordinator: remote worker %u ready", w.id);
+                    if (w.remote)
+                        inform("coordinator: remote worker %u ready", w.id);
                 } else if (kind == "heartbeat") {
                     // lastSeen refresh above is the whole point
                 } else if (kind == "result" || kind == "error") {
                     const JsonValue *idx = msg.find("index");
-                    if (!idx ||
-                        idx->asU64() >= jobs.size() ||
+                    if (!idx || idx->asU64() >= grid_jobs ||
                         w.job !=
                             static_cast<std::ptrdiff_t>(idx->asU64())) {
                         desync = true;
@@ -1307,7 +1076,9 @@ CampaignCoordinator::run()
                         ++report.workerCacheHits;
                     report.runs[index].result = std::move(parsed);
                     consecutive_failures = 0;
-                    run_done(index);
+                    ++completed;
+                    if (progress_)
+                        progress_(report.runs[index]);
                 } else {
                     desync = true;
                     break;
@@ -1335,16 +1106,16 @@ CampaignCoordinator::run()
 
     // ------------------------------------------------------- shutdown
     for (WorkerChan &w : workers) {
-        if (!w.alive || !w.transport)
+        if (!w.alive || !w.chan)
             continue;
-        w.transport->send("{\"type\": \"exit\"}");
-        w.transport->shutdownSend();
+        w.chan->send("{\"type\": \"exit\"}");
+        w.chan->shutdownSend();
     }
     const double shutdown_start = monotonicSeconds();
     for (WorkerChan &w : workers) {
         if (w.remote) {
             if (w.alive) {
-                w.transport->close();
+                w.chan->close();
                 w.alive = false;
             }
             continue;
@@ -1353,7 +1124,7 @@ CampaignCoordinator::run()
             const pid_t r = ::waitpid(w.pid, nullptr, WNOHANG);
             if (r == w.pid || (r < 0 && errno == ECHILD)) {
                 w.pid = -1;
-                w.transport->close();
+                w.chan->close();
                 w.alive = false;
                 break;
             }
@@ -1366,10 +1137,22 @@ CampaignCoordinator::run()
     }
     ::sigaction(SIGPIPE, &old_pipe, nullptr);
 
-    if (degraded)
-        run_inline();
-
-    return finalize();
+    // A degraded population leaves its queued and in-flight jobs to the
+    // in-process executor.
+    std::vector<CampaignJob> rest;
+    if (degraded) {
+        for (const auto &[index, ready_at] : pending)
+            rest.push_back(report.runs[index].job);
+        for (const WorkerChan &w : workers)
+            if (w.job >= 0)
+                rest.push_back(
+                    report.runs[static_cast<std::size_t>(w.job)].job);
+        std::sort(rest.begin(), rest.end(),
+                  [](const CampaignJob &a, const CampaignJob &b) {
+                      return a.index < b.index;
+                  });
+    }
+    return rest;
 }
 
 } // namespace mondrian

@@ -3,24 +3,22 @@
  * CampaignCoordinator: fault-tolerant distributed campaign execution.
  *
  * The coordinator shards an expanded campaign grid across workers —
- * local subprocesses (`mondrian_campaign --worker <campaign.json>`) and,
- * with `--listen HOST:PORT`, remote TCP workers that dial in
+ * local subprocesses (`mondrian_campaign --worker`) and, with
+ * `--listen HOST:PORT`, remote TCP workers that dial in
  * (`mondrian_campaign --worker-connect HOST:PORT`). Jobs are assigned
  * dynamically (pull-based: an idle worker gets the next pending grid
  * index), and results merge by grid index — never completion order — so
  * the merged report is byte-identical to the same grid run in-process
  * with any `--jobs` value, whatever mix of transports carried it.
  *
- * Wire protocol (docs/distributed.md has the full description): the
- * protocol MESSAGES are transport-agnostic; the framing comes from
- * src/net/transport.hh. Over pipes, commands are newline-delimited
- * compact JSON on worker stdin and replies are length-prefixed frames
- * on worker stdout (the PR 7 format, unchanged). Over TCP, both
- * directions carry CRC32-checked frames, and the handshake grows two
- * messages: the worker's hello carries a shared-secret token
- * (`--hello-token`), and the coordinator answers with the campaign spec
- * inline (a remote worker has no spec file) plus the heartbeat
- * interval; the worker replies "ready" with its expanded job count.
+ * Wire protocol (docs/distributed.md has the full description): every
+ * worker channel — pipes to a local subprocess or a TCP socket — carries
+ * the same CRC32-checked frames in both directions (src/net/transport.hh)
+ * and starts with the same handshake: the worker says hello, the
+ * coordinator answers with the campaign spec plus the heartbeat
+ * interval, and the worker replies "ready" with its expanded job count
+ * before it is assigned any job. Only a remote worker's hello must carry
+ * the shared-secret token (`--hello-token`).
  *
  * Failure model — every failure mode maps to a bounded retry:
  *  - worker crash (EOF/death) or mid-frame disconnect: its in-flight
@@ -36,9 +34,10 @@
  *    failed: the campaign continues, the report lists it under
  *    "failed_runs", and the process exits non-zero.
  *  - local workers that die before ever saying hello (bad binary, exec
- *    failure) trip graceful degradation to in-process execution —
- *    unless the coordinator is listening for remote workers, in which
- *    case it keeps waiting for them instead of silently running local.
+ *    failure) trip graceful degradation: the unresolved jobs run on
+ *    CampaignRunner's in-process executor (runCampaignJobs) — unless
+ *    the coordinator is listening for remote workers, in which case it
+ *    keeps waiting for them instead of silently running local.
  *
  * Determinism: workers serialize RunResult JSON with exact (shortest
  * round-trip) doubles; the coordinator parses them back into bit-exact
@@ -137,8 +136,8 @@ struct CoordinatorConfig
      */
     std::string workerCacheDir;
     /**
-     * argv prefix of the worker binary; "--worker <spec>" plus the
-     * heartbeat interval are appended. Empty = this executable
+     * argv prefix of the worker binary; "--worker" (and any
+     * --worker-cache) is appended. Empty = this executable
      * (/proc/self/exe). Tests point it at a nonexistent path to
      * exercise graceful degradation.
      */
@@ -190,8 +189,8 @@ class CampaignCoordinator
      * Execute the campaign. Blocks until every job completed, failed
      * permanently, or an abort was requested.
      * @throw std::invalid_argument when the grid fails validateGrid().
-     * @throw std::runtime_error when the job spec cannot be written or
-     * a configured listen endpoint cannot be bound.
+     * @throw std::runtime_error when a configured listen endpoint cannot
+     * be bound.
      */
     CampaignReport run();
 
@@ -210,6 +209,11 @@ class CampaignCoordinator
     void setAbort(const std::atomic<bool> *flag) { abort_ = flag; }
 
   private:
+    /** Run @p todo on workers; returns the jobs a degraded worker
+     *  population left unresolved (empty otherwise). */
+    std::vector<CampaignJob> dispatch(const std::vector<CampaignJob> &todo,
+                                      CampaignReport &report);
+
     CampaignGrid grid_;
     CoordinatorConfig config_;
     std::function<void(const CampaignRun &)> progress_;
@@ -219,20 +223,14 @@ class CampaignCoordinator
 };
 
 /**
- * Worker main loop (`mondrian_campaign --worker <spec>`): expand the
- * grid from @p spec_path, then serve job messages from stdin, streaming
- * heartbeats and results to stdout until an exit message or EOF.
- * @p heartbeat_interval_sec is the beat period; @p cache_dir (may be
- * empty) enables the worker-side result cache. The
- * MONDRIAN_FAULT_INJECT environment variable (same grammar as
- * --fault-inject) injects faults on this worker's own attempts —
- * the standalone-testing path; coordinator-driven faults arrive inside
- * job messages instead.
- * @return the process exit code.
+ * Local-worker main loop (`mondrian_campaign --worker`): join the
+ * coordinator over stdin/stdout — hello, receive the campaign spec and
+ * heartbeat interval, reply ready — then serve jobs, streaming
+ * heartbeats and results until an exit message or EOF. @p cache_dir
+ * (may be empty) enables the worker-side result cache.
+ * @return the process exit code (2 when the handshake fails).
  */
-int runCampaignWorker(const std::string &spec_path,
-                      double heartbeat_interval_sec,
-                      const std::string &cache_dir = std::string());
+int runCampaignWorker(const std::string &cache_dir = std::string());
 
 /** Knobs of a `--worker-connect` remote worker. */
 struct ConnectWorkerOptions
@@ -249,12 +247,12 @@ struct ConnectWorkerOptions
 
 /**
  * Remote-worker main loop (`mondrian_campaign --worker-connect
- * HOST:PORT`): dial the coordinator, present the hello token, receive
- * the campaign spec over the wire, then serve jobs exactly as a pipe
- * worker does. A dropped connection (coordinator kill, network fault,
- * an injected disconnect) triggers reconnection with backoff; the
- * rejoined connection is a brand-new worker to the coordinator. An
- * explicit exit message or hello rejection is final (no reconnect).
+ * HOST:PORT`): dial the coordinator and join it exactly as a local
+ * worker does, presenting the hello token, then serve jobs. A dropped
+ * connection (coordinator kill, network fault, an injected disconnect)
+ * triggers reconnection with backoff; the rejoined connection is a
+ * brand-new worker to the coordinator. An explicit exit message or
+ * hello rejection is final (no reconnect).
  * @return the process exit code (kExitNetwork for connect/handshake
  * failures).
  */

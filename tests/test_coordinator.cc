@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -50,6 +51,19 @@ referenceReport(const CampaignGrid &grid)
 {
     CampaignRunner runner(grid);
     return campaignReportJson(runner.run(1));
+}
+
+/** Entries of /tmp whose names start with @p prefix. */
+std::size_t
+tmpEntries(const std::string &prefix)
+{
+    std::size_t n = 0;
+    if (DIR *dir = ::opendir("/tmp")) {
+        while (const dirent *e = ::readdir(dir))
+            n += std::string(e->d_name).rfind(prefix, 0) == 0 ? 1 : 0;
+        ::closedir(dir);
+    }
+    return n;
 }
 
 CoordinatorConfig
@@ -164,6 +178,20 @@ TEST(Coordinator, CleanRunMatchesInProcessReport)
     coordinator.onRunDone([&](const CampaignRun &) { ++progressed; });
     EXPECT_EQ(campaignReportJson(coordinator.run()), expected);
     EXPECT_EQ(progressed, 4u);
+}
+
+TEST(Coordinator, LocalWorkersGetTheSpecOverTheChannel)
+{
+    // Local workers receive the campaign spec in the handshake, exactly
+    // as remote ones do: no spec file appears while the campaign runs.
+    CampaignCoordinator coordinator(smallGrid(), testConfig());
+    std::size_t spec_files = 0;
+    coordinator.onRunDone([&](const CampaignRun &) {
+        spec_files += tmpEntries("mondrian-campaign-");
+    });
+    const CampaignReport report = coordinator.run();
+    EXPECT_TRUE(report.failedRuns.empty());
+    EXPECT_EQ(spec_files, 0u);
 }
 
 TEST(Coordinator, CrashedWorkerIsRetriedByteIdentically)

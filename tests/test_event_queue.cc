@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 
 using namespace mondrian;
 
@@ -234,19 +233,4 @@ TEST(ClockDomain, Conversions)
     EXPECT_EQ(cd.nextEdge(0), 0u);
     EXPECT_EQ(cd.nextEdge(1), 1000u);
     EXPECT_EQ(cd.nextEdge(1000), 1000u);
-}
-
-TEST(Stats, CounterAndRegistry)
-{
-    StatRegistry reg;
-    reg.counter("vault0.reads").inc(3);
-    reg.counter("vault1.reads").inc(4);
-    reg.counter("vault0.writes").inc();
-    EXPECT_EQ(reg.value("vault0.reads"), 3u);
-    EXPECT_EQ(reg.value("missing"), 0u);
-    EXPECT_EQ(reg.sumBySuffix(".reads"), 7u);
-    EXPECT_EQ(reg.sumByPrefix("vault0."), 4u);
-    EXPECT_EQ(reg.dump().size(), 3u);
-    reg.resetAll();
-    EXPECT_EQ(reg.sumBySuffix(".reads"), 0u);
 }

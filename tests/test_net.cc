@@ -1,8 +1,8 @@
 /**
  * @file
  * The src/net layer: CRC32, frame encode/decode (partial feeding, CRC
- * corruption, header violations), endpoint parsing, PipeTransport and
- * TcpTransport round-trips over real fds, and the TCP hello-token
+ * corruption, header violations), endpoint parsing, Channel round-trips
+ * over a real pipe pair and a loopback socket, and the hello-token
  * handshake end to end against a live CampaignCoordinator — with the
  * in-test client acting as a minimal hand-rolled TCP worker, proving
  * the wire protocol independently of the production worker loop.
@@ -12,9 +12,11 @@
 
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -32,7 +34,7 @@ namespace {
 
 /** Block until one message arrives; false on EOF/desync. */
 bool
-awaitMsg(Transport &t, std::string &payload)
+awaitMsg(Channel &t, std::string &payload)
 {
     for (;;) {
         const int st = t.next(payload);
@@ -40,10 +42,27 @@ awaitMsg(Transport &t, std::string &payload)
             return true;
         if (st < 0)
             return false;
-        const Transport::Pump p = t.pump();
-        if (p == Transport::Pump::kEof || p == Transport::Pump::kError)
+        const Channel::Pump p = t.pump();
+        if (p == Channel::Pump::kEof || p == Channel::Pump::kError)
             return false;
     }
+}
+
+/** A connected loopback socket pair: {client, served}. */
+std::pair<Socket, Socket>
+loopbackPair()
+{
+    std::string error;
+    Endpoint ep;
+    EXPECT_TRUE(parseEndpoint("127.0.0.1:0", ep, error));
+    Socket listener = Socket::listen(ep, error);
+    EXPECT_TRUE(listener.valid()) << error;
+    ep.port = listener.localPort();
+    Socket client = Socket::connect(ep, error);
+    EXPECT_TRUE(client.valid()) << error;
+    Socket served = listener.accept(error);
+    EXPECT_TRUE(served.valid()) << error;
+    return {std::move(client), std::move(served)};
 }
 
 /** 2 systems x 2 ops at 2^8: four cheap jobs with a baseline. */
@@ -73,42 +92,40 @@ TEST(Crc32, MatchesTheIeeeCheckValue)
 
 // ------------------------------------------------------------------ frames
 
-TEST(Frame, RoundTripsWithAndWithoutCrc)
+TEST(Frame, RoundTrips)
 {
-    for (const bool with_crc : {false, true}) {
-        const std::string payload = "{\"type\": \"hello\"}";
-        std::string buf = encodeFrame(payload, with_crc);
-        std::string out;
-        EXPECT_EQ(decodeFrame(buf, out, with_crc), 1);
-        EXPECT_EQ(out, payload);
-        EXPECT_TRUE(buf.empty());
-    }
+    const std::string payload = "{\"type\": \"hello\"}";
+    std::string buf = encodeFrame(payload);
+    std::string out;
+    EXPECT_EQ(decodeFrame(buf, out), 1);
+    EXPECT_EQ(out, payload);
+    EXPECT_TRUE(buf.empty());
 }
 
 TEST(Frame, PartialFeedingNeedsMoreBytes)
 {
     const std::string payload(1000, 'x');
-    const std::string wire = encodeFrame(payload, true);
+    const std::string wire = encodeFrame(payload);
     std::string buf, out;
     // Feed one byte at a time: decode must keep answering 0 until the
     // final trailer byte lands (short reads are the TCP common case).
     for (std::size_t i = 0; i + 1 < wire.size(); ++i) {
         buf += wire[i];
-        ASSERT_EQ(decodeFrame(buf, out, true), 0) << "at byte " << i;
+        ASSERT_EQ(decodeFrame(buf, out), 0) << "at byte " << i;
     }
     buf += wire.back();
-    EXPECT_EQ(decodeFrame(buf, out, true), 1);
+    EXPECT_EQ(decodeFrame(buf, out), 1);
     EXPECT_EQ(out, payload);
 }
 
 TEST(Frame, CrcMismatchIsDesync)
 {
     const std::string payload = "{\"type\": \"result\", \"value\": 42}";
-    std::string wire = encodeFrame(payload, true);
+    std::string wire = encodeFrame(payload);
     // Flip one payload bit: the header CRC no longer matches.
     wire[wire.find('{') + 10] ^= 0x01;
     std::string out;
-    EXPECT_EQ(decodeFrame(wire, out, true), -1);
+    EXPECT_EQ(decodeFrame(wire, out), -1);
 }
 
 TEST(Frame, HeaderViolationsAreDesync)
@@ -116,22 +133,22 @@ TEST(Frame, HeaderViolationsAreDesync)
     std::string out;
     // Garbage length.
     std::string buf = "xyz deadbeef\n{}\n";
-    EXPECT_EQ(decodeFrame(buf, out, true), -1);
-    // Missing CRC field on a CRC channel.
+    EXPECT_EQ(decodeFrame(buf, out), -1);
+    // Missing CRC field.
     buf = "2\n{}\n";
-    EXPECT_EQ(decodeFrame(buf, out, true), -1);
+    EXPECT_EQ(decodeFrame(buf, out), -1);
     // Bad CRC width.
     buf = "2 abc\n{}\n";
-    EXPECT_EQ(decodeFrame(buf, out, true), -1);
+    EXPECT_EQ(decodeFrame(buf, out), -1);
     // Missing trailing newline after the payload.
     buf = "2 " + std::string(8, '0') + "\n{}X";
-    EXPECT_EQ(decodeFrame(buf, out, true), -1);
+    EXPECT_EQ(decodeFrame(buf, out), -1);
     // Nonsense length: a desync, not an allocation attempt.
-    buf = "99999999999999\n";
-    EXPECT_EQ(decodeFrame(buf, out, false), -1);
+    buf = "99999999999999 00000000\n";
+    EXPECT_EQ(decodeFrame(buf, out), -1);
     // A header line that never terminates.
     buf = std::string(64, '1');
-    EXPECT_EQ(decodeFrame(buf, out, false), -1);
+    EXPECT_EQ(decodeFrame(buf, out), -1);
 }
 
 // --------------------------------------------------------------- endpoints
@@ -159,17 +176,16 @@ TEST(Endpoint, RejectsMalformedSpecs)
     EXPECT_FALSE(parseEndpoint("host:70000", ep, error));
 }
 
-// ----------------------------------------------------------- PipeTransport
+// ----------------------------------------------------------------- Channel
 
-TEST(PipeTransport, RoundTripsBothRoles)
+TEST(Channel, PipePairRoundTrip)
 {
     // Two unidirectional pipes, exactly the coordinator/worker shape.
-    int cmd[2], reply[2];
-    ASSERT_EQ(::pipe(cmd), 0);
-    ASSERT_EQ(::pipe(reply), 0);
-    PipeTransport coord(Transport::Role::kCoordinator, reply[0], cmd[1],
-                        true);
-    PipeTransport worker(Transport::Role::kWorker, cmd[0], reply[1], true);
+    int down[2], up[2];
+    ASSERT_EQ(::pipe(down), 0);
+    ASSERT_EQ(::pipe(up), 0);
+    Channel coord(up[0], down[1]);
+    Channel worker(down[0], up[1]);
 
     ASSERT_TRUE(coord.send("{\"type\": \"job\", \"index\": 3}"));
     std::string msg;
@@ -182,28 +198,34 @@ TEST(PipeTransport, RoundTripsBothRoles)
 
     // Half-close: the worker sees EOF, its own send side still works.
     coord.shutdownSend();
-    EXPECT_EQ(worker.pump(), Transport::Pump::kEof);
+    EXPECT_EQ(worker.pump(), Channel::Pump::kEof);
+    ASSERT_TRUE(worker.send("{\"type\": \"heartbeat\"}"));
+    ASSERT_TRUE(awaitMsg(coord, msg));
 }
 
-// ------------------------------------------------------------ TcpTransport
-
-TEST(TcpTransport, LoopbackFramesSurviveFragmentation)
+TEST(Channel, FlippedPayloadByteOnAPipeIsDesync)
 {
-    std::string error;
-    Endpoint ep;
-    ASSERT_TRUE(parseEndpoint("127.0.0.1:0", ep, error));
-    Socket listener = Socket::listen(ep, error);
-    ASSERT_TRUE(listener.valid()) << error;
-    ep.port = listener.localPort();
-    ASSERT_NE(ep.port, 0);
+    // Pipes carry the same CRC frames as sockets: a corrupted payload
+    // must surface as a desync (-1), never as a message.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    Channel receiver(fds[0], -1);
+    std::string bad = encodeFrame("{\"type\": \"result\", \"index\": 0}");
+    bad[bad.find('{') + 9] ^= 0x20;
+    ASSERT_TRUE(writeAll(fds[1], bad.data(), bad.size()));
+    ::close(fds[1]);
+    std::string msg;
+    ASSERT_EQ(receiver.pump(), Channel::Pump::kData);
+    EXPECT_EQ(receiver.next(msg), -1);
+}
 
-    Socket client = Socket::connect(ep, error);
-    ASSERT_TRUE(client.valid()) << error;
-    Socket served = listener.accept(error);
-    ASSERT_TRUE(served.valid()) << error;
-
-    TcpTransport a(std::move(client));
-    TcpTransport b(std::move(served));
+TEST(Channel, LoopbackSocketRoundTrip)
+{
+    auto [client, served] = loopbackPair();
+    ASSERT_TRUE(client.valid() && served.valid());
+    const int client_fd = client.fd();
+    Channel a(std::move(client));
+    Channel b(std::move(served));
 
     // A payload far bigger than one MTU: must reassemble across reads.
     const std::string big(256 * 1024, 'm');
@@ -216,45 +238,33 @@ TEST(TcpTransport, LoopbackFramesSurviveFragmentation)
     ASSERT_TRUE(b.send("{\"type\": \"ok\"}"));
     ASSERT_TRUE(awaitMsg(a, msg));
     EXPECT_EQ(msg, "{\"type\": \"ok\"}");
-}
 
-TEST(TcpTransport, BytewiseWritesReassembleAndCorruptionIsFatal)
-{
-    std::string error;
-    Endpoint ep;
-    ASSERT_TRUE(parseEndpoint("127.0.0.1:0", ep, error));
-    Socket listener = Socket::listen(ep, error);
-    ASSERT_TRUE(listener.valid()) << error;
-    ep.port = listener.localPort();
-
-    Socket client = Socket::connect(ep, error);
-    ASSERT_TRUE(client.valid()) << error;
-    Socket served = listener.accept(error);
-    ASSERT_TRUE(served.valid()) << error;
-    TcpTransport receiver(std::move(served));
-
-    // Trickle a valid frame one byte at a time (worst-case short reads).
-    const std::string wire = encodeFrame("{\"type\": \"hello\"}", true);
+    // A frame trickled one byte at a time (worst-case short reads).
+    const std::string wire = encodeFrame("{\"type\": \"hello\"}");
     for (const char c : wire)
-        ASSERT_TRUE(client.writeAll(&c, 1));
-    std::string msg;
-    ASSERT_TRUE(awaitMsg(receiver, msg));
+        ASSERT_TRUE(writeAll(client_fd, &c, 1));
+    ASSERT_TRUE(awaitMsg(b, msg));
     EXPECT_EQ(msg, "{\"type\": \"hello\"}");
 
-    // Now a frame whose payload was corrupted in flight: the transport
-    // must report desync (-1 from next()), the coordinator's channel-
-    // drop signal — not deliver garbage upward.
-    std::string bad = encodeFrame("{\"type\": \"result\"}", true);
-    bad[bad.find('{') + 9] ^= 0x20;
-    ASSERT_TRUE(client.writeAll(bad.data(), bad.size()));
-    for (;;) {
-        const int st = receiver.next(msg);
-        if (st != 0) {
-            EXPECT_EQ(st, -1);
-            break;
-        }
-        ASSERT_EQ(receiver.pump(), Transport::Pump::kData);
-    }
+    // Half-close of a socket is shutdown(SHUT_WR): the peer reads EOF.
+    a.shutdownSend();
+    EXPECT_FALSE(awaitMsg(b, msg));
+}
+
+TEST(Channel, SendToAClosedSocketPeerFailsWithoutSigpipe)
+{
+    // SIGPIPE at its default action would kill the test process: a
+    // socket send must report the dead peer as a failed write instead.
+    auto *const old = ::signal(SIGPIPE, SIG_DFL);
+    auto [client, served] = loopbackPair();
+    ASSERT_TRUE(client.valid() && served.valid());
+    Channel a(std::move(client));
+    served.close();
+    bool failed = false;
+    for (int i = 0; i < 100 && !failed; ++i)
+        failed = !a.send("{\"type\": \"heartbeat\"}");
+    ::signal(SIGPIPE, old);
+    EXPECT_TRUE(failed);
 }
 
 // ------------------------------------- end-to-end TCP handshake + campaign
@@ -287,7 +297,7 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
     {
         Socket s = Socket::connect(ep, error);
         ASSERT_TRUE(s.valid()) << error;
-        TcpTransport t(std::move(s));
+        Channel t(std::move(s));
         ASSERT_TRUE(t.send("{\"type\": \"hello\", \"pid\": 1, "
                            "\"token\": \"wrong\"}"));
         std::string msg;
@@ -305,7 +315,7 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
     {
         Socket s = Socket::connect(ep, error);
         ASSERT_TRUE(s.valid()) << error;
-        TcpTransport t(std::move(s));
+        Channel t(std::move(s));
         ASSERT_TRUE(t.send("{\"type\": \"hello\", \"pid\": 2, "
                            "\"token\": \"s3cret\"}"));
         std::string msg;

@@ -275,24 +275,19 @@ main(int argc, char **argv)
 {
     setVerbose(false);
 
-    // Worker mode first: `mondrian_campaign --worker <campaign.json>` is
-    // the coordinator's subprocess entry point — no banner, no grid
-    // flags, just the job-serving loop (docs/distributed.md).
+    // Worker mode first: `mondrian_campaign --worker` is the
+    // coordinator's subprocess entry point — no banner, no grid flags,
+    // just the handshake over stdin/stdout and the job-serving loop
+    // (docs/distributed.md).
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--worker") != 0)
             continue;
-        if (i + 1 >= argc)
-            die("--worker requires a campaign.json path");
-        double hb = 1.0;
         std::string cache_dir;
         for (int j = 1; j + 1 < argc; ++j) {
-            if (std::strcmp(argv[j], "--heartbeat-interval") == 0)
-                hb = std::strtod(argv[j + 1], nullptr);
-            else if (std::strcmp(argv[j], "--worker-cache") == 0)
+            if (std::strcmp(argv[j], "--worker-cache") == 0)
                 cache_dir = argv[j + 1];
         }
-        return runCampaignWorker(argv[i + 1], hb > 0.0 ? hb : 1.0,
-                                 cache_dir);
+        return runCampaignWorker(cache_dir);
     }
 
     // Remote-worker mode: `mondrian_campaign --worker-connect HOST:PORT`
@@ -519,8 +514,6 @@ main(int argc, char **argv)
                 argValue(argc, argv, i, "--worker-cache");
         } else if (arg == "--reconnect") {
             die("--reconnect only applies to --worker-connect mode");
-        } else if (arg == "--heartbeat-interval") {
-            die("--heartbeat-interval is internal to --worker mode");
         } else if (arg == "--out") {
             out_path = argValue(argc, argv, i, "--out");
         } else if (arg == "--resume") {
