@@ -113,8 +113,8 @@ fi
 echo "OK: geometry sweep deterministic; cross-axis resume splices byte-identically"
 
 # --- Scenario-pipeline determinism + self-diff --------------------------
-# Multi-stage scenarios (schema v3: per-stage sub-results, intermediate
-# relations flowing stage-to-stage) must honor the same contract: byte-
+# Multi-stage scenarios (per-stage sub-results, intermediate relations
+# flowing stage-to-stage) must honor the same contract: byte-
 # identical reports for any --jobs, and an analysis self-diff that is
 # empty.
 REPORT_BIN="$(dirname "$CAMPAIGN_BIN")/mondrian_report"
@@ -157,8 +157,8 @@ fi
 echo "OK: scenario pipelines deterministic; per-stage analysis renders"
 
 # --- Served-traffic determinism + degenerate-traffic oracle ---------------
-# Open-loop served runs (schema v4: many queries in flight on one
-# simulated machine) must honor the same contract: byte-identical
+# Open-loop served runs (many queries in flight on one simulated
+# machine) must honor the same contract: byte-identical
 # reports for any --jobs. And the degenerate spec '--traffic none' must
 # leave the report byte-identical to a plain single-query campaign —
 # the correctness oracle showing the traffic layer adds nothing when

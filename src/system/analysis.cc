@@ -306,11 +306,6 @@ axisName(Axis axis)
 bool
 axisFromName(const std::string &name, Axis &out)
 {
-    // Legacy alias: v1/v2 reports called the scenario axis "op".
-    if (name == "op") {
-        out = Axis::kScenario;
-        return true;
-    }
     for (Axis axis : allAxes()) {
         if (name == axisName(axis)) {
             out = axis;

@@ -47,8 +47,7 @@ enum class Axis
 /** Printable axis name ("geometry", "exec", "zipf-theta", ...). */
 const char *axisName(Axis axis);
 
-/** Parse an axis name as printed by axisName(). "op" is accepted as a
- *  legacy alias for "scenario" (the axis label of v1/v2 reports). */
+/** Parse an axis name as printed by axisName(). */
 bool axisFromName(const std::string &name, Axis &out);
 
 /** All axes, in report order. */
@@ -154,7 +153,7 @@ std::string renderDiff(const ReportDiff &d);
  * Chart-ready CSV of every run: axis coordinates, headline metrics and —
  * when @p baseline is non-empty and the paired run exists — speedup and
  * perf/W vs. the baseline at the same grid point. When any run carries
- * served metrics (v4 traffic sweeps), a traffic column and the served
+ * served metrics (traffic sweeps), a traffic column and the served
  * columns (sustained QPS, latency percentiles, energy per query) are
  * appended; they stay empty on runs without served metrics, and the CSV
  * of a servedless report is byte-identical to the pre-traffic layout.
@@ -172,7 +171,7 @@ std::string renderServedMarkdown(const ReportModel &m);
  * Chart-ready CSV of every stage of every scenario run (one row per
  * (run, stage)): axis coordinates plus per-stage timing, energy, tuple
  * flow and functional columns. Runs without stage sub-results
- * (degenerate scenarios, v1/v2 reports) contribute no rows.
+ * (degenerate scenarios) contribute no rows.
  */
 std::string stagesCsv(const ReportModel &m);
 

@@ -8,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 
 #include "common/json.hh"
 #include "common/json_parse.hh"
@@ -56,16 +57,6 @@ smokeGrid()
     grid.log2Tuples = {10};
     grid.seeds = {42};
     return grid;
-}
-
-bool
-gridHasPipelines(const CampaignGrid &grid)
-{
-    for (const Scenario &sc : grid.scenarios) {
-        if (!sc.degenerate())
-            return true;
-    }
-    return false;
 }
 
 bool
@@ -452,99 +443,83 @@ ResumeCache::load(const std::string &json_text, std::string &error)
 {
     entries_.clear();
     JsonValue doc;
-    if (!parseJson(json_text, doc, error))
+    if (!parseJson(json_text, doc, error) || !checkReportSchema(doc, error))
         return false;
-    const JsonValue *schema = doc.find("schema");
-    const std::string schema_name = schema ? schema->asString() : "";
-    const bool v4 = schema_name == "mondrian-campaign-v4";
-    const bool v3 = v4 || schema_name == "mondrian-campaign-v3";
-    const bool v2 = v3 || schema_name == "mondrian-campaign-v2";
-    if (!v2 && schema_name != "mondrian-campaign-v1") {
-        error = "not a mondrian-campaign-v1/v2/v3/v4 report";
+    const JsonValue *grid = doc.find("grid");
+    if (!grid) {
+        error = "report has no grid block";
         return false;
     }
 
-    // Axis tables. v1 reports have none: every run is at the default
-    // geometry and the "base" exec point, with the campaign-wide theta.
+    // Axis tables: run labels resolve to the axis values they name.
     std::map<std::string, MemGeometry> geometries;
     std::map<std::string, ExecOverride> overrides;
-    // v3: scenario label -> full cache identity (name + stage
-    // structure), resolved from the grid's scenarios table so a renamed
-    // or restructured pipeline can never satisfy a stale cache entry.
+    // Scenario label -> full cache identity (name + stage structure), so
+    // a renamed or restructured pipeline can never satisfy a stale cache
+    // entry.
     std::map<std::string, std::string> scenario_identities;
-    double v1_zipf = 0.0;
-    const JsonValue *grid = doc.find("grid");
-    if (v2) {
-        if (!grid) {
-            error = "v2/v3 report has no grid block";
-            return false;
-        }
-        if (const JsonValue *scs = grid->find("scenarios")) {
-            for (const JsonValue &sv : scs->items) {
-                const JsonValue *name = sv.find("name");
-                const JsonValue *stages = sv.find("stages");
-                if (!name || !stages || !stages->isArray())
-                    continue;
-                Scenario sc;
-                sc.name = name->asString();
-                bool ok = true;
-                for (const JsonValue &st : stages->items) {
-                    const JsonValue *spark = st.find("stage");
-                    const JsonValue *op = st.find("op");
-                    const JsonValue *input = st.find("input");
-                    ScenarioStage stage;
-                    if (!spark || !op || !input ||
-                        !opKindFromName(op->asString(), stage.op)) {
-                        ok = false;
-                        break;
-                    }
-                    stage.spark = spark->asString();
-                    stage.input = input->asString() == "generated"
-                                      ? StageInput::kGenerated
-                                      : StageInput::kPrevOutput;
-                    sc.stages.push_back(std::move(stage));
+    if (const JsonValue *scs = grid->find("scenarios")) {
+        for (const JsonValue &sv : scs->items) {
+            const JsonValue *name = sv.find("name");
+            const JsonValue *stages = sv.find("stages");
+            if (!name || !stages || !stages->isArray())
+                continue;
+            Scenario sc;
+            sc.name = name->asString();
+            bool ok = true;
+            for (const JsonValue &st : stages->items) {
+                const JsonValue *spark = st.find("stage");
+                const JsonValue *op = st.find("op");
+                const JsonValue *input = st.find("input");
+                ScenarioStage stage;
+                if (!spark || !op || !input ||
+                    !opKindFromName(op->asString(), stage.op)) {
+                    ok = false;
+                    break;
                 }
-                if (ok && !sc.stages.empty())
-                    scenario_identities[sc.name] = scenarioIdentity(sc);
+                stage.spark = spark->asString();
+                stage.input = input->asString() == "generated"
+                                  ? StageInput::kGenerated
+                                  : StageInput::kPrevOutput;
+                sc.stages.push_back(std::move(stage));
             }
+            if (ok && !sc.stages.empty())
+                scenario_identities[sc.name] = scenarioIdentity(sc);
         }
-        if (const JsonValue *gs = grid->find("geometries")) {
-            for (const JsonValue &g : gs->items) {
-                const JsonValue *name = g.find("name");
-                const JsonValue *stacks = g.find("stacks");
-                const JsonValue *vaults = g.find("vaults_per_stack");
-                const JsonValue *banks = g.find("banks_per_vault");
-                const JsonValue *row = g.find("row_bytes");
-                const JsonValue *cap = g.find("vault_bytes");
-                if (!name || !stacks || !vaults || !banks || !row || !cap)
-                    continue;
-                MemGeometry geo;
-                geo.numStacks = static_cast<unsigned>(stacks->asU64());
-                geo.vaultsPerStack = static_cast<unsigned>(vaults->asU64());
-                geo.banksPerVault = static_cast<unsigned>(banks->asU64());
-                geo.rowBytes = row->asU64();
-                geo.vaultBytes = cap->asU64();
-                geometries[name->asString()] = geo;
-            }
+    }
+    if (const JsonValue *gs = grid->find("geometries")) {
+        for (const JsonValue &g : gs->items) {
+            const JsonValue *name = g.find("name");
+            const JsonValue *stacks = g.find("stacks");
+            const JsonValue *vaults = g.find("vaults_per_stack");
+            const JsonValue *banks = g.find("banks_per_vault");
+            const JsonValue *row = g.find("row_bytes");
+            const JsonValue *cap = g.find("vault_bytes");
+            if (!name || !stacks || !vaults || !banks || !row || !cap)
+                continue;
+            MemGeometry geo;
+            geo.numStacks = static_cast<unsigned>(stacks->asU64());
+            geo.vaultsPerStack = static_cast<unsigned>(vaults->asU64());
+            geo.banksPerVault = static_cast<unsigned>(banks->asU64());
+            geo.rowBytes = row->asU64();
+            geo.vaultBytes = cap->asU64();
+            geometries[name->asString()] = geo;
         }
-        if (const JsonValue *os = grid->find("exec_overrides")) {
-            for (const JsonValue &o : os->items) {
-                const JsonValue *name = o.find("name");
-                if (!name)
-                    continue;
-                ExecOverride ov;
-                if (const JsonValue *r = o.find("radix_bits"))
-                    ov.radixBits = static_cast<int>(r->asDouble());
-                if (const JsonValue *c = o.find("read_chunk_bytes"))
-                    ov.readChunkBytes = static_cast<int>(c->asDouble());
-                if (const JsonValue *t = o.find("tlb_entries"))
-                    ov.tlbEntries = static_cast<int>(t->asDouble());
-                overrides[name->asString()] = ov;
-            }
+    }
+    if (const JsonValue *os = grid->find("exec_overrides")) {
+        for (const JsonValue &o : os->items) {
+            const JsonValue *name = o.find("name");
+            if (!name)
+                continue;
+            ExecOverride ov;
+            if (const JsonValue *r = o.find("radix_bits"))
+                ov.radixBits = static_cast<int>(r->asDouble());
+            if (const JsonValue *c = o.find("read_chunk_bytes"))
+                ov.readChunkBytes = static_cast<int>(c->asDouble());
+            if (const JsonValue *t = o.find("tlb_entries"))
+                ov.tlbEntries = static_cast<int>(t->asDouble());
+            overrides[name->asString()] = ov;
         }
-    } else if (grid) {
-        if (const JsonValue *z = grid->find("zipf_theta"))
-            v1_zipf = z->asDouble();
     }
 
     const JsonValue *runs = doc.find("runs");
@@ -554,102 +529,49 @@ ResumeCache::load(const std::string &json_text, std::string &error)
     }
     std::size_t run_no = 0;
     for (const JsonValue &r : runs->items) {
-        // Label for skip warnings: as much of the grid point as the
-        // entry actually carries, falling back to its array position —
-        // a corrupt entry must be named, never silently dropped or
-        // spliced as garbage.
-        const std::size_t this_run = run_no++;
-        auto run_label = [&r, v3, this_run]() {
-            std::string l = "run #" + std::to_string(this_run);
-            const JsonValue *sys = r.find("system");
-            const JsonValue *op = v3 ? r.find("scenario") : r.find("op");
-            const JsonValue *log2 = r.find("log2_tuples");
-            const JsonValue *seed = r.find("seed");
-            if (sys && sys->isString())
-                l += " (" + sys->asString() +
-                     (op && op->isString() ? "|" + op->asString() : "") +
-                     (log2 ? "|2^" + std::to_string(log2->asU64()) : "") +
-                     (seed ? "|seed " + std::to_string(seed->asU64()) : "") +
-                     ")";
-            return l;
-        };
-        const JsonValue *sys = r.find("system");
-        // v3 runs are labeled by scenario; v1/v2 "op" labels ARE the
-        // degenerate scenario names, so both key identically.
-        const JsonValue *op = v3 ? r.find("scenario") : r.find("op");
-        const JsonValue *log2 = r.find("log2_tuples");
-        const JsonValue *seed = r.find("seed");
-        const JsonValue *result = r.find("result");
-        if (!sys || !op || !log2 || !seed || !result) {
-            warn("resume: skipping malformed %s: missing run members",
-                 run_label().c_str());
-            continue; // malformed entry: simply not cached
+        // A corrupt entry is named in a warning, never silently dropped
+        // or spliced as garbage.
+        std::string label = "run #" + std::to_string(run_no++);
+        RunCoordinates c;
+        std::string coord_error;
+        if (!readRunCoordinates(r, c, coord_error)) {
+            warn("resume: skipping %s: %s", label.c_str(),
+                 coord_error.c_str());
+            continue;
         }
-        MemGeometry geo = defaultGeometry();
-        ExecOverride exec;
-        double zipf = v1_zipf;
-        // v1/v2 "op" labels are degenerate scenario names, which ARE
-        // their own identity; v3 labels resolve through the scenarios
-        // table to the full stage-structure identity.
-        std::string scenario_id = op->asString();
-        // Pre-v4 reports are all single-query runs: the degenerate
-        // "none" traffic point. TrafficSpec::name() is the full spec
-        // identity, so v4 runs key by their label verbatim.
-        std::string traffic_id = "none";
-        if (v2) {
-            const JsonValue *gname = r.find("geometry");
-            const JsonValue *ename = r.find("exec");
-            const JsonValue *z = r.find("zipf_theta");
-            if (!gname || !ename || !z) {
-                warn("resume: skipping %s: missing geometry/exec/"
-                     "zipf_theta labels", run_label().c_str());
-                continue;
-            }
-            auto git = geometries.find(gname->asString());
-            auto eit = overrides.find(ename->asString());
-            if (git == geometries.end() || eit == overrides.end()) {
-                // label without an axis-table entry: not cached
-                warn("resume: skipping %s: axis label '%s' has no grid "
-                     "table entry", run_label().c_str(),
-                     (git == geometries.end() ? gname : ename)
-                         ->asString().c_str());
-                continue;
-            }
-            geo = git->second;
-            exec = eit->second;
-            zipf = z->asDouble();
-            if (v3) {
-                auto sit = scenario_identities.find(op->asString());
-                if (sit == scenario_identities.end()) {
-                    warn("resume: skipping %s: scenario '%s' has no grid "
-                         "table entry", run_label().c_str(),
-                         op->asString().c_str());
-                    continue;
-                }
-                scenario_id = sit->second;
-            }
-            if (v4) {
-                const JsonValue *t = r.find("traffic");
-                if (!t) {
-                    warn("resume: skipping %s: v4 run has no traffic "
-                         "label", run_label().c_str());
-                    continue;
-                }
-                traffic_id = t->asString();
-            }
+        label += " (" + c.system + "|" + c.scenario + "|2^" +
+                 std::to_string(c.log2Tuples) + "|seed " +
+                 std::to_string(c.seed) + ")";
+        const JsonValue *result = r.find("result");
+        if (!result) {
+            warn("resume: skipping %s: no result", label.c_str());
+            continue;
+        }
+        auto git = geometries.find(c.geometry);
+        auto eit = overrides.find(c.exec);
+        auto sit = scenario_identities.find(c.scenario);
+        if (git == geometries.end() || eit == overrides.end() ||
+            sit == scenario_identities.end()) {
+            const std::string &missing = git == geometries.end() ? c.geometry
+                                         : eit == overrides.end() ? c.exec
+                                                                  : c.scenario;
+            warn("resume: skipping %s: axis label '%s' has no grid table "
+                 "entry", label.c_str(), missing.c_str());
+            continue;
         }
         Entry e;
         if (!readRunResult(*result, e.result)) {
             warn("resume: skipping %s: unreadable result subtree",
-                 run_label().c_str());
+                 label.c_str());
             continue;
         }
         e.rawResultJson =
             json_text.substr(result->begin, result->end - result->begin);
-        entries_[gridPointHash(sys->asString(), scenario_id,
-                               static_cast<unsigned>(log2->asU64()),
-                               seed->asU64(), zipf, geo, exec,
-                               traffic_id)] = std::move(e);
+        // TrafficSpec::name() is the full spec identity, so runs key by
+        // their traffic label verbatim.
+        entries_[gridPointHash(c.system, sit->second, c.log2Tuples, c.seed,
+                               c.zipfTheta, git->second, eit->second,
+                               c.traffic)] = std::move(e);
     }
     return true;
 }
@@ -826,23 +748,84 @@ CampaignRunner::run(unsigned jobs)
     return report;
 }
 
+namespace {
+
+/** The coordinate members of one run entry; readRunCoordinates reads
+ *  them back. */
+void
+writeRunCoordinates(JsonWriter &w, const CampaignJob &job)
+{
+    w.member("index", std::uint64_t{job.index});
+    w.member("system", systemKindName(job.system));
+    w.member("scenario", job.scenario.name);
+    w.member("log2_tuples", std::uint64_t{job.log2Tuples});
+    w.member("seed", job.seed);
+    w.member("geometry", geometryName(job.geometry));
+    w.member("exec", job.exec.name());
+    w.member("zipf_theta", job.zipfTheta);
+    w.member("traffic", job.traffic.name());
+}
+
+} // namespace
+
+bool
+checkReportSchema(const JsonValue &doc, std::string &error)
+{
+    const JsonValue *schema = doc.find("schema");
+    const std::string name = schema ? schema->asString() : "";
+    if (name == kCampaignReportSchema)
+        return true;
+    error = "not a " + std::string(kCampaignReportSchema) +
+            " report (schema '" + name + "')";
+    return false;
+}
+
+bool
+readRunCoordinates(const JsonValue &run, RunCoordinates &out,
+                   std::string &error)
+{
+    // Each reader names its member in @p error when it is missing or
+    // wrong-typed; asU64()/asDouble() alone would read both as 0.
+    auto fail = [&error](const char *member) {
+        error = std::string("missing or wrong-typed \"") + member + "\"";
+        return false;
+    };
+    auto str = [&](const char *member, std::string &dst) {
+        const JsonValue *v = run.find(member);
+        if (!v || !v->isString())
+            return fail(member);
+        dst = v->asString();
+        return true;
+    };
+    auto uint = [&](const char *member, auto &dst) {
+        const JsonValue *v = run.find(member);
+        if (!v || !v->isNumber() ||
+            v->text.find_first_not_of("0123456789") != std::string::npos)
+            return fail(member);
+        dst = static_cast<std::decay_t<decltype(dst)>>(v->asU64());
+        return true;
+    };
+    auto number = [&](const char *member, double &dst) {
+        const JsonValue *v = run.find(member);
+        if (!v || !v->isNumber())
+            return fail(member);
+        dst = v->asDouble();
+        return true;
+    };
+    return uint("index", out.index) && str("system", out.system) &&
+           str("scenario", out.scenario) &&
+           uint("log2_tuples", out.log2Tuples) && uint("seed", out.seed) &&
+           str("geometry", out.geometry) && str("exec", out.exec) &&
+           number("zipf_theta", out.zipfTheta) &&
+           str("traffic", out.traffic);
+}
+
 std::string
 campaignReportJson(const CampaignReport &report)
 {
-    // Degenerate-only grids write the historical v2 document bit-for-bit
-    // (the nightly golden gate depends on it); pipeline scenarios
-    // upgrade the schema to v3, which adds the scenario axis table,
-    // per-run "scenario" labels and stage sub-results; a traffic axis
-    // upgrades to v4, which adds the traffics table, per-run "traffic"
-    // labels and served metrics.
-    const bool v4 = gridHasTraffic(report.grid);
-    const bool v3 = v4 || gridHasPipelines(report.grid);
-
     JsonWriter w;
     w.beginObject();
-    w.member("schema", v4   ? "mondrian-campaign-v4"
-                       : v3 ? "mondrian-campaign-v3"
-                            : "mondrian-campaign-v2");
+    w.member("schema", kCampaignReportSchema);
     w.member("paper", "conf_isca_DrumondDMUPFGP17");
 
     w.key("grid").beginObject();
@@ -850,29 +833,22 @@ campaignReportJson(const CampaignReport &report)
     for (SystemKind k : report.grid.systems)
         w.value(systemKindName(k));
     w.endArray();
-    if (v3) {
-        w.key("scenarios").beginArray();
-        for (const Scenario &sc : report.grid.scenarios) {
+    w.key("scenarios").beginArray();
+    for (const Scenario &sc : report.grid.scenarios) {
+        w.beginObject();
+        w.member("name", sc.name);
+        w.key("stages").beginArray();
+        for (const ScenarioStage &st : sc.stages) {
             w.beginObject();
-            w.member("name", sc.name);
-            w.key("stages").beginArray();
-            for (const ScenarioStage &st : sc.stages) {
-                w.beginObject();
-                w.member("stage", st.spark);
-                w.member("op", opKindName(st.op));
-                w.member("input", stageInputName(st.input));
-                w.endObject();
-            }
-            w.endArray();
+            w.member("stage", st.spark);
+            w.member("op", opKindName(st.op));
+            w.member("input", stageInputName(st.input));
             w.endObject();
         }
         w.endArray();
-    } else {
-        w.key("ops").beginArray();
-        for (const Scenario &sc : report.grid.scenarios)
-            w.value(sc.name);
-        w.endArray();
+        w.endObject();
     }
+    w.endArray();
     w.key("log2_tuples").beginArray();
     for (unsigned l : report.grid.log2Tuples)
         w.value(std::uint64_t{l});
@@ -911,34 +887,32 @@ campaignReportJson(const CampaignReport &report)
     for (double z : report.grid.zipfThetas)
         w.value(z);
     w.endArray();
-    if (v4) {
-        w.key("traffics").beginArray();
-        for (const TrafficSpec &t : report.grid.traffics) {
-            w.beginObject();
-            w.member("name", t.name());
-            if (!t.degenerate()) {
-                w.member("process", arrivalProcessName(t.process));
-                w.member("lambda_qps", t.lambdaQps);
-                w.member("queries", t.queries);
-                w.member("warmup", t.warmup);
-                w.member("max_in_flight", t.maxInFlight);
-                w.member("seed", t.seed);
-                if (!t.mix.empty()) {
-                    w.key("mix").beginArray();
-                    for (const TrafficMixEntry &m : t.mix) {
-                        w.beginObject();
-                        w.member("scenario", m.scenario.name);
-                        w.member("weight", m.weight);
-                        w.endObject();
-                    }
-                    w.endArray();
-                    w.member("mix_zipf_theta", t.mixZipfTheta);
+    w.key("traffics").beginArray();
+    for (const TrafficSpec &t : report.grid.traffics) {
+        w.beginObject();
+        w.member("name", t.name());
+        if (!t.degenerate()) {
+            w.member("process", arrivalProcessName(t.process));
+            w.member("lambda_qps", t.lambdaQps);
+            w.member("queries", t.queries);
+            w.member("warmup", t.warmup);
+            w.member("max_in_flight", t.maxInFlight);
+            w.member("seed", t.seed);
+            if (!t.mix.empty()) {
+                w.key("mix").beginArray();
+                for (const TrafficMixEntry &m : t.mix) {
+                    w.beginObject();
+                    w.member("scenario", m.scenario.name);
+                    w.member("weight", m.weight);
+                    w.endObject();
                 }
+                w.endArray();
+                w.member("mix_zipf_theta", t.mixZipfTheta);
             }
-            w.endObject();
         }
-        w.endArray();
+        w.endObject();
     }
+    w.endArray();
     w.member("total_runs", std::uint64_t{report.runs.size()});
     w.endObject();
 
@@ -947,19 +921,7 @@ campaignReportJson(const CampaignReport &report)
         if (r.failed)
             continue; // no result to report; listed under failed_runs
         w.beginObject();
-        w.member("index", std::uint64_t{r.job.index});
-        w.member("system", systemKindName(r.job.system));
-        if (v3)
-            w.member("scenario", r.job.scenario.name);
-        else
-            w.member("op", r.job.scenario.name);
-        w.member("log2_tuples", std::uint64_t{r.job.log2Tuples});
-        w.member("seed", r.job.seed);
-        w.member("geometry", geometryName(r.job.geometry));
-        w.member("exec", r.job.exec.name());
-        w.member("zipf_theta", r.job.zipfTheta);
-        if (v4)
-            w.member("traffic", r.job.traffic.name());
+        writeRunCoordinates(w, r.job);
         w.key("result");
         // report-precision: canonical 12-digit (the committed report
         // format; IPC/journal writers use setPreciseDoubles instead).
@@ -971,26 +933,12 @@ campaignReportJson(const CampaignReport &report)
     }
     w.endArray();
 
-    // Only irregular (fault-afflicted) reports carry this block, so a
-    // clean campaign's JSON is byte-identical to the historical writer.
+    // Only irregular (fault-afflicted) reports carry this block.
     if (!report.failedRuns.empty()) {
         w.key("failed_runs").beginArray();
         for (const FailedRun &f : report.failedRuns) {
-            const CampaignRun &r = report.runs[f.index];
             w.beginObject();
-            w.member("index", std::uint64_t{r.job.index});
-            w.member("system", systemKindName(r.job.system));
-            if (v3)
-                w.member("scenario", r.job.scenario.name);
-            else
-                w.member("op", r.job.scenario.name);
-            w.member("log2_tuples", std::uint64_t{r.job.log2Tuples});
-            w.member("seed", r.job.seed);
-            w.member("geometry", geometryName(r.job.geometry));
-            w.member("exec", r.job.exec.name());
-            w.member("zipf_theta", r.job.zipfTheta);
-            if (v4)
-                w.member("traffic", r.job.traffic.name());
+            writeRunCoordinates(w, report.runs[f.index].job);
             w.member("attempts", std::uint64_t{f.attempts});
             w.member("error", f.error);
             w.endObject();

@@ -20,13 +20,12 @@
  * (system/traffic.hh) drives grid points as served open-loop workloads —
  * a non-degenerate TrafficSpec runs its point through the ServedRunner
  * and the report gains QPS/latency-percentile/energy-per-query metrics.
- * Reports stay schema mondrian-campaign-v2 for degenerate-only grids
- * (bit-compatible with the historical writer, including the nightly
- * golden), become mondrian-campaign-v3 — a superset adding the scenario
- * axis table and per-run stage sub-results — once any pipeline scenario
- * is swept, and mondrian-campaign-v4 — adding the traffics axis table,
- * per-run "traffic" labels and "served" result objects — once any
- * non-degenerate traffic point is swept.
+ * Every report is one schema, mondrian-campaign-v4 (docs/report-schema.md):
+ * axis tables in the grid block, every run labeled with all eight of its
+ * coordinates, pipeline runs carrying per-stage sub-results and served
+ * runs a "served" object. campaignReportJson writes it; ResumeCache and
+ * loadReportModel read it through one coordinate reader
+ * (readRunCoordinates) and reject any other schema.
  * expandGrid() flattens the cross-product into an ordered job list and
  * CampaignRunner executes the jobs on a thread pool. Each job builds a
  * fresh MemoryPool/Machine, so jobs share no mutable state and the
@@ -54,6 +53,8 @@
 #include "system/traffic.hh"
 
 namespace mondrian {
+
+struct JsonValue;
 
 /** Declarative cross-product of runs. */
 struct CampaignGrid
@@ -85,16 +86,7 @@ struct CampaignGrid
     }
 };
 
-/**
- * True when @p grid sweeps any non-degenerate (pipeline) scenario —
- * i.e. when its report must use at least schema mondrian-campaign-v3.
- */
-bool gridHasPipelines(const CampaignGrid &grid);
-
-/**
- * True when @p grid sweeps any non-degenerate (served) traffic point —
- * i.e. when its report must use schema mondrian-campaign-v4.
- */
+/** True when @p grid sweeps any non-degenerate (served) traffic point. */
 bool gridHasTraffic(const CampaignGrid &grid);
 
 /**
@@ -281,31 +273,24 @@ struct CampaignReport
  * resumed summary could in principle differ from a fresh one in the
  * final printed digit of a geomean.
  *
- * Schema compatibility: loads mondrian-campaign-v4 reports (per-run
- * traffic labels; older runs cache at the degenerate "none" traffic
- * point), v3 reports (runs labeled
- * by scenario), v2 reports (per-run geometry/exec/zipf_theta labels,
- * resolved against the grid's axis tables) and legacy v1 reports. A
- * v1/v2 run's "op" label maps onto the degenerate scenario of the same
- * name — the identical identity string — so old single-op reports
- * resume seamlessly into scenario sweeps, splicing byte-identically. A
- * v1 report carries no geometry or exec axes, so its runs are cached at
- * the default geometry, the "base" exec point and the report's
- * campaign-wide zipf_theta — exactly the points a v1 campaign simulated.
+ * Loads mondrian-campaign-v4 reports only. Run labels resolve against
+ * the grid's axis tables: geometry and exec by name, scenario by its
+ * stage structure (scenarioIdentity), so a renamed or restructured
+ * pipeline never satisfies a stale entry.
  */
 class ResumeCache
 {
   public:
     /**
-     * Load entries from a prior report's JSON text (schema
-     * mondrian-campaign-v3/-v2, or legacy v1 as described above).
-     * Replaces the current contents.
+     * Load entries from a prior report's JSON text. Replaces the
+     * current contents.
      *
-     * Corrupt entries inside an otherwise-parseable report (a malformed
-     * run object, a label without an axis-table entry, an unreadable
-     * result subtree) are skipped with a warn() naming the bad grid
-     * point — never cached as garbage. A truncated report fails the
-     * top-level parse and returns false.
+     * Corrupt entries inside an otherwise-parseable report (a missing or
+     * wrong-typed coordinate, a label without an axis-table entry, an
+     * unreadable result subtree) are skipped with a warn() naming the
+     * bad run — never cached as garbage, never keyed at a wrong grid
+     * point. A truncated report fails the top-level parse and returns
+     * false.
      * @return false with @p error set on parse/schema problems.
      */
     bool load(const std::string &json_text, std::string &error);
@@ -329,10 +314,8 @@ class ResumeCache
      * injective delimited-field encoding of every axis coordinate (no
      * lossy digest — distinct points cannot collide). @p scenario is
      * the scenarioIdentity() string — the bare name for degenerate
-     * scenarios (v1/v2 "op" labels ARE those identities, so the key is
-     * version-independent) and name + stage structure for pipelines, so
-     * a renamed or restructured pipeline can never satisfy a stale
-     * cache entry.
+     * scenarios and name + stage structure for pipelines, so a renamed
+     * or restructured pipeline can never satisfy a stale cache entry.
      */
     static std::string gridPointHash(const std::string &system,
                                      const std::string &scenario,
@@ -442,15 +425,55 @@ class CampaignRunner
 std::string campaignJournalLine(const CampaignJob &job,
                                 const RunResult &result);
 
+/** The one report schema: written by campaignReportJson, and the only
+ *  one ResumeCache::load and loadReportModel accept. */
+inline constexpr const char *kCampaignReportSchema = "mondrian-campaign-v4";
+
 /**
- * Render a campaign report as a deterministic JSON document (the CI
- * artifact). Degenerate-only grids emit schema mondrian-campaign-v2,
- * byte-compatible with the historical writer; grids sweeping pipeline
- * scenarios emit mondrian-campaign-v3 (scenario axis table + per-run
- * "scenario" labels + stage sub-results). Same report, same bytes,
- * regardless of thread count.
+ * Render a campaign report as a deterministic schema
+ * kCampaignReportSchema JSON document (the CI artifact). Same report,
+ * same bytes, regardless of thread count.
  */
 std::string campaignReportJson(const CampaignReport &report);
+
+/**
+ * Check the "schema" member of a parsed report.
+ * @return false with @p error naming the document's schema unless it is
+ * kCampaignReportSchema.
+ */
+bool checkReportSchema(const JsonValue &doc, std::string &error);
+
+/**
+ * The grid coordinates a report labels one run with — the members the
+ * writer puts before a run's result (or before a failed run's error),
+ * axis values by their report labels.
+ */
+struct RunCoordinates
+{
+    std::size_t index = 0;
+    std::string system;
+    std::string scenario;
+    unsigned log2Tuples = 0;
+    std::uint64_t seed = 0;
+    /** Geometry axis label (geometryName form, e.g. "4x16x8-8MiB-r256"). */
+    std::string geometry;
+    /** Exec-ablation axis label ("base" when no override). */
+    std::string exec;
+    double zipfTheta = 0.0;
+    /** Traffic axis label (TrafficSpec::name() form; "none" when
+     *  degenerate). */
+    std::string traffic = "none";
+};
+
+/**
+ * Read the coordinates of one report run entry — the reader every
+ * report loader shares. Each member is type-checked: a string seed or
+ * theta must not silently read as 0, which is another grid point.
+ * @return false with @p error naming the first missing or wrong-typed
+ * member.
+ */
+bool readRunCoordinates(const JsonValue &run, RunCoordinates &out,
+                        std::string &error);
 
 /** Render the summary table (one row per system) for terminal output. */
 std::string campaignSummaryTable(const CampaignReport &report);

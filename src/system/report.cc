@@ -245,7 +245,7 @@ writeRunResult(JsonWriter &w, const RunResult &run)
 
     // Per-stage sub-results appear only on multi-stage scenario runs, so
     // classic single-op run JSON is byte-identical to the pre-scenario
-    // writer (and v2 resume splices stay verbatim).
+    // writer.
     if (!run.stages.empty()) {
         w.key("stages").beginArray();
         for (const StageResult &s : run.stages) {

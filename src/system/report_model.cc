@@ -7,7 +7,6 @@
 
 #include "common/json.hh"
 #include "common/json_parse.hh"
-#include "system/config.hh"
 #include "system/report.hh"
 
 namespace mondrian {
@@ -46,36 +45,10 @@ loadReportModel(const std::string &json_text, ReportModel &out,
 {
     out = ReportModel{};
     JsonValue doc;
-    if (!parseJson(json_text, doc, error))
+    if (!parseJson(json_text, doc, error) || !checkReportSchema(doc, error))
         return false;
-
-    const JsonValue *schema = doc.find("schema");
-    const std::string schema_name = schema ? schema->asString() : "";
-    if (schema_name == "mondrian-campaign-v4") {
-        out.schemaVersion = 4;
-    } else if (schema_name == "mondrian-campaign-v3") {
-        out.schemaVersion = 3;
-    } else if (schema_name == "mondrian-campaign-v2") {
-        out.schemaVersion = 2;
-    } else if (schema_name == "mondrian-campaign-v1") {
-        out.schemaVersion = 1;
-    } else {
-        error = "not a mondrian-campaign-v1/v2/v3/v4 report (schema '" +
-                schema_name + "')";
-        return false;
-    }
     if (const JsonValue *paper = doc.find("paper"))
         out.paper = paper->asString();
-
-    // v1 reports have one campaign-wide theta in the grid block and no
-    // geometry/exec axes.
-    double v1_zipf = 0.0;
-    if (out.schemaVersion == 1) {
-        if (const JsonValue *grid = doc.find("grid"))
-            if (const JsonValue *z = grid->find("zipf_theta"))
-                v1_zipf = z->asDouble();
-    }
-    const std::string default_geometry = geometryName(defaultGeometry());
 
     const JsonValue *runs = doc.find("runs");
     if (!runs || !runs->isArray()) {
@@ -86,62 +59,16 @@ loadReportModel(const std::string &json_text, ReportModel &out,
     std::set<std::string> seen_points;
     for (const JsonValue &r : runs->items) {
         ReportRun run;
-        const JsonValue *sys = r.find("system");
-        // v3 labels runs by scenario; v1/v2 "op" labels are exactly the
-        // degenerate scenario names, so both load into run.scenario.
-        const JsonValue *op = out.schemaVersion >= 3 ? r.find("scenario")
-                                                     : r.find("op");
-        const JsonValue *log2 = r.find("log2_tuples");
-        const JsonValue *seed = r.find("seed");
-        const JsonValue *result = r.find("result");
-        // Wrong-typed coordinates would silently decode as 0/"" and
-        // corrupt every point key downstream — fail loudly instead
-        // (asU64()/asDouble() cannot distinguish 0 from absent).
-        if (!sys || !op || !log2 || !seed || !result ||
-            !sys->isString() || !op->isString() || !log2->isNumber() ||
-            !seed->isNumber()) {
-            error = "run " + std::to_string(out.runs.size()) +
-                    " is missing a required field (or has a wrong-typed "
-                    "one)";
+        // A wrong-typed coordinate would corrupt every point key
+        // downstream — fail loudly instead.
+        std::string coord_error;
+        if (!readRunCoordinates(r, run, coord_error)) {
+            error = "run " + std::to_string(out.runs.size()) + ": " +
+                    coord_error;
             return false;
         }
-        run.index = out.runs.size();
-        if (const JsonValue *idx = r.find("index"); idx && idx->isNumber())
-            run.index = idx->asU64();
-        run.system = sys->asString();
-        run.scenario = op->asString();
-        run.log2Tuples = static_cast<unsigned>(log2->asU64());
-        run.seed = seed->asU64();
-        if (out.schemaVersion >= 2) {
-            const JsonValue *geo = r.find("geometry");
-            const JsonValue *exec = r.find("exec");
-            const JsonValue *z = r.find("zipf_theta");
-            if (!geo || !exec || !z || !geo->isString() ||
-                !exec->isString() || !z->isNumber()) {
-                error = "v2/v3 run " + std::to_string(out.runs.size()) +
-                        " is missing an axis label (or has a wrong-typed "
-                        "one)";
-                return false;
-            }
-            run.geometry = geo->asString();
-            run.exec = exec->asString();
-            run.zipfTheta = z->asDouble();
-            if (out.schemaVersion >= 4) {
-                const JsonValue *t = r.find("traffic");
-                if (!t || !t->isString()) {
-                    error = "v4 run " + std::to_string(out.runs.size()) +
-                            " is missing its traffic label (or has a "
-                            "wrong-typed one)";
-                    return false;
-                }
-                run.traffic = t->asString();
-            }
-        } else {
-            run.geometry = default_geometry;
-            run.exec = "base";
-            run.zipfTheta = v1_zipf;
-        }
-        if (!readRunResult(*result, run.result)) {
+        const JsonValue *result = r.find("result");
+        if (!result || !readRunResult(*result, run.result)) {
             error = "run " + std::to_string(out.runs.size()) +
                     " has a malformed result object";
             return false;

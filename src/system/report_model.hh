@@ -2,17 +2,13 @@
  * @file
  * ReportModel: typed in-memory model of campaign report JSON.
  *
- * The campaign CLI writes schema mondrian-campaign-v2 documents for
- * degenerate single-op grids, mondrian-campaign-v3 for scenario
- * (pipeline) sweeps and mondrian-campaign-v4 for grids with a traffic
- * axis — and wrote v1 before the axis generalization; this
- * module parses any of them back into plain structs so analysis code —
- * sensitivity tables, report diffs, CSV export — never touches raw
- * JSON. A v1/v2 run's "op" label loads as its scenario label: the old
- * operator names are exactly the degenerate scenario names. Parsing goes through
- * common/json_parse (full string unescaping via jsonUnescape), and every
- * run keeps its grid coordinates as the canonical axis labels the report
- * itself used, so run identity is stable across loads.
+ * The campaign CLI writes schema mondrian-campaign-v4 documents
+ * (campaignReportJson); this module parses them back into plain structs
+ * so analysis code — sensitivity tables, report diffs, CSV export —
+ * never touches raw JSON. Each run's coordinates go through
+ * readRunCoordinates, the reader ResumeCache shares, and keep the
+ * canonical axis labels the report itself used, so run identity is
+ * stable across loads. Documents of any other schema are rejected.
  *
  * Unlike ResumeCache::load — which silently skips entries it cannot use,
  * because a resume cache is best-effort — loading a model fails loudly on
@@ -27,28 +23,13 @@
 #include <string>
 #include <vector>
 
-#include "system/runner.hh"
+#include "system/campaign.hh"
 
 namespace mondrian {
 
 /** One run of a loaded report: grid coordinates plus the parsed result. */
-struct ReportRun
+struct ReportRun : RunCoordinates
 {
-    std::size_t index = 0;
-    std::string system;
-    /** Scenario axis label; for v1/v2 reports (and degenerate v3 runs)
-     *  this is the classic operator name. */
-    std::string scenario;
-    unsigned log2Tuples = 0;
-    std::uint64_t seed = 0;
-    /** Geometry axis label (geometryName form, e.g. "4x16x8-8MiB-r256"). */
-    std::string geometry;
-    /** Exec-ablation axis label ("base" when no override). */
-    std::string exec;
-    double zipfTheta = 0.0;
-    /** Traffic axis label (TrafficSpec::name() form); "none" on pre-v4
-     *  reports and degenerate v4 runs. */
-    std::string traffic = "none";
     RunResult result;
 
     /**
@@ -79,7 +60,6 @@ struct ReportSummaryRow
 /** A whole campaign report, parsed. */
 struct ReportModel
 {
-    int schemaVersion = 2; ///< 1 (legacy), 2, 3 (scenarios), 4 (traffic)
     std::string paper;
     std::string baseline; ///< "" when the report has no baseline system
 
@@ -103,14 +83,9 @@ struct ReportModel
 };
 
 /**
- * Parse report JSON (schema mondrian-campaign-v1 through -v4) into
- * @p out. v1 runs carry no axis labels; they land at the default
- * geometry, the "base" exec point and the report's campaign-wide
- * zipf_theta — the axes a v1 campaign actually simulated. v3 runs are
- * labeled by scenario and may carry per-stage sub-results (loaded into
- * RunResult::stages). v4 runs are additionally labeled by traffic spec
- * and may carry served metrics (RunResult::served); pre-v4 runs load at
- * the degenerate "none" traffic point.
+ * Parse a mondrian-campaign-v4 report into @p out: pipeline runs carry
+ * their per-stage sub-results (RunResult::stages), served runs their
+ * served metrics (RunResult::served).
  * @return false with a human-readable @p error on parse/schema problems.
  */
 bool loadReportModel(const std::string &json_text, ReportModel &out,

@@ -84,8 +84,7 @@ struct Scenario
      * True for the four classic single-op scenarios ("scan", "sort",
      * "groupby", "join"): one generated stage whose label is the basic
      * operator's own name. Degenerate scenarios reproduce the
-     * pre-scenario Runner byte-for-byte, and campaigns made only of them
-     * emit schema mondrian-campaign-v2 reports unchanged.
+     * pre-scenario Runner byte-for-byte.
      */
     bool degenerate() const;
 };
@@ -108,8 +107,7 @@ bool scenarioFromSpec(const std::string &spec, Scenario &out,
 
 /**
  * Canonical resume/cache identity of a scenario: the bare name for
- * degenerate scenarios (so v1/v2 report "op" labels key identically),
- * and name + "{stage:op:input,...}" otherwise — two scenarios sharing a
+ * degenerate scenarios, and name + "{stage:op:input,...}" otherwise — two scenarios sharing a
  * name but differing in stage structure never collide.
  */
 std::string scenarioIdentity(const Scenario &scenario);

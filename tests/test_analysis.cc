@@ -52,7 +52,6 @@ ReportModel
 handModel()
 {
     ReportModel m;
-    m.schemaVersion = 2;
     m.baseline = "cpu";
     m.systems = {"cpu", "x"};
     m.scenarios = {"join"};
@@ -110,9 +109,7 @@ TEST(Analysis, AxisNamesRoundTrip)
     }
     Axis sink;
     EXPECT_FALSE(axisFromName("systems", sink));
-    // Legacy alias: "op" still parses, onto the scenario axis.
-    ASSERT_TRUE(axisFromName("op", sink));
-    EXPECT_EQ(sink, Axis::kScenario);
+    EXPECT_FALSE(axisFromName("op", sink));
 }
 
 TEST(Analysis, SensitivityHoldsOtherAxesFixed)

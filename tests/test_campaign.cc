@@ -537,12 +537,12 @@ TEST(CampaignJson, ReportRoundTripsThroughSchema)
     std::string json = campaignReportJson(report);
 
     // Schema markers and grid echo.
-    EXPECT_NE(json.find("\"schema\": \"mondrian-campaign-v2\""),
+    EXPECT_NE(json.find("\"schema\": \"mondrian-campaign-v4\""),
               std::string::npos);
     EXPECT_NE(json.find("\"total_runs\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"baseline\": \"cpu\""), std::string::npos);
 
-    // v2 axis tables and per-run axis labels.
+    // Axis tables and per-run axis labels.
     EXPECT_NE(json.find("\"geometries\""), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"4x16x8-8MiB-r256\""), std::string::npos);
     EXPECT_NE(json.find("\"exec_overrides\""), std::string::npos);
@@ -551,10 +551,13 @@ TEST(CampaignJson, ReportRoundTripsThroughSchema)
               std::string::npos);
     EXPECT_NE(json.find("\"exec\": \"base\""), std::string::npos);
     EXPECT_NE(json.find("\"zipf_theta\": 0"), std::string::npos);
+    EXPECT_NE(json.find("\"scenarios\""), std::string::npos);
+    EXPECT_NE(json.find("\"traffics\""), std::string::npos);
+    EXPECT_NE(json.find("\"traffic\": \"none\""), std::string::npos);
 
     // Every run serializes with its grid coordinates and result payload.
     EXPECT_NE(json.find("\"system\": \"mondrian\""), std::string::npos);
-    EXPECT_NE(json.find("\"op\": \"join\""), std::string::npos);
+    EXPECT_NE(json.find("\"scenario\": \"join\""), std::string::npos);
     EXPECT_NE(json.find("\"log2_tuples\": 8"), std::string::npos);
     EXPECT_NE(json.find("\"total_time_ps\""), std::string::npos);
     EXPECT_NE(json.find("\"energy_j\""), std::string::npos);
@@ -910,57 +913,36 @@ TEST(Resume, SplicesAcrossAxisValues)
               runsSpan(campaignReportJson(reference)));
 }
 
-TEST(Resume, LoadsLegacyV1ReportsAtDefaultAxes)
+TEST(Resume, SkipsWrongTypedCoordinates)
 {
-    // Hand-built v1 report (the pre-axis schema): one cpu/scan run at
-    // 2^8, seed 42, campaign-wide zipf_theta 0. Its result payload is a
-    // real RunResult so the cache can parse it.
-    WorkloadConfig wl;
-    wl.tuples = 1u << 8;
-    RunResult r = Runner(wl).run(SystemKind::kCpu, OpKind::kScan);
-    JsonWriter w;
-    w.beginObject();
-    w.member("schema", "mondrian-campaign-v1");
-    w.key("grid").beginObject();
-    w.member("zipf_theta", 0.0);
-    w.endObject();
-    w.key("runs").beginArray();
-    w.beginObject();
-    w.member("index", std::uint64_t{0});
-    w.member("system", "cpu");
-    w.member("op", "scan");
-    w.member("log2_tuples", std::uint64_t{8});
-    w.member("seed", std::uint64_t{42});
-    w.key("result");
-    writeRunResult(w, r);
-    w.endObject();
-    w.endArray();
-    w.endObject();
-
-    ResumeCache cache;
-    std::string err;
-    ASSERT_TRUE(cache.load(w.str(), err)) << err;
-    EXPECT_EQ(cache.size(), 1u);
-
-    // The v1 point lands at the default geometry + base exec, so a v2
-    // campaign over those axis values reuses it...
+    // A seed written as a string must not read as seed 0: the run would
+    // be cached, and spliced, at the wrong grid point.
     CampaignGrid grid;
     grid.systems = {SystemKind::kCpu};
     grid.scenarios = {degenerateScenario(OpKind::kScan)};
     grid.log2Tuples = {8};
     grid.seeds = {42};
-    CampaignRunner runner(grid);
-    runner.setResume(&cache);
-    CampaignReport report = runner.run(1);
-    EXPECT_EQ(report.cachedRuns, 1u);
-    EXPECT_EQ(report.runs[0].result.totalTime, r.totalTime);
+    std::string json = campaignReportJson(CampaignRunner(grid).run(1));
+    const std::string seed = "\"seed\": 42,";
+    const std::size_t at = json.find(seed, json.find("\"runs\""));
+    ASSERT_NE(at, std::string::npos);
+    json.replace(at, seed.size(), "\"seed\": \"42\",");
 
-    // ... and a campaign at any other geometry does not.
-    CampaignGrid other = grid;
-    other.geometries[0].vaultsPerStack = 8;
-    CampaignRunner other_runner(other);
-    other_runner.setResume(&cache);
-    EXPECT_EQ(other_runner.run(1).cachedRuns, 0u);
+    ResumeCache cache;
+    std::string err;
+    testing::internal::CaptureStderr();
+    ASSERT_TRUE(cache.load(json, err)) << err;
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_NE(warnings.find("resume: skipping run #0"), std::string::npos)
+        << warnings;
+    EXPECT_NE(warnings.find("\"seed\""), std::string::npos) << warnings;
+
+    CampaignGrid seed0 = grid;
+    seed0.seeds = {0};
+    CampaignRunner runner(seed0);
+    runner.setResume(&cache);
+    EXPECT_EQ(runner.run(1).cachedRuns, 0u);
 }
 
 TEST(Campaign, BaselinePairingIsPerAxisPoint)

@@ -353,7 +353,7 @@ TEST(ResumeCache, JournalSkipsCorruptLines)
 
 // ----------------------------------------------- resume-report hardening
 
-/** smallGrid plus a served-traffic point: reports come out schema v4. */
+/** smallGrid plus a served-traffic point. */
 CampaignGrid
 servedGrid()
 {

@@ -1,11 +1,12 @@
-/** @file Typed report loading: v2/v1 schemas, axis labels, fail-loud. */
+/** @file Typed report loading: the one schema, axis labels, fail-loud. */
 
 #include <gtest/gtest.h>
 
-#include "common/json.hh"
 #include "system/campaign.hh"
 #include "system/report.hh"
 #include "system/report_model.hh"
+#include "system/scenario.hh"
+#include "system/traffic.hh"
 
 using namespace mondrian;
 
@@ -26,7 +27,7 @@ modelGrid()
 
 } // namespace
 
-TEST(ReportModel, RoundTripsV2Report)
+TEST(ReportModel, RoundTripsDegenerateReport)
 {
     CampaignGrid grid = modelGrid();
     CampaignReport report = CampaignRunner(grid).run(1);
@@ -35,7 +36,6 @@ TEST(ReportModel, RoundTripsV2Report)
     ReportModel m;
     std::string err;
     ASSERT_TRUE(loadReportModel(json, m, err)) << err;
-    EXPECT_EQ(m.schemaVersion, 2);
     EXPECT_EQ(m.paper, "conf_isca_DrumondDMUPFGP17");
     EXPECT_EQ(m.baseline, "cpu");
 
@@ -48,6 +48,7 @@ TEST(ReportModel, RoundTripsV2Report)
               std::vector<std::string>{geometryName(defaultGeometry())});
     EXPECT_EQ(m.execs, std::vector<std::string>{"base"});
     EXPECT_EQ(m.zipfThetas, (std::vector<double>{0.0, 0.5}));
+    EXPECT_EQ(m.traffics, std::vector<std::string>{"none"});
 
     // Every run round-trips: exact integers, 12-digit doubles, phases.
     ASSERT_EQ(m.runs.size(), report.runs.size());
@@ -78,44 +79,6 @@ TEST(ReportModel, RoundTripsV2Report)
                     report.summaries[i].geomeanSpeedup,
                     report.summaries[i].geomeanSpeedup * 1e-9);
     }
-}
-
-TEST(ReportModel, LoadsV1ReportsAtDefaultAxes)
-{
-    // Hand-built v1 report (the pre-axis schema): axis labels default to
-    // what a v1 campaign actually simulated.
-    WorkloadConfig wl;
-    wl.tuples = 1u << 8;
-    RunResult r = Runner(wl).run(SystemKind::kCpu, OpKind::kScan);
-    JsonWriter w;
-    w.beginObject();
-    w.member("schema", "mondrian-campaign-v1");
-    w.key("grid").beginObject();
-    w.member("zipf_theta", 0.25);
-    w.endObject();
-    w.key("runs").beginArray();
-    w.beginObject();
-    w.member("index", std::uint64_t{0});
-    w.member("system", "cpu");
-    w.member("op", "scan");
-    w.member("log2_tuples", std::uint64_t{8});
-    w.member("seed", std::uint64_t{42});
-    w.key("result");
-    writeRunResult(w, r);
-    w.endObject();
-    w.endArray();
-    w.endObject();
-
-    ReportModel m;
-    std::string err;
-    ASSERT_TRUE(loadReportModel(w.str(), m, err)) << err;
-    EXPECT_EQ(m.schemaVersion, 1);
-    EXPECT_EQ(m.baseline, "");
-    ASSERT_EQ(m.runs.size(), 1u);
-    EXPECT_EQ(m.runs[0].geometry, geometryName(defaultGeometry()));
-    EXPECT_EQ(m.runs[0].exec, "base");
-    EXPECT_DOUBLE_EQ(m.runs[0].zipfTheta, 0.25);
-    EXPECT_EQ(m.runs[0].result.totalTime, r.totalTime);
 }
 
 TEST(ReportModel, PointAndGroupKeysSeparateEveryAxis)
@@ -169,37 +132,38 @@ TEST(ReportModel, RejectsMalformedDocuments)
     EXPECT_NE(err.find("something-else"), std::string::npos);
     // A report without runs is not analyzable.
     EXPECT_FALSE(loadReportModel(
-        "{\"schema\": \"mondrian-campaign-v2\"}", m, err));
+        "{\"schema\": \"mondrian-campaign-v4\"}", m, err));
     EXPECT_NE(err.find("runs"), std::string::npos);
 
     // Unlike the best-effort resume cache, a malformed run entry fails
     // the whole load: analysis over a half-parsed report would produce
     // confidently wrong numbers.
     EXPECT_FALSE(loadReportModel(
-        "{\"schema\": \"mondrian-campaign-v2\", \"runs\": [{\"system\": "
+        "{\"schema\": \"mondrian-campaign-v4\", \"runs\": [{\"system\": "
         "\"cpu\"}]}",
         m, err));
     EXPECT_NE(err.find("run 0"), std::string::npos);
 
-    // A v2 run without axis labels is malformed, not defaulted.
+    // A run without axis labels is malformed, not defaulted.
     EXPECT_FALSE(loadReportModel(
-        "{\"schema\": \"mondrian-campaign-v2\", \"runs\": [{"
-        "\"system\": \"cpu\", \"op\": \"scan\", \"log2_tuples\": 8, "
-        "\"seed\": 42, \"result\": {\"system\": \"cpu\", \"op\": "
-        "\"scan\"}}]}",
+        "{\"schema\": \"mondrian-campaign-v4\", \"runs\": [{"
+        "\"index\": 0, \"system\": \"cpu\", \"scenario\": \"scan\", "
+        "\"log2_tuples\": 8, \"seed\": 42, \"result\": {\"system\": "
+        "\"cpu\", \"op\": \"scan\"}}]}",
         m, err));
-    EXPECT_NE(err.find("axis label"), std::string::npos);
+    EXPECT_NE(err.find("\"geometry\""), std::string::npos) << err;
 
     // Wrong-typed coordinates (e.g. a string scale from a foreign
     // serializer) would decode as 0 and corrupt every point key.
     EXPECT_FALSE(loadReportModel(
-        "{\"schema\": \"mondrian-campaign-v2\", \"runs\": [{"
-        "\"system\": \"cpu\", \"op\": \"scan\", \"log2_tuples\": \"14\", "
-        "\"seed\": 42, \"geometry\": \"g\", \"exec\": \"base\", "
-        "\"zipf_theta\": 0, \"result\": {\"system\": \"cpu\", \"op\": "
-        "\"scan\"}}]}",
+        "{\"schema\": \"mondrian-campaign-v4\", \"runs\": [{"
+        "\"index\": 0, \"system\": \"cpu\", \"scenario\": \"scan\", "
+        "\"log2_tuples\": \"14\", \"seed\": 42, \"geometry\": \"g\", "
+        "\"exec\": \"base\", \"zipf_theta\": 0, \"traffic\": \"none\", "
+        "\"result\": {\"system\": \"cpu\", \"op\": \"scan\"}}]}",
         m, err));
-    EXPECT_NE(err.find("wrong-typed"), std::string::npos);
+    EXPECT_NE(err.find("wrong-typed \"log2_tuples\""), std::string::npos)
+        << err;
 
     EXPECT_FALSE(loadReportFile("/nonexistent/report.json", m, err));
     EXPECT_NE(err.find("/nonexistent/report.json"), std::string::npos);
@@ -232,7 +196,6 @@ TEST(ReportModel, LoadsCheckedInGoldenReport)
                                    "/scripts/golden/paper14-report.json",
                                m, err))
         << err;
-    EXPECT_EQ(m.schemaVersion, 2);
     EXPECT_EQ(m.baseline, "cpu");
     EXPECT_EQ(m.systems.size(), 7u);
     EXPECT_EQ(m.scenarios.size(), 4u);
@@ -241,4 +204,70 @@ TEST(ReportModel, LoadsCheckedInGoldenReport)
     EXPECT_EQ(m.summaries.size(), 6u);
     for (const ReportRun &r : m.runs)
         EXPECT_GT(r.result.totalTime, 0u);
+}
+
+TEST(ReportSchema, EveryGridEmitsV4)
+{
+    // Degenerate, pipeline and served grids all write the one schema,
+    // with the same envelope: scenarios and traffics tables, and every
+    // run labeled with its scenario and traffic.
+    CampaignGrid degenerate;
+    degenerate.systems = {SystemKind::kCpu};
+    degenerate.scenarios = {degenerateScenario(OpKind::kScan)};
+    degenerate.log2Tuples = {8};
+    degenerate.seeds = {42};
+    CampaignGrid pipeline = degenerate;
+    Scenario sessions;
+    std::string err;
+    ASSERT_TRUE(scenarioFromSpec("sessions", sessions, err)) << err;
+    pipeline.scenarios = {sessions};
+    CampaignGrid served = degenerate;
+    ASSERT_TRUE(parseTrafficSpec("poisson,lambda=200000,queries=4",
+                                 served.traffics[0], err))
+        << err;
+
+    for (const CampaignGrid &grid : {degenerate, pipeline, served}) {
+        const std::string json =
+            campaignReportJson(CampaignRunner(grid).run(1));
+        const std::string &sc = grid.scenarios[0].name;
+        const std::string traffic = grid.traffics[0].name();
+        EXPECT_NE(json.find("\"schema\": \"mondrian-campaign-v4\""),
+                  std::string::npos) << sc << "/" << traffic;
+        EXPECT_NE(json.find("\"scenarios\""), std::string::npos);
+        EXPECT_NE(json.find("\"traffics\""), std::string::npos);
+        EXPECT_EQ(json.find("\"ops\""), std::string::npos);
+        EXPECT_NE(json.find("\"scenario\": \"" + sc + "\""),
+                  std::string::npos);
+        EXPECT_NE(json.find("\"traffic\": \"" + traffic + "\""),
+                  std::string::npos);
+
+        ReportModel m;
+        ASSERT_TRUE(loadReportModel(json, m, err)) << err;
+        ASSERT_EQ(m.runs.size(), 1u);
+        EXPECT_EQ(m.runs[0].scenario, sc);
+        EXPECT_EQ(m.runs[0].traffic, traffic);
+    }
+}
+
+TEST(ReportSchema, ReadersRejectOlderSchemas)
+{
+    CampaignGrid grid;
+    grid.systems = {SystemKind::kCpu};
+    grid.scenarios = {degenerateScenario(OpKind::kScan)};
+    grid.log2Tuples = {8};
+    grid.seeds = {42};
+    std::string json = campaignReportJson(CampaignRunner(grid).run(1));
+    const std::string v4 = "mondrian-campaign-v4";
+    json.replace(json.find(v4), v4.size(), "mondrian-campaign-v2");
+
+    ReportModel m;
+    std::string err;
+    EXPECT_FALSE(loadReportModel(json, m, err));
+    EXPECT_NE(err.find("mondrian-campaign-v2"), std::string::npos) << err;
+
+    ResumeCache cache;
+    err.clear();
+    EXPECT_FALSE(cache.load(json, err));
+    EXPECT_NE(err.find("mondrian-campaign-v2"), std::string::npos) << err;
+    EXPECT_EQ(cache.size(), 0u);
 }

@@ -174,8 +174,8 @@ TEST(ScenarioRun, DegenerateScenarioMatchesClassicOpRunByteForByte)
         EXPECT_TRUE(classic.stages.empty());
         EXPECT_EQ(runResultJson(classic), runResultJson(scenario))
             << opKindName(op);
-        // No stage list in the serialized form: classic consumers (and
-        // v2 resume splices) see the historical document.
+        // No stage list in the serialized form: classic consumers see
+        // the historical document.
         EXPECT_EQ(runResultJson(classic).find("\"stages\""),
                   std::string::npos);
     }
@@ -208,7 +208,7 @@ TEST(ScenarioRun, StageResultsSerializeAndRoundTrip)
     }
 }
 
-TEST(ScenarioCampaign, V3ReportRoundTripsThroughTheModel)
+TEST(ScenarioCampaign, PipelineReportRoundTripsThroughTheModel)
 {
     CampaignGrid grid;
     grid.systems = {SystemKind::kCpu, SystemKind::kMondrian};
@@ -216,17 +216,13 @@ TEST(ScenarioCampaign, V3ReportRoundTripsThroughTheModel)
                       parseOk("sessions")};
     grid.log2Tuples = {8};
     grid.seeds = {42};
-    ASSERT_TRUE(gridHasPipelines(grid));
     CampaignReport report = CampaignRunner(grid).run(1);
     std::string json = campaignReportJson(report);
-    EXPECT_NE(json.find("\"schema\": \"mondrian-campaign-v3\""),
-              std::string::npos);
     EXPECT_NE(json.find("\"scenario\": \"sessions\""), std::string::npos);
 
     ReportModel m;
     std::string err;
     ASSERT_TRUE(loadReportModel(json, m, err)) << err;
-    EXPECT_EQ(m.schemaVersion, 3);
     EXPECT_EQ(m.scenarios, (std::vector<std::string>{"scan", "sessions"}));
     ASSERT_EQ(m.runs.size(), 4u);
     // Degenerate runs carry no stages; pipeline runs carry all four.
@@ -235,56 +231,44 @@ TEST(ScenarioCampaign, V3ReportRoundTripsThroughTheModel)
     EXPECT_EQ(m.runs[2].scenario, "sessions");
 }
 
-TEST(ScenarioCampaign, DegenerateGridsStillEmitV2)
+TEST(ScenarioCampaign, DegenerateResumeSplicesVerbatimIntoPipelineSweeps)
 {
-    CampaignGrid grid = smokeGrid();
-    EXPECT_FALSE(gridHasPipelines(grid));
-    CampaignReport report = CampaignRunner(grid).run(1);
-    std::string json = campaignReportJson(report);
-    EXPECT_NE(json.find("\"schema\": \"mondrian-campaign-v2\""),
-              std::string::npos);
-    EXPECT_EQ(json.find("\"scenario\""), std::string::npos);
-    EXPECT_EQ(json.find("\"stages\""), std::string::npos);
-}
-
-TEST(ScenarioCampaign, V2ResumeSplicesVerbatimIntoV3Reports)
-{
-    // A classic v2 single-op report ...
-    CampaignGrid v2grid;
-    v2grid.systems = {SystemKind::kCpu, SystemKind::kMondrian};
-    v2grid.scenarios = {degenerateScenario(OpKind::kJoin)};
-    v2grid.log2Tuples = {8};
-    v2grid.seeds = {42};
-    std::string v2json =
-        campaignReportJson(CampaignRunner(v2grid).run(1));
+    // A classic single-op report ...
+    CampaignGrid single;
+    single.systems = {SystemKind::kCpu, SystemKind::kMondrian};
+    single.scenarios = {degenerateScenario(OpKind::kJoin)};
+    single.log2Tuples = {8};
+    single.seeds = {42};
+    std::string single_json =
+        campaignReportJson(CampaignRunner(single).run(1));
 
     // ... resumed into a scenario sweep that includes the same point.
-    CampaignGrid v3grid = v2grid;
-    v3grid.scenarios.push_back(parseOk("sessions"));
+    CampaignGrid sweep = single;
+    sweep.scenarios.push_back(parseOk("sessions"));
 
     ResumeCache cache;
     std::string err;
-    ASSERT_TRUE(cache.load(v2json, err)) << err;
+    ASSERT_TRUE(cache.load(single_json, err)) << err;
     EXPECT_EQ(cache.size(), 2u);
 
-    CampaignRunner resumed(v3grid);
+    CampaignRunner resumed(sweep);
     resumed.setResume(&cache);
     CampaignReport rep = resumed.run(1);
     EXPECT_EQ(rep.cachedRuns, 2u);
     std::string resumed_json = campaignReportJson(rep);
 
-    // The spliced document is byte-identical to a fresh v3 run of the
-    // same grid.
+    // The spliced document is byte-identical to a fresh run of the
+    // same sweep.
     std::string fresh_json =
-        campaignReportJson(CampaignRunner(v3grid).run(1));
+        campaignReportJson(CampaignRunner(sweep).run(1));
     EXPECT_EQ(resumed_json, fresh_json);
 
-    // And a v3 report resumes into itself completely.
-    ResumeCache v3cache;
-    ASSERT_TRUE(v3cache.load(fresh_json, err)) << err;
-    EXPECT_EQ(v3cache.size(), 4u);
-    CampaignRunner again(v3grid);
-    again.setResume(&v3cache);
+    // And the sweep's report resumes into itself completely.
+    ResumeCache sweep_cache;
+    ASSERT_TRUE(sweep_cache.load(fresh_json, err)) << err;
+    EXPECT_EQ(sweep_cache.size(), 4u);
+    CampaignRunner again(sweep);
+    again.setResume(&sweep_cache);
     CampaignReport rep2 = again.run(1);
     EXPECT_EQ(rep2.cachedRuns, 4u);
     EXPECT_EQ(campaignReportJson(rep2), fresh_json);
@@ -298,11 +282,11 @@ TEST(ScenarioCampaign, ResumeIdentityEncodesStageStructure)
     Scenario b = parseOk("filter>sortByKey");
     b.name = a.name; // a hypothetical renamed/restructured pipeline
     EXPECT_NE(scenarioIdentity(a), scenarioIdentity(b));
-    // Degenerate identities stay the bare v1/v2 "op" labels.
+    // Degenerate identities stay the bare operator names.
     EXPECT_EQ(scenarioIdentity(degenerateScenario(OpKind::kJoin)),
               "join");
 
-    // End to end: a v3 report's cache entries are keyed through its
+    // End to end: a report's cache entries are keyed through its
     // scenarios table, so a grid running scenario `b` under a's name
     // gets no hits from a report simulated with a's stages.
     CampaignGrid grid;

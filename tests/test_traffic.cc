@@ -294,7 +294,6 @@ TEST(ServedReport, V4RoundTripThroughModelAndResume)
     ReportModel m;
     std::string err;
     ASSERT_TRUE(loadReportModel(json, m, err)) << err;
-    EXPECT_EQ(m.schemaVersion, 4);
     ASSERT_EQ(m.runs.size(), 2u);
     ASSERT_EQ(m.traffics.size(), 1u);
     EXPECT_EQ(m.traffics[0], "poisson-l200000-q6-s1");
@@ -305,7 +304,7 @@ TEST(ServedReport, V4RoundTripThroughModelAndResume)
         EXPECT_NE(r.pointKey().find(m.traffics[0]), std::string::npos);
     }
 
-    // Resume round-trip: a v4 report fully caches its own grid.
+    // Resume round-trip: a served report fully caches its own grid.
     ResumeCache cache;
     ASSERT_TRUE(cache.load(json, err)) << err;
     EXPECT_EQ(cache.size(), 2u);
@@ -313,22 +312,4 @@ TEST(ServedReport, V4RoundTripThroughModelAndResume)
     resumed.setResume(&cache);
     CampaignReport again = resumed.run(1);
     EXPECT_EQ(again.cachedRuns, 2u);
-}
-
-TEST(ServedReport, DegenerateGridStaysV2)
-{
-    // A grid whose traffic axis is only the degenerate spec must write
-    // the historical schema — no "traffic" labels, no served objects.
-    CampaignGrid grid;
-    grid.systems = {SystemKind::kCpu, SystemKind::kMondrian};
-    grid.scenarios = {degenerateScenario(OpKind::kScan)};
-    grid.log2Tuples = {8};
-    grid.seeds = {42};
-
-    CampaignRunner campaign(grid);
-    std::string json = campaignReportJson(campaign.run(1));
-    EXPECT_NE(json.find("\"schema\": \"mondrian-campaign-v2\""),
-              std::string::npos);
-    EXPECT_EQ(json.find("\"traffic\""), std::string::npos);
-    EXPECT_EQ(json.find("\"served\""), std::string::npos);
 }

@@ -117,8 +117,8 @@ usage(const char *prog)
         "Execution:\n"
         "  --jobs N               worker threads; 0 = hardware threads (default: 1)\n"
         "  --out PATH             write the JSON report to PATH (default: stdout)\n"
-        "  --resume REPORT        reuse results from a prior report (any\n"
-        "                         schema, v1-v4): grid points whose\n"
+        "  --resume REPORT        reuse results from a prior report\n"
+        "                         (mondrian-campaign-v4): grid points whose\n"
         "                         (config, workload, traffic) hash matches\n"
         "                         are not re-simulated\n"
         "  --dry-run              print the expanded job list (all axes,\n"

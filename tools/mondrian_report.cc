@@ -3,14 +3,14 @@
  * mondrian_report: axis-aware analysis of campaign reports.
  *
  * Reads the JSON reports mondrian_campaign writes (schema
- * mondrian-campaign-v1 through -v4) and renders them as analyzable data:
+ * mondrian-campaign-v4) and renders them as analyzable data:
  *
  *   mondrian_report summary report.json
  *       Summary recomputed from the runs (paired/total counts, dropped
  *       comparisons surfaced) as a markdown table. Reports carrying
- *       per-stage sub-results (v3 pipeline scenarios) get an additional
- *       per-stage breakdown table; reports carrying served metrics (v4
- *       traffic sweeps) get a served-traffic table (QPS, latency
+ *       per-stage sub-results (pipeline scenarios) get an additional
+ *       per-stage breakdown table; reports carrying served metrics
+ *       (traffic sweeps) get a served-traffic table (QPS, latency
  *       percentiles, energy per query).
  *
  *   mondrian_report sensitivity report.json [--axis A] [--baseline SYS]
@@ -213,7 +213,7 @@ main(int argc, char **argv)
             out += "\n### Stages (vs " + baseline + ")\n\n";
             out += renderStageBreakdownMarkdown(breakdown);
         }
-        // Served-workload runs (v4 traffic sweeps) report throughput and
+        // Served-workload runs (traffic sweeps) report throughput and
         // tail latency — the open-loop view a speedup geomean cannot show.
         std::string served = renderServedMarkdown(m);
         if (!served.empty()) {
