@@ -150,6 +150,7 @@ EventQueue::currentBucket()
         auto first = b->keys.begin() + b->cursor;
         auto last = b->keys.end();
         const std::ptrdiff_t n = last - first;
+        sortedKeys_ += static_cast<std::uint64_t>(n);
         if (n <= 8) {
             // Buckets typically hold a handful of keys; a branch-light
             // insertion sort beats the std::sort call for these.
@@ -285,8 +286,8 @@ EventQueue::reset()
     nextSeq_ = 0;
     executed_ = 0;
     coalesced_ = 0;
+    sortedKeys_ = 0;
     curSeq_ = ~std::uint64_t{0};
-    lastSlot_ = kNilSlot;
     coalSlot_ = kNilSlot;
     stopRequested_ = false;
 }

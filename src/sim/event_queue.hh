@@ -144,6 +144,14 @@ class EventQueue
     /** Events popped from the queue since construction. */
     std::uint64_t executed() const { return executed_; }
 
+    /**
+     * Keys handed to the lazy bucket sort since construction: the sort's
+     * total input, one add per sort call. On a healthy schedule it stays
+     * a small multiple of executed(); a bucket re-sorting its whole
+     * pending tail after every append makes it grow quadratically.
+     */
+    std::uint64_t sortedKeys() const { return sortedKeys_; }
+
     /** Callbacks absorbed as followers (queue events *not* created). */
     std::uint64_t coalesced() const { return coalesced_; }
 
@@ -334,8 +342,6 @@ class EventQueue
     {
         if (when < now_)
             schedulePastPanic(when);
-        if (size_ == 0)
-            base_ = when & ~(kWidth - 1); // re-anchor after idle gaps
         const std::uint32_t si =
             place(when, nextSeq_++, std::forward<F>(cb));
         ++size_;
@@ -351,12 +357,12 @@ class EventQueue
     std::uint32_t
     place(Tick when, std::uint64_t seq, F &&cb)
     {
-        // Everything at or below the current bucket's range joins the
-        // current bucket: the lazy sort handles mixed ticks within a
-        // bucket, and this keeps "the global minimum lives in the
-        // current bucket" true even when the window has been advanced
-        // past a just-scheduled tick (possible after runUntil peeks
-        // ahead).
+        // The window's first bucket holds now() except after runUntil()
+        // peeked ahead, advancing the window past ticks that are still
+        // schedulable (>= now). For that case only, everything at or
+        // below the current bucket's range joins the current bucket: the
+        // lazy sort handles mixed ticks within a bucket, and this keeps
+        // "the global minimum lives in the current bucket" true.
         std::size_t idx;
         if (when < base_ + kWidth) {
             idx = bucketIndexOf(base_);
@@ -444,12 +450,10 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t coalesced_ = 0;
+    std::uint64_t sortedKeys_ = 0;
     /** Seq of the event currently (or last) executed — with now_, the
      *  "has the coalescing candidate already run" comparison point. */
     std::uint64_t curSeq_ = ~std::uint64_t{0};
-    /** Arena slot of the event place() most recently filed (kNilSlot
-     *  after an overflow placement). */
-    std::uint32_t lastSlot_ = kNilSlot;
     // Coalescing candidate: the last scheduleCoalesced()-scheduled event.
     std::uint32_t coalSlot_ = kNilSlot;
     Tick coalWhen_ = 0;

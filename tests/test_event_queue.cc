@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -223,6 +226,95 @@ TEST(EventQueue, ResetAfterMixedScheduling)
     eq.schedule(3, [&] { ++fired; });
     eq.run();
     EXPECT_EQ(fired, 1);
+}
+
+namespace {
+
+// The open-loop served shape: a callback running on an otherwise empty
+// queue schedules the next arrival ~50 us ahead, then dispatches a phase
+// of near-now event chains.
+constexpr Tick kBurstStart = 1000;
+constexpr Tick kNextArrival = kBurstStart + 50'000'000; // 50 us in ps
+constexpr int kChains = 100;
+constexpr int kSteps = 100;
+constexpr int kArrivalLabel = -1;
+
+/** Gap before step @p s + 1 of chain @p c: 1..50,000 ticks, so the
+ *  chains spread over a few hundred calendar buckets. */
+Tick
+chainGap(int c, int s)
+{
+    return static_cast<Tick>((c * 7919 + s * 104729) % 50000 + 1);
+}
+
+/**
+ * The burst as a script over labelled events: `schedule(when, label)`
+ * files an event, fire() runs one and `fired` records labels in
+ * execution order. The same script drives the queue under test and the
+ * reference.
+ */
+struct Burst
+{
+    std::function<void(Tick, int)> schedule;
+    std::vector<int> fired;
+
+    void
+    start(Tick now)
+    {
+        schedule(kNextArrival, kArrivalLabel);
+        for (int c = 0; c < kChains; ++c)
+            schedule(now + chainGap(c, 0), c * kSteps);
+    }
+
+    void
+    fire(Tick now, int label)
+    {
+        fired.push_back(label);
+        if (label == kArrivalLabel)
+            return;
+        const int c = label / kSteps;
+        const int s = label % kSteps;
+        if (s + 1 < kSteps)
+            schedule(now + chainGap(c, s + 1), label + 1);
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, IdleFarEventKeepsNearNowBucketsSmall)
+{
+    // Re-anchoring an idle window at the far event's tick instead of
+    // now() clamps every near-now event into one current bucket that
+    // re-sorts its whole pending tail after each append: the sort's
+    // input grows quadratically (~100 keys per pop here).
+    EventQueue eq;
+    Burst run;
+    run.schedule = [&](Tick when, int label) {
+        eq.schedule(when, [&run, &eq, label] { run.fire(eq.now(), label); });
+    };
+    eq.schedule(kBurstStart, [&] { run.start(eq.now()); });
+    eq.run();
+
+    // Reference: a binary heap ordered by (tick, insertion seq).
+    using Entry = std::tuple<Tick, std::uint64_t, int>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    std::uint64_t seq = 0;
+    Burst ref;
+    ref.schedule = [&](Tick when, int label) {
+        heap.emplace(when, seq++, label);
+    };
+    ref.start(kBurstStart);
+    while (!heap.empty()) {
+        const auto [when, s, label] = heap.top();
+        heap.pop();
+        ref.fire(when, label);
+    }
+
+    ASSERT_EQ(run.fired.size(),
+              static_cast<std::size_t>(kChains * kSteps + 1));
+    EXPECT_EQ(run.fired, ref.fired);
+    EXPECT_EQ(eq.now(), kNextArrival);
+    EXPECT_LE(eq.sortedKeys(), 2 * eq.executed());
 }
 
 TEST(ClockDomain, Conversions)
