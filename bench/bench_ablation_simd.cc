@@ -17,7 +17,7 @@ main(int argc, char **argv)
     WorkloadConfig wl = parseArgs(argc, argv);
     banner("Ablation (§5.2): SIMD width sweep (Mondrian join)", wl);
 
-    Runner runner(wl);
+    ServedRunner runner(wl);
     const KernelCosts base = mondrianKernelCosts();
 
     std::vector<std::vector<std::string>> table;
@@ -38,7 +38,7 @@ main(int argc, char **argv)
         sys.exec.costs.joinMerge = base.joinMerge * scale;
         sys.exec.costs.aggregate = base.aggregate * scale;
         sys.name = "mondrian-" + std::to_string(bits) + "b";
-        RunResult r = runner.run(sys, OpKind::kJoin);
+        RunResult r = runner.run(sys, degenerateScenario(OpKind::kJoin));
         double ms = ticksToSeconds(r.totalTime) * 1e3;
         if (bits == 1024)
             t1024 = ms;

@@ -35,12 +35,14 @@ main(int argc, char **argv)
 
     // Runtime effect: Mondrian sort probe with and without the bitonic
     // pass at the configured workload size.
-    Runner runner(wl);
-    RunResult with_bitonic = runner.run(SystemKind::kMondrian, OpKind::kSort);
+    ServedRunner runner(wl);
+    RunResult with_bitonic = runner.run(makeSystem(SystemKind::kMondrian),
+                                        degenerateScenario(OpKind::kSort));
     SystemConfig no_bitonic = makeSystem(SystemKind::kMondrian);
     no_bitonic.exec.simd = false; // scalar run generation + merges
     no_bitonic.name = "mondrian-nobitonic";
-    RunResult without = runner.run(no_bitonic, OpKind::kSort);
+    RunResult without = runner.run(no_bitonic,
+                                   degenerateScenario(OpKind::kSort));
     std::printf("sort probe: %s ms with bitonic+SIMD, %s ms scalar "
                 "(%sx)\n",
                 fmt(ticksToSeconds(with_bitonic.probeTime) * 1e3, 3).c_str(),

@@ -17,14 +17,14 @@ main(int argc, char **argv)
     banner("Ablation (§5.2): stream-buffer count sweep (Mondrian scan)",
            wl);
 
-    Runner runner(wl);
+    ServedRunner runner(wl);
     std::vector<std::vector<std::string>> table;
     table.push_back({"stream buffers", "scan ms", "GB/s/vault"});
     for (unsigned depth : {1u, 2u, 4u, 8u, 16u}) {
         SystemConfig sys = makeSystem(SystemKind::kMondrian);
         sys.core.streamDepth = depth;
         sys.name = "mondrian-sb" + std::to_string(depth);
-        RunResult r = runner.run(sys, OpKind::kScan);
+        RunResult r = runner.run(sys, degenerateScenario(OpKind::kScan));
         table.push_back({std::to_string(depth),
                          fmt(ticksToSeconds(r.totalTime) * 1e3, 3),
                          fmt(r.probeVaultBWGBps)});

@@ -25,7 +25,7 @@
 
 #include "common/logging.hh"
 #include "system/report.hh"
-#include "system/runner.hh"
+#include "system/traffic.hh"
 
 namespace mondrian::bench {
 

@@ -23,7 +23,7 @@ main(int argc, char **argv)
     banner("Fig. 6: probe-phase speedup vs CPU (log scale in the paper)",
            wl);
 
-    Runner runner(wl);
+    ServedRunner runner(wl);
     const OpKind ops[] = {OpKind::kScan, OpKind::kSort, OpKind::kGroupBy,
                           OpKind::kJoin};
     const SystemKind systems[] = {SystemKind::kNmpRand, SystemKind::kNmpSeq,
@@ -34,7 +34,8 @@ main(int argc, char **argv)
     table.push_back({"operator", "nmp-rand", "nmp-seq", "mondrian",
                      "cpu probe ms", "mondrian GB/s/vault"});
     for (OpKind op : ops) {
-        RunResult cpu = runner.run(SystemKind::kCpu, op);
+        RunResult cpu = runner.run(makeSystem(SystemKind::kCpu),
+                                   degenerateScenario(op));
         all.push_back(cpu);
         std::vector<std::string> row{opKindName(op)};
         double mon_bw = 0.0;
@@ -44,7 +45,7 @@ main(int argc, char **argv)
                 row.push_back(row.back());
                 continue;
             }
-            RunResult r = runner.run(k, op);
+            RunResult r = runner.run(makeSystem(k), degenerateScenario(op));
             all.push_back(r);
             row.push_back(fmt(probeSpeedup(cpu, r), 1) + "x");
             if (k == SystemKind::kMondrian)

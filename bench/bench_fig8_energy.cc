@@ -21,7 +21,7 @@ main(int argc, char **argv)
     WorkloadConfig wl = parseArgs(argc, argv);
     banner("Fig. 8: energy breakdown (% of total)", wl);
 
-    Runner runner(wl);
+    ServedRunner runner(wl);
     const OpKind ops[] = {OpKind::kScan, OpKind::kSort, OpKind::kGroupBy,
                           OpKind::kJoin};
     const SystemKind systems[] = {SystemKind::kCpu, SystemKind::kNmp,
@@ -34,7 +34,7 @@ main(int argc, char **argv)
                      "cores", "SerDes+NOC", "total mJ"});
     for (OpKind op : ops) {
         for (SystemKind k : systems) {
-            RunResult r = runner.run(k, op);
+            RunResult r = runner.run(makeSystem(k), degenerateScenario(op));
             all.push_back(r);
             EnergyShares s = energyShares(r);
             table.push_back({opKindName(op), r.system,

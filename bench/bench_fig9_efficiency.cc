@@ -19,7 +19,7 @@ main(int argc, char **argv)
     WorkloadConfig wl = parseArgs(argc, argv);
     banner("Fig. 9: efficiency (perf/W) improvement vs CPU", wl);
 
-    Runner runner(wl);
+    ServedRunner runner(wl);
     const OpKind ops[] = {OpKind::kScan, OpKind::kSort, OpKind::kGroupBy,
                           OpKind::kJoin};
 
@@ -28,10 +28,14 @@ main(int argc, char **argv)
     table.push_back({"operator", "nmp", "nmp-perm", "mondrian",
                      "mondrian speedup", "note"});
     for (OpKind op : ops) {
-        RunResult cpu = runner.run(SystemKind::kCpu, op);
-        RunResult nmp = runner.run(SystemKind::kNmp, op);
-        RunResult perm = runner.run(SystemKind::kNmpPerm, op);
-        RunResult mon = runner.run(SystemKind::kMondrian, op);
+        RunResult cpu = runner.run(makeSystem(SystemKind::kCpu),
+                                   degenerateScenario(op));
+        RunResult nmp = runner.run(makeSystem(SystemKind::kNmp),
+                                   degenerateScenario(op));
+        RunResult perm = runner.run(makeSystem(SystemKind::kNmpPerm),
+                                    degenerateScenario(op));
+        RunResult mon = runner.run(makeSystem(SystemKind::kMondrian),
+                                   degenerateScenario(op));
         for (const RunResult &r : {cpu, nmp, perm, mon})
             all.push_back(r);
         double eff = efficiencyImprovement(cpu, mon);

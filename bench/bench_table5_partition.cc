@@ -19,8 +19,9 @@ main(int argc, char **argv)
     WorkloadConfig wl = parseArgs(argc, argv);
     banner("Table 5: partitioning-phase speedup vs CPU (Join)", wl);
 
-    Runner runner(wl);
-    RunResult cpu = runner.run(SystemKind::kCpu, OpKind::kJoin);
+    ServedRunner runner(wl);
+    RunResult cpu = runner.run(makeSystem(SystemKind::kCpu),
+                               degenerateScenario(OpKind::kJoin));
 
     struct Row
     {
@@ -43,7 +44,8 @@ main(int argc, char **argv)
         {"cpu", "1.0x", "1x", fmt(cpu.partitionVaultBWGBps), "-",
          fmt(ticksToSeconds(cpu.partitionTime) * 1e3, 3)});
     for (const Row &row : rows) {
-        RunResult r = runner.run(row.kind, OpKind::kJoin);
+        RunResult r = runner.run(makeSystem(row.kind),
+                                 degenerateScenario(OpKind::kJoin));
         if (r.joinMatches != cpu.joinMatches)
             fatal("functional mismatch on %s", r.system.c_str());
         all.push_back(r);

@@ -3,7 +3,7 @@
  * The clickstream-sessions pipeline (filter events, join with the user
  * dimension, aggregate per user, rank) — now a thin driver over the
  * Scenario API: the "sessions" preset runs as one pipeline per system
- * through the Runner, so energy, per-vault bandwidth and per-stage
+ * through the ServedRunner (one query), so energy, per-vault bandwidth and per-stage
  * functional results come from the same machinery as every campaign run
  * instead of being hand-rolled (and partly dropped) here.
  *
@@ -22,7 +22,7 @@
 
 #include "common/logging.hh"
 #include "system/report.hh"
-#include "system/runner.hh"
+#include "system/traffic.hh"
 
 using namespace mondrian;
 
@@ -50,13 +50,13 @@ main(int argc, char **argv)
     WorkloadConfig wl;
     wl.tuples = events;
     wl.joinSmallRatio = 0.25; // users : events = 1 : 4
-    Runner runner(wl);
+    ServedRunner runner(wl);
 
     const std::vector<SystemKind> systems = {
         SystemKind::kCpu, SystemKind::kNmp, SystemKind::kMondrian};
     std::vector<RunResult> results;
     for (SystemKind kind : systems) {
-        RunResult res = runner.run(kind, sessions);
+        RunResult res = runner.run(makeSystem(kind), sessions);
         std::printf("%s: total %s ms, energy %s mJ\n", res.system.c_str(),
                     fmt(res.seconds() * 1e3, 3).c_str(),
                     fmt(res.energy.total() * 1e3, 3).c_str());

@@ -13,7 +13,7 @@
 
 #include "common/logging.hh"
 #include "system/report.hh"
-#include "system/runner.hh"
+#include "system/traffic.hh"
 
 using namespace mondrian;
 
@@ -28,7 +28,8 @@ main(int argc, char **argv)
     wl.tuples = 1ull << log2_tuples;
     wl.seed = 42;
 
-    Runner runner(wl);
+    ServedRunner runner(wl);
+    const Scenario join = degenerateScenario(OpKind::kJoin);
 
     std::printf("Mondrian Data Engine quickstart: FK join, |S| = %llu, "
                 "|R| = %llu\n\n",
@@ -37,13 +38,13 @@ main(int argc, char **argv)
                     static_cast<std::uint64_t>(wl.tuples *
                                                wl.joinSmallRatio)));
 
-    RunResult cpu = runner.run(SystemKind::kCpu, OpKind::kJoin);
+    RunResult cpu = runner.run(makeSystem(SystemKind::kCpu), join);
     std::printf("  %s\n", describeRun(cpu).c_str());
 
-    RunResult nmp = runner.run(SystemKind::kNmp, OpKind::kJoin);
+    RunResult nmp = runner.run(makeSystem(SystemKind::kNmp), join);
     std::printf("  %s\n", describeRun(nmp).c_str());
 
-    RunResult mon = runner.run(SystemKind::kMondrian, OpKind::kJoin);
+    RunResult mon = runner.run(makeSystem(SystemKind::kMondrian), join);
     std::printf("  %s\n\n", describeRun(mon).c_str());
 
     if (cpu.joinMatches != mon.joinMatches ||

@@ -3,8 +3,8 @@
  * Open-loop served workload: the sessions pipeline under Poisson query
  * arrivals on one simulated machine, swept across arrival rates.
  *
- * The single-query Runner answers "how fast is one query?"; the
- * ServedRunner answers the operator's question instead: at a given
+ * A single-query run answers "how fast is one query?"; open-loop
+ * traffic answers the operator's question instead: at a given
  * offered load, what throughput does the machine sustain, what do the
  * latency percentiles look like once queries queue behind each other,
  * and what does each query cost in energy? This driver sweeps lambda

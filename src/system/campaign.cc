@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <tuple>
-#include <type_traits>
 
 #include "common/json.hh"
 #include "common/json_parse.hh"
@@ -32,6 +32,80 @@ appendDouble(std::string &key, double v)
 {
     JsonWriter::appendDouble(key, v);
 }
+
+// Typed reads for the report readers: asU64()/asDouble() alone would read
+// a wrong-typed member (a string seed) as 0, which is another grid point.
+// Each is false when @p v is absent or of the wrong type.
+
+bool
+readString(const JsonValue *v, std::string &dst)
+{
+    if (!v || !v->isString())
+        return false;
+    dst = v->asString();
+    return true;
+}
+
+/** A non-negative integer literal that fits @p dst's type. */
+template <typename T>
+bool
+readUint(const JsonValue *v, T &dst)
+{
+    if (!v || !v->isNumber() || v->text.empty() ||
+        v->text.find_first_not_of("0123456789") != std::string::npos ||
+        v->asU64() > static_cast<std::uint64_t>(
+                         std::numeric_limits<T>::max()))
+        return false;
+    dst = static_cast<T>(v->asU64());
+    return true;
+}
+
+bool
+readNumber(const JsonValue *v, double &dst)
+{
+    if (!v || !v->isNumber())
+        return false;
+    dst = v->asDouble();
+    return true;
+}
+
+/** Typed member reads of one object; a failure names its member. */
+struct MemberReader
+{
+    const JsonValue &obj;
+    std::string &error;
+    std::string prefix = ""; ///< names the object inside its parent
+
+    bool
+    fail(const std::string &member)
+    {
+        error = "missing or wrong-typed \"" + prefix + member + "\"";
+        return false;
+    }
+    bool
+    str(const char *member, std::string &dst)
+    {
+        return readString(obj.find(member), dst) || fail(member);
+    }
+    template <typename T>
+    bool
+    uint(const char *member, T &dst)
+    {
+        return readUint(obj.find(member), dst) || fail(member);
+    }
+    /** An optional unsigned member: absent leaves @p dst as it is. */
+    template <typename T>
+    bool
+    optUint(const char *member, T &dst)
+    {
+        return !obj.find(member) || uint(member, dst);
+    }
+    bool
+    number(const char *member, double &dst)
+    {
+        return readNumber(obj.find(member), dst) || fail(member);
+    }
+};
 
 } // namespace
 
@@ -276,12 +350,8 @@ CampaignJob::systemConfig() const
 RunResult
 executeCampaignJob(const CampaignJob &job)
 {
-    if (job.traffic.degenerate()) {
-        Runner runner(job.workload());
-        return runner.run(job.systemConfig(), job.scenario);
-    }
-    ServedRunner served(job.workload(), job.traffic);
-    return served.run(job.systemConfig(), job.scenario);
+    return ServedRunner(job.workload(), job.traffic)
+        .run(job.systemConfig(), job.scenario);
 }
 
 std::vector<CampaignJob>
@@ -445,82 +515,28 @@ ResumeCache::load(const std::string &json_text, std::string &error)
     JsonValue doc;
     if (!parseJson(json_text, doc, error) || !checkReportSchema(doc, error))
         return false;
-    const JsonValue *grid = doc.find("grid");
-    if (!grid) {
+    const JsonValue *block = doc.find("grid");
+    if (!block) {
         error = "report has no grid block";
         return false;
     }
+    CampaignGrid grid;
+    if (!readCampaignGrid(*block, grid, error))
+        return false;
 
     // Axis tables: run labels resolve to the axis values they name.
     std::map<std::string, MemGeometry> geometries;
+    for (const MemGeometry &geo : grid.geometries)
+        geometries[geometryName(geo)] = geo;
     std::map<std::string, ExecOverride> overrides;
+    for (const ExecOverride &ov : grid.execOverrides)
+        overrides[ov.name()] = ov;
     // Scenario label -> full cache identity (name + stage structure), so
     // a renamed or restructured pipeline can never satisfy a stale cache
     // entry.
     std::map<std::string, std::string> scenario_identities;
-    if (const JsonValue *scs = grid->find("scenarios")) {
-        for (const JsonValue &sv : scs->items) {
-            const JsonValue *name = sv.find("name");
-            const JsonValue *stages = sv.find("stages");
-            if (!name || !stages || !stages->isArray())
-                continue;
-            Scenario sc;
-            sc.name = name->asString();
-            bool ok = true;
-            for (const JsonValue &st : stages->items) {
-                const JsonValue *spark = st.find("stage");
-                const JsonValue *op = st.find("op");
-                const JsonValue *input = st.find("input");
-                ScenarioStage stage;
-                if (!spark || !op || !input ||
-                    !opKindFromName(op->asString(), stage.op)) {
-                    ok = false;
-                    break;
-                }
-                stage.spark = spark->asString();
-                stage.input = input->asString() == "generated"
-                                  ? StageInput::kGenerated
-                                  : StageInput::kPrevOutput;
-                sc.stages.push_back(std::move(stage));
-            }
-            if (ok && !sc.stages.empty())
-                scenario_identities[sc.name] = scenarioIdentity(sc);
-        }
-    }
-    if (const JsonValue *gs = grid->find("geometries")) {
-        for (const JsonValue &g : gs->items) {
-            const JsonValue *name = g.find("name");
-            const JsonValue *stacks = g.find("stacks");
-            const JsonValue *vaults = g.find("vaults_per_stack");
-            const JsonValue *banks = g.find("banks_per_vault");
-            const JsonValue *row = g.find("row_bytes");
-            const JsonValue *cap = g.find("vault_bytes");
-            if (!name || !stacks || !vaults || !banks || !row || !cap)
-                continue;
-            MemGeometry geo;
-            geo.numStacks = static_cast<unsigned>(stacks->asU64());
-            geo.vaultsPerStack = static_cast<unsigned>(vaults->asU64());
-            geo.banksPerVault = static_cast<unsigned>(banks->asU64());
-            geo.rowBytes = row->asU64();
-            geo.vaultBytes = cap->asU64();
-            geometries[name->asString()] = geo;
-        }
-    }
-    if (const JsonValue *os = grid->find("exec_overrides")) {
-        for (const JsonValue &o : os->items) {
-            const JsonValue *name = o.find("name");
-            if (!name)
-                continue;
-            ExecOverride ov;
-            if (const JsonValue *r = o.find("radix_bits"))
-                ov.radixBits = static_cast<int>(r->asDouble());
-            if (const JsonValue *c = o.find("read_chunk_bytes"))
-                ov.readChunkBytes = static_cast<int>(c->asDouble());
-            if (const JsonValue *t = o.find("tlb_entries"))
-                ov.tlbEntries = static_cast<int>(t->asDouble());
-            overrides[name->asString()] = ov;
-        }
-    }
+    for (const Scenario &sc : grid.scenarios)
+        scenario_identities[sc.name] = scenarioIdentity(sc);
 
     const JsonValue *runs = doc.find("runs");
     if (!runs || !runs->isArray()) {
@@ -784,57 +800,210 @@ bool
 readRunCoordinates(const JsonValue &run, RunCoordinates &out,
                    std::string &error)
 {
-    // Each reader names its member in @p error when it is missing or
-    // wrong-typed; asU64()/asDouble() alone would read both as 0.
-    auto fail = [&error](const char *member) {
-        error = std::string("missing or wrong-typed \"") + member + "\"";
-        return false;
-    };
-    auto str = [&](const char *member, std::string &dst) {
-        const JsonValue *v = run.find(member);
-        if (!v || !v->isString())
-            return fail(member);
-        dst = v->asString();
-        return true;
-    };
-    auto uint = [&](const char *member, auto &dst) {
-        const JsonValue *v = run.find(member);
-        if (!v || !v->isNumber() ||
-            v->text.find_first_not_of("0123456789") != std::string::npos)
-            return fail(member);
-        dst = static_cast<std::decay_t<decltype(dst)>>(v->asU64());
-        return true;
-    };
-    auto number = [&](const char *member, double &dst) {
-        const JsonValue *v = run.find(member);
-        if (!v || !v->isNumber())
-            return fail(member);
-        dst = v->asDouble();
-        return true;
-    };
-    return uint("index", out.index) && str("system", out.system) &&
-           str("scenario", out.scenario) &&
-           uint("log2_tuples", out.log2Tuples) && uint("seed", out.seed) &&
-           str("geometry", out.geometry) && str("exec", out.exec) &&
-           number("zipf_theta", out.zipfTheta) &&
-           str("traffic", out.traffic);
+    MemberReader m{run, error};
+    return m.uint("index", out.index) && m.str("system", out.system) &&
+           m.str("scenario", out.scenario) &&
+           m.uint("log2_tuples", out.log2Tuples) &&
+           m.uint("seed", out.seed) && m.str("geometry", out.geometry) &&
+           m.str("exec", out.exec) && m.number("zipf_theta", out.zipfTheta) &&
+           m.str("traffic", out.traffic);
 }
 
-std::string
-campaignReportJson(const CampaignReport &report)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.member("schema", kCampaignReportSchema);
-    w.member("paper", "conf_isca_DrumondDMUPFGP17");
+namespace {
 
-    w.key("grid").beginObject();
+/**
+ * Read grid axis @p name of @p block, one entry at a time through
+ * @p entry(value, what), which returns false with @p what describing
+ * the fault.
+ */
+template <typename Entry>
+bool
+readGridAxis(const JsonValue &block, const char *name, Entry entry,
+             std::string &error)
+{
+    const JsonValue *axis = block.find(name);
+    if (!axis || !axis->isArray()) {
+        error = std::string("grid axis \"") + name +
+                "\" missing or not an array";
+        return false;
+    }
+    for (std::size_t i = 0; i < axis->items.size(); ++i) {
+        std::string what;
+        if (!entry(axis->items[i], what)) {
+            error = std::string("grid axis \"") + name + "\" entry " +
+                    std::to_string(i) + ": " + what;
+            return false;
+        }
+    }
+    return true;
+}
+
+/** An entry's "name" member must equal the label its fields rebuild. */
+bool
+labelMatches(const JsonValue &v, const std::string &rebuilt,
+             std::string &what)
+{
+    std::string name;
+    if (!MemberReader{v, what}.str("name", name))
+        return false;
+    if (name != rebuilt)
+        what = "label '" + name + "' does not match its fields ('" +
+               rebuilt + "')";
+    return name == rebuilt;
+}
+
+bool
+readScenario(const JsonValue &v, Scenario &sc, std::string &what)
+{
+    MemberReader m{v, what};
+    const JsonValue *stages = v.find("stages");
+    if (!m.str("name", sc.name))
+        return false;
+    if (!stages || !stages->isArray())
+        return m.fail("stages");
+    for (std::size_t i = 0; i < stages->items.size(); ++i) {
+        MemberReader st{stages->items[i], what,
+                        "stages[" + std::to_string(i) + "]."};
+        ScenarioStage &stage = sc.stages.emplace_back();
+        std::string op, input;
+        if (!st.str("stage", stage.spark) || !st.str("op", op) ||
+            !st.str("input", input))
+            return false;
+        if (!opKindFromName(op, stage.op))
+            return st.fail("op");
+        if (input == stageInputName(StageInput::kPrevOutput))
+            stage.input = StageInput::kPrevOutput;
+        else if (input != stageInputName(StageInput::kGenerated))
+            return st.fail("input");
+    }
+    return true;
+}
+
+bool
+readTraffic(const JsonValue &v, TrafficSpec &t, std::string &what)
+{
+    MemberReader m{v, what};
+    std::string name, process;
+    if (!m.str("name", name))
+        return false;
+    // A degenerate point is written as its label alone.
+    if (name == TrafficSpec{}.name())
+        return true;
+    if (!m.str("process", process))
+        return false;
+    if (process == arrivalProcessName(ArrivalProcess::kFixed))
+        t.process = ArrivalProcess::kFixed;
+    else if (process != arrivalProcessName(ArrivalProcess::kPoisson))
+        return m.fail("process");
+    if (!m.number("lambda_qps", t.lambdaQps) ||
+        !m.uint("queries", t.queries) || !m.uint("warmup", t.warmup) ||
+        !m.uint("max_in_flight", t.maxInFlight) || !m.uint("seed", t.seed))
+        return false;
+    if (const JsonValue *mix = v.find("mix")) {
+        if (!mix->isArray())
+            return m.fail("mix");
+        for (std::size_t i = 0; i < mix->items.size(); ++i) {
+            MemberReader e{mix->items[i], what,
+                           "mix[" + std::to_string(i) + "]."};
+            TrafficMixEntry &entry = t.mix.emplace_back();
+            std::string spec, sc_error;
+            if (!e.str("scenario", spec) ||
+                !e.number("weight", entry.weight))
+                return false;
+            if (!scenarioFromSpec(spec, entry.scenario, sc_error))
+                return e.fail("scenario");
+        }
+        if (!m.number("mix_zipf_theta", t.mixZipfTheta))
+            return false;
+    }
+    return labelMatches(v, t.name(), what);
+}
+
+} // namespace
+
+bool
+readCampaignGrid(const JsonValue &block, CampaignGrid &out,
+                 std::string &error)
+{
+    CampaignGrid g;
+    g.geometries.clear();
+    g.execOverrides.clear();
+    g.zipfThetas.clear();
+    g.traffics.clear();
+    const bool ok =
+        readGridAxis(block, "systems", [&](const JsonValue &v,
+                                           std::string &what) {
+            std::string name;
+            what = "not a system name";
+            return readString(&v, name) &&
+                   systemKindFromName(name, g.systems.emplace_back());
+        }, error) &&
+        readGridAxis(block, "scenarios", [&](const JsonValue &v,
+                                             std::string &what) {
+            return readScenario(v, g.scenarios.emplace_back(), what);
+        }, error) &&
+        readGridAxis(block, "log2_tuples", [&](const JsonValue &v,
+                                               std::string &what) {
+            what = "not an unsigned integer";
+            return readUint(&v, g.log2Tuples.emplace_back());
+        }, error) &&
+        readGridAxis(block, "seeds", [&](const JsonValue &v,
+                                         std::string &what) {
+            what = "not an unsigned integer";
+            return readUint(&v, g.seeds.emplace_back());
+        }, error) &&
+        readGridAxis(block, "geometries", [&](const JsonValue &v,
+                                              std::string &what) {
+            MemGeometry &geo = g.geometries.emplace_back();
+            MemberReader m{v, what};
+            return m.uint("stacks", geo.numStacks) &&
+                   m.uint("vaults_per_stack", geo.vaultsPerStack) &&
+                   m.uint("banks_per_vault", geo.banksPerVault) &&
+                   m.uint("row_bytes", geo.rowBytes) &&
+                   m.uint("vault_bytes", geo.vaultBytes) &&
+                   labelMatches(v, geometryName(geo), what);
+        }, error) &&
+        readGridAxis(block, "exec_overrides", [&](const JsonValue &v,
+                                                  std::string &what) {
+            // Absent knobs inherit the preset.
+            ExecOverride &ov = g.execOverrides.emplace_back();
+            MemberReader m{v, what};
+            return m.optUint("radix_bits", ov.radixBits) &&
+                   m.optUint("read_chunk_bytes", ov.readChunkBytes) &&
+                   m.optUint("tlb_entries", ov.tlbEntries) &&
+                   labelMatches(v, ov.name(), what);
+        }, error) &&
+        readGridAxis(block, "zipf_thetas", [&](const JsonValue &v,
+                                               std::string &what) {
+            what = "not a number";
+            return readNumber(&v, g.zipfThetas.emplace_back());
+        }, error) &&
+        readGridAxis(block, "traffics", [&](const JsonValue &v,
+                                            std::string &what) {
+            return readTraffic(v, g.traffics.emplace_back(), what);
+        }, error);
+    if (!ok)
+        return false;
+    std::uint64_t total = 0;
+    if (!readUint(block.find("total_runs"), total) || total != g.size()) {
+        error = "grid \"total_runs\" missing or not the product of the "
+                "axis sizes (" + std::to_string(g.size()) + ")";
+        return false;
+    }
+    out = std::move(g);
+    return true;
+}
+
+void
+writeCampaignGrid(JsonWriter &w, const CampaignGrid &grid)
+{
+    w.beginObject();
     w.key("systems").beginArray();
-    for (SystemKind k : report.grid.systems)
+    for (SystemKind k : grid.systems)
         w.value(systemKindName(k));
     w.endArray();
     w.key("scenarios").beginArray();
-    for (const Scenario &sc : report.grid.scenarios) {
+    for (const Scenario &sc : grid.scenarios) {
         w.beginObject();
         w.member("name", sc.name);
         w.key("stages").beginArray();
@@ -850,15 +1019,15 @@ campaignReportJson(const CampaignReport &report)
     }
     w.endArray();
     w.key("log2_tuples").beginArray();
-    for (unsigned l : report.grid.log2Tuples)
+    for (unsigned l : grid.log2Tuples)
         w.value(std::uint64_t{l});
     w.endArray();
     w.key("seeds").beginArray();
-    for (std::uint64_t s : report.grid.seeds)
+    for (std::uint64_t s : grid.seeds)
         w.value(s);
     w.endArray();
     w.key("geometries").beginArray();
-    for (const MemGeometry &geo : report.grid.geometries) {
+    for (const MemGeometry &geo : grid.geometries) {
         w.beginObject();
         w.member("name", geometryName(geo));
         w.member("stacks", std::uint64_t{geo.numStacks});
@@ -870,7 +1039,7 @@ campaignReportJson(const CampaignReport &report)
     }
     w.endArray();
     w.key("exec_overrides").beginArray();
-    for (const ExecOverride &ov : report.grid.execOverrides) {
+    for (const ExecOverride &ov : grid.execOverrides) {
         w.beginObject();
         w.member("name", ov.name());
         // Only overridden knobs appear; absent means "inherit preset".
@@ -884,11 +1053,11 @@ campaignReportJson(const CampaignReport &report)
     }
     w.endArray();
     w.key("zipf_thetas").beginArray();
-    for (double z : report.grid.zipfThetas)
+    for (double z : grid.zipfThetas)
         w.value(z);
     w.endArray();
     w.key("traffics").beginArray();
-    for (const TrafficSpec &t : report.grid.traffics) {
+    for (const TrafficSpec &t : grid.traffics) {
         w.beginObject();
         w.member("name", t.name());
         if (!t.degenerate()) {
@@ -913,8 +1082,20 @@ campaignReportJson(const CampaignReport &report)
         w.endObject();
     }
     w.endArray();
-    w.member("total_runs", std::uint64_t{report.runs.size()});
+    w.member("total_runs", std::uint64_t{grid.size()});
     w.endObject();
+}
+
+std::string
+campaignReportJson(const CampaignReport &report)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.member("schema", kCampaignReportSchema);
+    w.member("paper", "conf_isca_DrumondDMUPFGP17");
+
+    w.key("grid");
+    writeCampaignGrid(w, report.grid);
 
     w.key("runs").beginArray();
     for (const auto &r : report.runs) {

@@ -17,15 +17,17 @@
  * the four degenerate single-op scenarios reproduce the classic operator
  * runs byte-for-byte, and multi-stage scenarios ("sessions", arbitrary
  * `a>b>c` chains) run as one pipeline per grid point. The traffic axis
- * (system/traffic.hh) drives grid points as served open-loop workloads —
- * a non-degenerate TrafficSpec runs its point through the ServedRunner
- * and the report gains QPS/latency-percentile/energy-per-query metrics.
+ * (system/traffic.hh) drives grid points as served open-loop workloads:
+ * every grid point is one ServedRunner run, and a non-degenerate
+ * TrafficSpec adds QPS/latency-percentile/energy-per-query metrics.
  * Every report is one schema, mondrian-campaign-v4 (docs/report-schema.md):
  * axis tables in the grid block, every run labeled with all eight of its
  * coordinates, pipeline runs carrying per-stage sub-results and served
  * runs a "served" object. campaignReportJson writes it; ResumeCache and
  * loadReportModel read it through one coordinate reader
- * (readRunCoordinates) and reject any other schema.
+ * (readRunCoordinates) and reject any other schema. The grid block has
+ * one writer and one reader (writeCampaignGrid/readCampaignGrid), shared
+ * by ResumeCache and the worker spec (system/campaign_spec.hh).
  * expandGrid() flattens the cross-product into an ordered job list and
  * CampaignRunner executes the jobs on a thread pool. Each job builds a
  * fresh MemoryPool/Machine, so jobs share no mutable state and the
@@ -54,6 +56,7 @@
 
 namespace mondrian {
 
+class JsonWriter;
 struct JsonValue;
 
 /** Declarative cross-product of runs. */
@@ -73,7 +76,7 @@ struct CampaignGrid
     /** Key-skew axis (0 = uniform, as in the paper). */
     std::vector<double> zipfThetas = {0.0};
     /** Open-loop traffic axis; the default single point is the
-     *  degenerate "none" spec (one query, classic Runner semantics). */
+     *  degenerate "none" spec (one query: the classic single run). */
     std::vector<TrafficSpec> traffics = {TrafficSpec{}};
 
     /** Number of jobs the grid expands to. */
@@ -133,10 +136,10 @@ struct CampaignJob
 std::vector<CampaignJob> expandGrid(const CampaignGrid &grid);
 
 /**
- * Execute one expanded grid point: the single place that maps a job
- * onto a Runner (degenerate traffic) or ServedRunner (open-loop
- * traffic). Shared by the in-process executor (runCampaignJobs) and the
- * distributed worker loop, so the two can never diverge.
+ * Execute one expanded grid point: one ServedRunner run under the job's
+ * traffic (degenerate traffic is the classic single query). Shared by
+ * the in-process executor (runCampaignJobs) and the distributed worker
+ * loop, so the two can never diverge.
  */
 RunResult executeCampaignJob(const CampaignJob &job);
 
@@ -285,13 +288,14 @@ class ResumeCache
      * Load entries from a prior report's JSON text. Replaces the
      * current contents.
      *
-     * Corrupt entries inside an otherwise-parseable report (a missing or
-     * wrong-typed coordinate, a label without an axis-table entry, an
-     * unreadable result subtree) are skipped with a warn() naming the
-     * bad run — never cached as garbage, never keyed at a wrong grid
-     * point. A truncated report fails the top-level parse and returns
+     * Corrupt run entries inside an otherwise-parseable report (a
+     * missing or wrong-typed coordinate, a label without an axis-table
+     * entry, an unreadable result subtree) are skipped with a warn()
+     * naming the bad run — never cached as garbage, never keyed at a
+     * wrong grid point. A truncated report fails the top-level parse,
+     * and a malformed grid block fails readCampaignGrid(); both return
      * false.
-     * @return false with @p error set on parse/schema problems.
+     * @return false with @p error set on parse/schema/grid problems.
      */
     bool load(const std::string &json_text, std::string &error);
 
@@ -474,6 +478,25 @@ struct RunCoordinates
  */
 bool readRunCoordinates(const JsonValue &run, RunCoordinates &out,
                         std::string &error);
+
+/**
+ * Write @p grid as the report's "grid" block: one table per axis in axis
+ * order, each entry carrying its report label, then "total_runs". The
+ * writer's double precision applies, so the worker spec (precise
+ * doubles) and the report (12 digits) share this one encoding.
+ */
+void writeCampaignGrid(JsonWriter &w, const CampaignGrid &grid);
+
+/**
+ * The inverse of writeCampaignGrid. Every member is type-checked, as
+ * readRunCoordinates does, because the block may arrive over the wire:
+ * scenarios are rebuilt from their stage lists, and each labeled entry
+ * must rebuild to its own label. Structural only — callers that expand
+ * the grid still run validateGrid().
+ * @return false with @p error naming the axis and entry at fault.
+ */
+bool readCampaignGrid(const JsonValue &block, CampaignGrid &out,
+                      std::string &error);
 
 /** Render the summary table (one row per system) for terminal output. */
 std::string campaignSummaryTable(const CampaignReport &report);

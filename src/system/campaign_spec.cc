@@ -1,10 +1,25 @@
 #include "system/campaign_spec.hh"
 
+#include <utility>
+
 #include "common/json.hh"
 #include "common/json_parse.hh"
-#include "system/scenario.hh"
 
 namespace mondrian {
+
+namespace {
+
+constexpr const char *kSpecSchema = "mondrian-campaign-spec-v2";
+
+/** The perf toggles of an exec point, by their spec member names. */
+constexpr std::pair<const char *, int ExecOverride::*> kToggles[] = {
+    {"coalesce", &ExecOverride::coalesce},
+    {"rle", &ExecOverride::rle},
+    {"skip", &ExecOverride::skip},
+    {"eager", &ExecOverride::eager},
+};
+
+} // namespace
 
 std::string
 campaignSpecJson(const CampaignGrid &grid)
@@ -12,245 +27,72 @@ campaignSpecJson(const CampaignGrid &grid)
     JsonWriter w;
     w.setPreciseDoubles(true);
     w.beginObject();
-    w.member("schema", "mondrian-campaign-spec-v1");
-
-    w.key("systems").beginArray();
-    for (SystemKind k : grid.systems)
-        w.value(systemKindName(k));
-    w.endArray();
-
-    // A scenario's name is its spec (ops, presets, '>'-chains), so the
-    // axis round-trips through scenarioFromSpec.
-    w.key("scenarios").beginArray();
-    for (const Scenario &sc : grid.scenarios)
-        w.value(sc.name);
-    w.endArray();
-
-    w.key("log2_tuples").beginArray();
-    for (unsigned l : grid.log2Tuples)
-        w.value(std::uint64_t{l});
-    w.endArray();
-
-    w.key("seeds").beginArray();
-    for (std::uint64_t s : grid.seeds)
-        w.value(s);
-    w.endArray();
-
-    w.key("geometries").beginArray();
-    for (const MemGeometry &geo : grid.geometries) {
-        w.beginObject();
-        w.member("stacks", std::uint64_t{geo.numStacks});
-        w.member("vaults_per_stack", std::uint64_t{geo.vaultsPerStack});
-        w.member("banks_per_vault", std::uint64_t{geo.banksPerVault});
-        w.member("row_bytes", geo.rowBytes);
-        w.member("vault_bytes", geo.vaultBytes);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("exec_overrides").beginArray();
+    w.member("schema", kSpecSchema);
+    w.key("grid");
+    writeCampaignGrid(w, grid);
+    w.key("exec_toggles").beginArray();
     for (const ExecOverride &ov : grid.execOverrides) {
         w.beginObject();
-        w.member("radix_bits", std::int64_t{ov.radixBits});
-        w.member("read_chunk_bytes", std::int64_t{ov.readChunkBytes});
-        w.member("tlb_entries", std::int64_t{ov.tlbEntries});
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("zipf_thetas").beginArray();
-    for (double z : grid.zipfThetas)
-        w.value(z);
-    w.endArray();
-
-    w.key("traffics").beginArray();
-    for (const TrafficSpec &t : grid.traffics) {
-        w.beginObject();
-        w.member("process", arrivalProcessName(t.process));
-        w.member("lambda_qps", t.lambdaQps);
-        w.member("queries", t.queries);
-        w.member("warmup", t.warmup);
-        w.member("max_in_flight", t.maxInFlight);
-        w.member("seed", t.seed);
-        if (!t.mix.empty()) {
-            w.key("mix").beginArray();
-            for (const TrafficMixEntry &m : t.mix) {
-                w.beginObject();
-                w.member("scenario", m.scenario.name);
-                w.member("weight", m.weight);
-                w.endObject();
-            }
-            w.endArray();
+        for (const auto &[name, toggle] : kToggles) {
+            if (ov.*toggle >= 0)
+                w.member(name, std::int64_t{ov.*toggle});
         }
-        w.member("mix_zipf_theta", t.mixZipfTheta);
         w.endObject();
     }
     w.endArray();
-
     w.endObject();
     return w.str();
 }
-
-namespace {
-
-bool
-specInt(const JsonValue &obj, const char *key, std::int64_t &out,
-        std::string &error)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || !v->isNumber()) {
-        error = std::string("spec member '") + key + "' missing or not a "
-                "number";
-        return false;
-    }
-    out = static_cast<std::int64_t>(v->asDouble());
-    return true;
-}
-
-} // namespace
 
 bool
 parseCampaignSpec(const std::string &json_text, CampaignGrid &grid,
                   std::string &error)
 {
-    grid = CampaignGrid{};
-    grid.geometries.clear();
-    grid.execOverrides.clear();
-    grid.zipfThetas.clear();
-    grid.traffics.clear();
-
     JsonValue doc;
     if (!parseJson(json_text, doc, error))
         return false;
     const JsonValue *schema = doc.find("schema");
-    if (!schema || schema->asString() != "mondrian-campaign-spec-v1") {
-        error = "not a mondrian-campaign-spec-v1 document";
+    if (!schema || schema->asString() != kSpecSchema) {
+        error = std::string("not a ") + kSpecSchema + " document";
         return false;
     }
-
-    auto axis = [&](const char *name, const JsonValue *&out) {
-        out = doc.find(name);
-        if (!out || !out->isArray()) {
-            error = std::string("spec axis '") + name +
-                    "' missing or not an array";
-            return false;
-        }
-        return true;
-    };
-
-    const JsonValue *systems, *scenarios, *log2s, *seeds, *geos, *execs,
-        *thetas, *traffics;
-    if (!axis("systems", systems) || !axis("scenarios", scenarios) ||
-        !axis("log2_tuples", log2s) || !axis("seeds", seeds) ||
-        !axis("geometries", geos) || !axis("exec_overrides", execs) ||
-        !axis("zipf_thetas", thetas) || !axis("traffics", traffics))
+    const JsonValue *block = doc.find("grid");
+    if (!block) {
+        error = "spec has no grid block";
+        return false;
+    }
+    CampaignGrid parsed;
+    if (!readCampaignGrid(*block, parsed, error))
         return false;
 
-    for (const JsonValue &v : systems->items) {
-        SystemKind k;
-        if (!systemKindFromName(v.asString(), k)) {
-            error = "unknown system '" + v.asString() + "'";
-            return false;
-        }
-        grid.systems.push_back(k);
+    const JsonValue *toggles = doc.find("exec_toggles");
+    if (!toggles || !toggles->isArray() ||
+        toggles->items.size() != parsed.execOverrides.size()) {
+        error = "spec \"exec_toggles\" missing or not one object per "
+                "exec point";
+        return false;
     }
-    for (const JsonValue &v : scenarios->items) {
-        Scenario sc;
-        std::string sc_error;
-        if (!scenarioFromSpec(v.asString(), sc, sc_error)) {
-            error = "scenario '" + v.asString() + "': " + sc_error;
+    for (std::size_t i = 0; i < toggles->items.size(); ++i) {
+        const JsonValue &set = toggles->items[i];
+        auto bad = [&error, i]() {
+            error = "spec \"exec_toggles\" entry " + std::to_string(i) +
+                    ": expected toggles coalesce/rle/skip/eager set to "
+                    "0 or 1";
             return false;
+        };
+        if (!set.isObject())
+            return bad();
+        for (const auto &[name, value] : set.members) {
+            int ExecOverride::*toggle = nullptr;
+            for (const auto &[toggle_name, t] : kToggles)
+                toggle = name == toggle_name ? t : toggle;
+            if (!toggle || !value.isNumber() ||
+                (value.text != "0" && value.text != "1"))
+                return bad();
+            parsed.execOverrides[i].*toggle = value.text == "1";
         }
-        grid.scenarios.push_back(std::move(sc));
     }
-    for (const JsonValue &v : log2s->items)
-        grid.log2Tuples.push_back(static_cast<unsigned>(v.asU64()));
-    for (const JsonValue &v : seeds->items)
-        grid.seeds.push_back(v.asU64());
-
-    for (const JsonValue &v : geos->items) {
-        std::int64_t stacks, vaults, banks, row, cap;
-        if (!specInt(v, "stacks", stacks, error) ||
-            !specInt(v, "vaults_per_stack", vaults, error) ||
-            !specInt(v, "banks_per_vault", banks, error) ||
-            !specInt(v, "row_bytes", row, error) ||
-            !specInt(v, "vault_bytes", cap, error))
-            return false;
-        MemGeometry geo;
-        geo.numStacks = static_cast<unsigned>(stacks);
-        geo.vaultsPerStack = static_cast<unsigned>(vaults);
-        geo.banksPerVault = static_cast<unsigned>(banks);
-        geo.rowBytes = v.find("row_bytes")->asU64();
-        geo.vaultBytes = v.find("vault_bytes")->asU64();
-        grid.geometries.push_back(geo);
-    }
-
-    for (const JsonValue &v : execs->items) {
-        std::int64_t radix, chunk, tlb;
-        if (!specInt(v, "radix_bits", radix, error) ||
-            !specInt(v, "read_chunk_bytes", chunk, error) ||
-            !specInt(v, "tlb_entries", tlb, error))
-            return false;
-        ExecOverride ov;
-        ov.radixBits = static_cast<int>(radix);
-        ov.readChunkBytes = static_cast<int>(chunk);
-        ov.tlbEntries = static_cast<int>(tlb);
-        grid.execOverrides.push_back(ov);
-    }
-
-    for (const JsonValue &v : thetas->items)
-        grid.zipfThetas.push_back(v.asDouble());
-
-    for (const JsonValue &v : traffics->items) {
-        TrafficSpec t;
-        const JsonValue *proc = v.find("process");
-        if (!proc || !proc->isString()) {
-            error = "traffic entry has no process";
-            return false;
-        }
-        if (proc->asString() == "poisson") {
-            t.process = ArrivalProcess::kPoisson;
-        } else if (proc->asString() == "fixed") {
-            t.process = ArrivalProcess::kFixed;
-        } else {
-            error = "unknown arrival process '" + proc->asString() + "'";
-            return false;
-        }
-        if (const JsonValue *p = v.find("lambda_qps"))
-            t.lambdaQps = p->asDouble();
-        if (const JsonValue *p = v.find("queries"))
-            t.queries = p->asU64();
-        if (const JsonValue *p = v.find("warmup"))
-            t.warmup = p->asU64();
-        if (const JsonValue *p = v.find("max_in_flight"))
-            t.maxInFlight = p->asU64();
-        if (const JsonValue *p = v.find("seed"))
-            t.seed = p->asU64();
-        if (const JsonValue *mix = v.find("mix"); mix && mix->isArray()) {
-            for (const JsonValue &mv : mix->items) {
-                const JsonValue *name = mv.find("scenario");
-                const JsonValue *weight = mv.find("weight");
-                if (!name || !weight) {
-                    error = "traffic mix entry needs scenario and weight";
-                    return false;
-                }
-                TrafficMixEntry e;
-                std::string sc_error;
-                if (!scenarioFromSpec(name->asString(), e.scenario,
-                                      sc_error)) {
-                    error = "mix scenario '" + name->asString() + "': " +
-                            sc_error;
-                    return false;
-                }
-                e.weight = weight->asDouble();
-                t.mix.push_back(std::move(e));
-            }
-        }
-        if (const JsonValue *p = v.find("mix_zipf_theta"))
-            t.mixZipfTheta = p->asDouble();
-        grid.traffics.push_back(std::move(t));
-    }
-
+    grid = std::move(parsed);
     return true;
 }
 

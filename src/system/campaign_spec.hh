@@ -1,25 +1,27 @@
 /**
  * @file
- * campaign.json: the declarative job-spec format shared by the CLI and
- * the distributed coordinator.
- *
- * A spec document serializes a CampaignGrid — every axis, in axis order —
- * so that a worker process can re-expand the identical job list from the
- * document its coordinator sends in the join handshake instead of
- * re-parsing CLI flags. Expansion order is part of the
+ * campaign.json: the job spec a coordinator sends every worker in the
+ * join handshake, so the worker re-expands the identical job list
+ * instead of re-parsing CLI flags. Expansion order is part of the
  * contract: job index N in the coordinator IS job index N in every
  * worker, which is what lets the wire protocol ship bare indices.
  *
- * Doubles (zipf thetas, traffic rates, mix weights) are written in exact
- * shortest-round-trip form, not the report's 12-significant-digit
- * canonical form: a worker must reconstruct bit-identical WorkloadConfig
- * values or its results would diverge from an in-process run of the same
- * grid and break the merged-report byte-identity oracle.
+ * A mondrian-campaign-spec-v2 document is the report's own grid block
+ * (writeCampaignGrid, read back by readCampaignGrid) plus the exec perf
+ * toggles, which the report leaves out because they never change a
+ * result:
  *
- * Scenarios serialize as their spec strings (a scenario's name is its
- * spec: single ops, presets, '>'-joined chains — scenarioFromSpec is the
- * inverse). Geometries and exec overrides serialize field-by-field, like
- * the report's axis tables.
+ *   {"schema": "mondrian-campaign-spec-v2",
+ *    "grid": <grid block>,
+ *    "exec_toggles": [{"coalesce": 0, ...}, ...]}
+ *
+ * exec_toggles holds one object per exec_overrides entry, in axis
+ * order, with only the toggles that entry sets. Doubles (zipf thetas,
+ * traffic rates, mix weights) are written in exact shortest-round-trip
+ * form, not the report's 12-significant-digit form: a worker must
+ * reconstruct bit-identical WorkloadConfig values or its results would
+ * diverge from an in-process run of the same grid and break the
+ * merged-report byte-identity oracle.
  */
 
 #ifndef MONDRIAN_SYSTEM_CAMPAIGN_SPEC_HH
@@ -31,13 +33,13 @@
 
 namespace mondrian {
 
-/** Serialize @p grid as a mondrian-campaign-spec-v1 JSON document. */
+/** Serialize @p grid as a mondrian-campaign-spec-v2 JSON document. */
 std::string campaignSpecJson(const CampaignGrid &grid);
 
 /**
- * Parse a spec document produced by campaignSpecJson() (or hand-written)
- * into @p grid. Structural parse only — callers still run
- * validateGrid() before expanding.
+ * Parse a spec document produced by campaignSpecJson() into @p grid.
+ * Structural parse only — callers still run validateGrid() before
+ * expanding. Any other schema, v1 included, is refused.
  * @return false with @p error set on malformed documents.
  */
 bool parseCampaignSpec(const std::string &json_text, CampaignGrid &grid,

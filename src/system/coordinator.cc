@@ -94,45 +94,6 @@ parseFaultInject(const std::string &spec, std::vector<FaultInjection> &out,
     return true;
 }
 
-std::vector<std::vector<std::size_t>>
-planShards(const std::vector<std::size_t> &indices, unsigned workers)
-{
-    if (workers == 0)
-        workers = 1;
-    std::vector<std::vector<std::size_t>> shards(workers);
-    for (std::size_t i = 0; i < indices.size(); ++i)
-        shards[i % workers].push_back(indices[i]);
-    return shards;
-}
-
-std::string
-shardPlanListing(const CampaignGrid &grid, unsigned workers,
-                 const ResumeCache *resume)
-{
-    const std::vector<CampaignJob> jobs = expandGrid(grid);
-    std::vector<std::size_t> pending;
-    for (const CampaignJob &job : jobs) {
-        if (resume && resume->find(campaignJobKey(job)))
-            continue;
-        pending.push_back(job.index);
-    }
-    auto shards = planShards(pending, workers);
-
-    std::string out = "shard plan: " + std::to_string(workers) +
-                      " workers, round-robin over " +
-                      std::to_string(pending.size()) + " pending jobs\n";
-    for (std::size_t w = 0; w < shards.size(); ++w) {
-        out += "  worker " + std::to_string(w) + " (" +
-               std::to_string(shards[w].size()) + " jobs):";
-        for (std::size_t idx : shards[w])
-            out += " [" + std::to_string(idx) + "]";
-        out += "\n";
-    }
-    out += "(runtime assignment is dynamic pull-based; a failed worker's "
-           "jobs are reassigned)\n";
-    return out;
-}
-
 namespace {
 
 double

@@ -146,23 +146,6 @@ struct CoordinatorConfig
     std::vector<FaultInjection> faults;
 };
 
-/**
- * Static round-robin plan: pending job @p indices dealt over @p workers
- * (worker w gets indices[w], indices[w + workers], ...). The runtime
- * assignment is dynamic (pull-based) — this is the inspectable --dry-run
- * approximation of it.
- */
-std::vector<std::vector<std::size_t>>
-planShards(const std::vector<std::size_t> &indices, unsigned workers);
-
-/**
- * Render the planned shard assignment for --dry-run: one line per
- * worker listing its round-robin share of the jobs a @p resume cache
- * would not satisfy.
- */
-std::string shardPlanListing(const CampaignGrid &grid, unsigned workers,
-                             const ResumeCache *resume = nullptr);
-
 /** Runs a campaign grid across workers (see file header). */
 class CampaignCoordinator
 {

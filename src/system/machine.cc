@@ -502,16 +502,6 @@ Machine::runPhase(const PhaseExec &phase)
     return result;
 }
 
-std::vector<PhaseResult>
-Machine::run(const OperatorExecution &exec)
-{
-    std::vector<PhaseResult> results;
-    results.reserve(exec.phases.size());
-    for (const auto &phase : exec.phases)
-        results.push_back(runPhase(phase));
-    return results;
-}
-
 EnergyActivity
 Machine::energyActivity() const
 {

@@ -79,9 +79,6 @@ class Machine
     /** Replay one phase to quiescence; returns its timing result. */
     PhaseResult runPhase(const PhaseExec &phase);
 
-    /** Run all phases of an operator execution in order. */
-    std::vector<PhaseResult> run(const OperatorExecution &exec);
-
     /** The machine's event queue (drivers of beginPhase() run it). */
     EventQueue &eq() { return eq_; }
 

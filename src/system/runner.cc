@@ -143,24 +143,6 @@ materializeRelation(MemoryPool &pool, const std::vector<Tuple> &tuples)
 
 } // namespace
 
-RunResult
-Runner::run(SystemKind kind, const Scenario &scenario)
-{
-    return run(makeSystem(kind), scenario);
-}
-
-RunResult
-Runner::run(SystemKind kind, OpKind op)
-{
-    return run(makeSystem(kind), degenerateScenario(op));
-}
-
-RunResult
-Runner::run(const SystemConfig &sys, OpKind op)
-{
-    return run(sys, degenerateScenario(op));
-}
-
 PreparedScenario
 prepareScenario(MemoryPool &pool, const WorkloadConfig &workload,
                 const SystemConfig &sys, const Scenario &scenario)
@@ -292,33 +274,6 @@ finishRunResult(RunResult &res, double vaults,
                     res.probeVaultBWGBps);
     res.activity = activity;
     res.energy = energy;
-}
-
-RunResult
-Runner::run(const SystemConfig &sys, const Scenario &scenario)
-{
-    MemoryPool pool(sys.geo);
-    PreparedScenario ps = prepareScenario(pool, workload_, sys, scenario);
-
-    // Timed replay: one Machine, all stages back-to-back on one event
-    // queue, per-stage energy attributed by cumulative deltas.
-    Machine machine(sys, pool);
-    RunResult res;
-    res.system = sys.name;
-    res.op = scenario.name;
-
-    const double vaults = static_cast<double>(sys.geo.totalVaults());
-    EnergyBreakdown prev_energy;
-    for (std::size_t i = 0; i < scenario.stages.size(); ++i) {
-        std::vector<PhaseResult> phases = machine.run(ps.execs[i]);
-        accumulateStage(res, ps, i, std::move(phases), vaults,
-                        machine.energy(), prev_energy);
-    }
-
-    finishRunResult(res, vaults, machine.energyActivity(),
-                    machine.energy());
-    res.simEvents = machine.simEvents();
-    return res;
 }
 
 } // namespace mondrian

@@ -1,18 +1,23 @@
 /**
  * @file
- * Runner: end-to-end execution of one Scenario on one system.
+ * The run model: what one run of a Scenario on one system measures, and
+ * the steps every run is made of.
  *
- * A run simulates a whole analytics pipeline, not a single operator: the
- * Runner builds ONE memory pool and ONE wired Machine per run, generates
- * the (seed-deterministic) input workload, then executes the scenario's
- * stages in order. Each stage runs functionally through the simulated
- * address space to obtain kernel traces, and intermediate relations flow
- * stage-to-stage: a stage bound to kPrevOutput consumes its
- * predecessor's output relation, re-materialized in a canonical
- * system-independent layout so every evaluated system sees functionally
- * identical inputs at every stage. The Machine replays all stages
- * back-to-back on one event queue, so cache, DRAM-bank and link state
- * carry across stage boundaries exactly as they would in hardware.
+ * A run simulates a whole analytics pipeline, not a single operator: ONE
+ * memory pool and ONE wired Machine per run, the (seed-deterministic)
+ * input workload generated into it, then the scenario's stages in
+ * order. prepareScenario() is the functional half: each stage runs
+ * through the simulated address space to obtain kernel traces, and
+ * intermediate relations flow stage-to-stage: a stage bound to
+ * kPrevOutput consumes its predecessor's output relation,
+ * re-materialized in a canonical system-independent layout so every
+ * evaluated system sees functionally identical inputs at every stage.
+ * The timed half replays all stages back-to-back on the Machine's one
+ * event queue, so cache, DRAM-bank and link state carry across stage
+ * boundaries exactly as they would in hardware; accumulateStage() and
+ * finishRunResult() fold the replayed phases into a RunResult.
+ * ServedRunner (system/traffic.hh) is the one executor: a single query
+ * at tick 0 (degenerate traffic) is the classic one-run measurement.
  *
  * RunResult keeps the classic aggregate view at the top level (total /
  * partition / probe time, energy, bandwidth, functional counts over the
@@ -28,7 +33,6 @@
 #ifndef MONDRIAN_SYSTEM_RUNNER_HH
 #define MONDRIAN_SYSTEM_RUNNER_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -164,8 +168,8 @@ struct RunResult
  * A scenario after its functional half: the workload has been generated,
  * every stage executed functionally (producing kernel traces and the
  * stage-to-stage dataflow), and the tuple counts recorded. What remains
- * is timed replay on a Machine — once (Runner) or once per admitted
- * query instance (ServedRunner, which replays the shared traces).
+ * is timed replay on a Machine, once per admitted query instance
+ * (ServedRunner replays the shared traces).
  */
 struct PreparedScenario
 {
@@ -197,28 +201,6 @@ void accumulateStage(RunResult &res, const PreparedScenario &ps,
 void finishRunResult(RunResult &res, double vaults,
                      const EnergyActivity &activity,
                      const EnergyBreakdown &energy);
-
-/** Executes scenarios on configured systems. */
-class Runner
-{
-  public:
-    explicit Runner(const WorkloadConfig &workload) : workload_(workload) {}
-
-    /** Run @p scenario on the preset system @p kind. */
-    RunResult run(SystemKind kind, const Scenario &scenario);
-
-    /** Run @p scenario on a fully custom system configuration. */
-    RunResult run(const SystemConfig &sys, const Scenario &scenario);
-
-    /** Classic single-operator run: the degenerate scenario of @p op. */
-    RunResult run(SystemKind kind, OpKind op);
-    RunResult run(const SystemConfig &sys, OpKind op);
-
-    const WorkloadConfig &workload() const { return workload_; }
-
-  private:
-    WorkloadConfig workload_;
-};
 
 } // namespace mondrian
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Scenario: a declarative multi-stage analytics pipeline, the unit of
- * execution the Runner simulates.
+ * execution every run simulates.
  *
  * The paper evaluates four basic operators (Table 2), but real analytics
  * queries are *pipelines* of Spark-style dataflow operators (Table 1)
@@ -84,7 +84,7 @@ struct Scenario
      * True for the four classic single-op scenarios ("scan", "sort",
      * "groupby", "join"): one generated stage whose label is the basic
      * operator's own name. Degenerate scenarios reproduce the
-     * pre-scenario Runner byte-for-byte.
+     * pre-scenario single-operator run byte-for-byte.
      */
     bool degenerate() const;
 };

@@ -205,6 +205,10 @@ validateTrafficSpec(const TrafficSpec &traffic)
         return "traffic warmup must leave at least one measured query";
     if (traffic.mixZipfTheta < 0.0 || traffic.mixZipfTheta >= 2.0)
         return "traffic mix-zipf must be in [0, 2)";
+    // With one scenario type no arrival draws a type, so the skew would
+    // change only the label and grid key of an otherwise identical point.
+    if (traffic.mixZipfTheta != 0.0 && traffic.mix.empty())
+        return "traffic mix-zipf needs a mix";
     for (const TrafficMixEntry &e : traffic.mix) {
         if (!(e.weight > 0.0) || !std::isfinite(e.weight))
             return "traffic mix weight for '" + e.scenario.name +
@@ -300,7 +304,7 @@ struct ServedDriver
     std::uint64_t partitionBytes = 0, probeBytes = 0;
 
     // Degenerate-path state: per-stage phase collection so the single
-    // instance assembles a RunResult byte-identical to Runner's.
+    // instance assembles the classic single-query RunResult.
     bool degenerate = false;
     RunResult *res = nullptr;
     std::vector<PhaseResult> stagePhases{};
@@ -490,12 +494,12 @@ ServedRunner::run(const SystemConfig &sys, const Scenario &scenario)
 
     if (degenerate) {
         // The single instance flowed through the full served plumbing;
-        // its result must be byte-identical to Runner's (the layer's
-        // correctness oracle), so it is assembled the same way and no
-        // served metrics are attached.
+        // its result must be byte-identical to a plain phase-by-phase
+        // replay (the layer's correctness oracle), so it is assembled
+        // the same way and no served metrics are attached.
         // sim_events counts machine work only: the driver's arrival
         // events are harness bookkeeping, subtracted so this path stays
-        // byte-identical to Runner's (which schedules no arrivals).
+        // byte-identical to a replay that schedules no arrivals.
         finishRunResult(res, d.vaults, d.finalActivity, d.finalEnergy);
         res.simEvents = machine.simEvents() - d.processed;
         return res;

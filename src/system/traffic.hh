@@ -2,9 +2,9 @@
  * @file
  * Open-loop traffic simulation: served workloads.
  *
- * A TrafficSpec turns the single-query Runner model into a served
- * system: queries arrive at a configured rate (Poisson or fixed
- * interval), independent of completion — the open-loop model — and the
+ * A TrafficSpec turns the single-query run into a served system:
+ * queries arrive at a configured rate (Poisson or fixed interval),
+ * independent of completion — the open-loop model — and the
  * ServedRunner keeps every admitted query in flight on ONE simulated
  * machine and ONE event queue, interleaving instances at phase
  * granularity. The report gains sustained QPS, nearest-rank latency
@@ -27,13 +27,15 @@
  *               scenario specs without ':' or ',' — presets and basic
  *               ops)
  *             | "mix-zipf=" T                 (skew the mix weights:
- *               entry r's weight is scaled by 1/(r+1)^T)
+ *               entry r's weight is scaled by 1/(r+1)^T; needs a mix)
  *
  * "none" (or lambda absent/0) is the degenerate spec: exactly one query
- * arriving at tick 0. The ServedRunner routes it through the full
- * served plumbing — arrival event, admission, ready queue, phase
- * chain — and still produces a RunResult byte-identical to Runner's,
- * which is the correctness oracle for the whole layer.
+ * arriving at tick 0 — the classic single-query run, and the one every
+ * campaign job without a traffic axis makes. The ServedRunner routes it
+ * through the full served plumbing — arrival event, admission, ready
+ * queue, phase chain — and still produces a RunResult byte-identical to
+ * a plain phase-by-phase replay of the scenario (Machine::runPhase per
+ * phase), which is the correctness oracle for the whole layer.
  *
  * Determinism: the arrival schedule (ticks AND scenario types) is
  * precomputed from the spec's own seed before simulation starts, so a
@@ -127,7 +129,8 @@ struct Arrival
 std::vector<Arrival> generateArrivals(const TrafficSpec &traffic);
 
 /**
- * Executes a scenario under open-loop traffic on one simulated machine.
+ * Executes a scenario under open-loop traffic on one simulated machine —
+ * the one run path: degenerate traffic (the default) is a single query.
  *
  * Each distinct scenario type is prepared once (functional execution +
  * traces); admitted query instances replay the shared traces with a
@@ -139,7 +142,8 @@ std::vector<Arrival> generateArrivals(const TrafficSpec &traffic);
 class ServedRunner
 {
   public:
-    ServedRunner(const WorkloadConfig &workload, const TrafficSpec &traffic)
+    explicit ServedRunner(const WorkloadConfig &workload,
+                          const TrafficSpec &traffic = TrafficSpec{})
         : workload_(workload), traffic_(traffic)
     {}
 

@@ -567,11 +567,12 @@ TEST(CampaignJson, ReportRoundTripsThroughSchema)
     EXPECT_EQ(json, campaignReportJson(report));
 }
 
-TEST(CampaignJson, RunResultJsonMatchesRunnerOutput)
+TEST(CampaignJson, RunResultJsonMatchesRunOutput)
 {
     WorkloadConfig wl;
     wl.tuples = 1u << 8;
-    RunResult r = Runner(wl).run(SystemKind::kNmp, OpKind::kJoin);
+    RunResult r = ServedRunner(wl).run(makeSystem(SystemKind::kNmp),
+                                       degenerateScenario(OpKind::kJoin));
     std::string json = runResultJson(r);
     EXPECT_NE(json.find("\"system\": \"nmp\""), std::string::npos);
     EXPECT_NE(json.find("\"op\": \"join\""), std::string::npos);
@@ -943,6 +944,170 @@ TEST(Resume, SkipsWrongTypedCoordinates)
     CampaignRunner runner(seed0);
     runner.setResume(&cache);
     EXPECT_EQ(runner.run(1).cachedRuns, 0u);
+}
+
+namespace {
+
+/** Mutable member lookup in a parsed document (nullptr when absent). */
+JsonValue *
+memberOf(JsonValue &obj, const std::string &key)
+{
+    for (auto &[name, value] : obj.members) {
+        if (name == key)
+            return &value;
+    }
+    return nullptr;
+}
+
+/** A grid exercising every axis, a pipeline and a traffic mix. */
+CampaignGrid
+richGrid()
+{
+    CampaignGrid grid;
+    grid.systems = {SystemKind::kCpu, SystemKind::kMondrian};
+    Scenario chain;
+    std::string err;
+    EXPECT_TRUE(scenarioFromSpec("filter>reduceByKey", chain, err)) << err;
+    grid.scenarios = {degenerateScenario(OpKind::kJoin), chain};
+    grid.log2Tuples = {8, 9};
+    grid.seeds = {42, 18446744073709551615ull};
+    MemGeometry narrow = defaultGeometry();
+    narrow.vaultsPerStack = 8;
+    grid.geometries = {defaultGeometry(), narrow};
+    ExecOverride radix;
+    EXPECT_TRUE(parseExecOverride("radix=9+chunk=128", radix, err)) << err;
+    grid.execOverrides = {ExecOverride{}, radix};
+    grid.zipfThetas = {0.0, 0.1};
+    TrafficSpec mix, fixed;
+    EXPECT_TRUE(parseTrafficSpec(
+        "lambda=1234.5,queries=8,warmup=2,mix=join:2+scan:1,mix-zipf=0.3",
+        mix, err)) << err;
+    EXPECT_TRUE(parseTrafficSpec("fixed,lambda=100,inflight=3,seed=9", fixed,
+                                 err)) << err;
+    grid.traffics = {TrafficSpec{}, mix, fixed};
+    return grid;
+}
+
+/** The grid block of @p grid at exact doubles. */
+std::string
+gridBlockJson(const CampaignGrid &grid)
+{
+    JsonWriter w;
+    w.setPreciseDoubles(true);
+    writeCampaignGrid(w, grid);
+    return w.str();
+}
+
+JsonValue
+gridBlock(const CampaignGrid &grid)
+{
+    JsonValue block;
+    std::string err;
+    EXPECT_TRUE(parseJson(gridBlockJson(grid), block, err)) << err;
+    return block;
+}
+
+} // namespace
+
+TEST(CampaignGridBlock, RoundTripsEveryAxis)
+{
+    const CampaignGrid grid = richGrid();
+    CampaignGrid parsed;
+    std::string err;
+    ASSERT_TRUE(readCampaignGrid(gridBlock(grid), parsed, err)) << err;
+    ASSERT_TRUE(validateGrid(parsed, err)) << err;
+    EXPECT_EQ(gridBlockJson(parsed), gridBlockJson(grid));
+    // Scenarios come back from their stage lists, traffic doubles exactly.
+    ASSERT_EQ(parsed.scenarios.size(), 2u);
+    EXPECT_EQ(scenarioIdentity(parsed.scenarios[1]),
+              scenarioIdentity(grid.scenarios[1]));
+    EXPECT_EQ(parsed.traffics[1].lambdaQps, 1234.5);
+    EXPECT_EQ(parsed.traffics[1].mixZipfTheta, 0.3);
+    EXPECT_EQ(parsed.zipfThetas[1], 0.1);
+    EXPECT_EQ(parsed.seeds[1], 18446744073709551615ull);
+}
+
+TEST(CampaignGridBlock, ReaderNamesTheAxisOfAWrongTypedMember)
+{
+    auto rejects = [](const std::string &axis, auto mutate) {
+        JsonValue block = gridBlock(richGrid());
+        mutate(block);
+        CampaignGrid parsed;
+        std::string err;
+        EXPECT_FALSE(readCampaignGrid(block, parsed, err)) << axis;
+        EXPECT_NE(err.find(axis), std::string::npos) << err;
+        return err;
+    };
+    auto entry = [](JsonValue &block, const char *axis) -> JsonValue & {
+        return memberOf(block, axis)->items.at(0);
+    };
+
+    // A string seed must not read as seed 0.
+    rejects("\"seeds\" entry 0", [&](JsonValue &b) {
+        entry(b, "seeds").kind = JsonValue::Kind::kString;
+    });
+    rejects("\"scenarios\" entry 0", [&](JsonValue &b) {
+        auto &stage = memberOf(entry(b, "scenarios"), "stages")->items[0];
+        stage.members.erase(stage.members.begin() + 1); // "op"
+    });
+    std::string err = rejects("\"scenarios\" entry 0", [&](JsonValue &b) {
+        auto &stage = memberOf(entry(b, "scenarios"), "stages")->items[0];
+        memberOf(stage, "input")->text = "elsewhere";
+    });
+    EXPECT_NE(err.find("stages[0].input"), std::string::npos) << err;
+    rejects("\"log2_tuples\" entry 0", [&](JsonValue &b) {
+        entry(b, "log2_tuples").text = "-1";
+    });
+    rejects("\"systems\" entry 0", [&](JsonValue &b) {
+        entry(b, "systems").text = "gpu";
+    });
+    // Each labeled entry must rebuild to its own label.
+    err = rejects("\"geometries\" entry 0", [&](JsonValue &b) {
+        memberOf(entry(b, "geometries"), "stacks")->text = "2";
+    });
+    EXPECT_NE(err.find("does not match"), std::string::npos) << err;
+    rejects("\"exec_overrides\" entry 1", [&](JsonValue &b) {
+        memberOf(memberOf(b, "exec_overrides")->items[1], "radix_bits")
+            ->kind = JsonValue::Kind::kString;
+    });
+    rejects("\"traffics\" entry 1", [&](JsonValue &b) {
+        memberOf(memberOf(b, "traffics")->items[1], "queries")->kind =
+            JsonValue::Kind::kString;
+    });
+    rejects("\"traffics\" entry 1", [&](JsonValue &b) {
+        memberOf(memberOf(b, "traffics")->items[1], "lambda_qps")->number =
+            99.0;
+    });
+    rejects("\"zipf_thetas\"", [&](JsonValue &b) {
+        memberOf(b, "zipf_thetas")->kind = JsonValue::Kind::kObject;
+    });
+    rejects("\"total_runs\"", [&](JsonValue &b) {
+        memberOf(b, "total_runs")->text = "7";
+    });
+}
+
+TEST(Resume, MalformedGridBlockFailsTheLoad)
+{
+    // A grid-table scenario without "op" fails the whole load, naming
+    // the axis, instead of silently skipping every run that names it.
+    CampaignGrid grid;
+    grid.systems = {SystemKind::kCpu};
+    grid.scenarios = {degenerateScenario(OpKind::kScan)};
+    grid.log2Tuples = {8};
+    grid.seeds = {42};
+    std::string json = campaignReportJson(CampaignRunner(grid).run(1));
+    const std::string op = "\"op\": \"scan\",";
+    const std::size_t at = json.find(op);
+    ASSERT_LT(at, json.find("\"runs\""));
+    json.erase(at, op.size());
+
+    ResumeCache cache;
+    std::string err;
+    EXPECT_FALSE(cache.load(json, err));
+    EXPECT_NE(err.find("grid axis \"scenarios\" entry 0"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("\"stages[0].op\""), std::string::npos) << err;
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(Campaign, BaselinePairingIsPerAxisPoint)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Distributed campaign execution: shard planning, fault-injection specs,
+ * Distributed campaign execution: fault-injection specs,
  * the campaign.json job-spec round-trip, coordinator/worker byte-identity
  * under injected crash/hang/corrupt faults, retry exhaustion, journal
  * resume and graceful degradation. The worker subprocess is the real
@@ -78,33 +78,6 @@ testConfig()
 
 } // namespace
 
-// ----------------------------------------------------------- shard planning
-
-TEST(PlanShards, RoundRobinDeal)
-{
-    auto shards = planShards({10, 11, 12, 13, 14}, 2);
-    ASSERT_EQ(shards.size(), 2u);
-    EXPECT_EQ(shards[0], (std::vector<std::size_t>{10, 12, 14}));
-    EXPECT_EQ(shards[1], (std::vector<std::size_t>{11, 13}));
-}
-
-TEST(PlanShards, MoreWorkersThanJobs)
-{
-    auto shards = planShards({0}, 4);
-    ASSERT_EQ(shards.size(), 4u);
-    EXPECT_EQ(shards[0].size(), 1u);
-    EXPECT_TRUE(shards[1].empty());
-}
-
-TEST(PlanShards, ListingNamesEveryWorker)
-{
-    const std::string listing = shardPlanListing(smallGrid(), 3);
-    EXPECT_NE(listing.find("3 workers"), std::string::npos);
-    EXPECT_NE(listing.find("worker 0"), std::string::npos);
-    EXPECT_NE(listing.find("worker 2"), std::string::npos);
-    EXPECT_NE(listing.find("4 pending jobs"), std::string::npos);
-}
-
 // ----------------------------------------------------- fault-inject grammar
 
 TEST(FaultInject, ParsesKindsAndStickiness)
@@ -158,12 +131,64 @@ TEST(CampaignSpec, RoundTripsByteIdentically)
     EXPECT_EQ(campaignSpecJson(parsed), spec);
 }
 
+TEST(CampaignSpec, CarriesExecPerfToggles)
+{
+    // --exec-ablation coalesce=0+eager=0,radix=9+rle=0: the toggles
+    // never change a result, so the report leaves them out, but every
+    // worker must still run each exec point with them.
+    CampaignGrid grid = smallGrid();
+    grid.execOverrides.clear();
+    for (const char *spec : {"coalesce=0+eager=0", "radix=9+rle=0"}) {
+        ExecOverride ov;
+        std::string error;
+        ASSERT_TRUE(parseExecOverride(spec, ov, error)) << error;
+        grid.execOverrides.push_back(ov);
+    }
+
+    CampaignGrid parsed;
+    std::string error;
+    ASSERT_TRUE(parseCampaignSpec(campaignSpecJson(grid), parsed, error))
+        << error;
+    ASSERT_EQ(parsed.execOverrides.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const ExecOverride &want = grid.execOverrides[i];
+        const ExecOverride &got = parsed.execOverrides[i];
+        EXPECT_EQ(got.name(), want.name()) << i;
+        EXPECT_EQ(got.coalesce, want.coalesce) << i;
+        EXPECT_EQ(got.rle, want.rle) << i;
+        EXPECT_EQ(got.skip, want.skip) << i;
+        EXPECT_EQ(got.eager, want.eager) << i;
+    }
+    EXPECT_EQ(parsed.execOverrides[0].coalesce, 0);
+    EXPECT_EQ(parsed.execOverrides[0].eager, 0);
+    EXPECT_EQ(parsed.execOverrides[1].radixBits, 9);
+    EXPECT_EQ(parsed.execOverrides[1].rle, 0);
+}
+
 TEST(CampaignSpec, RejectsForeignDocuments)
 {
     CampaignGrid parsed;
     std::string error;
     EXPECT_FALSE(parseCampaignSpec("{\"schema\": \"other\"}", parsed, error));
     EXPECT_FALSE(parseCampaignSpec("not json", parsed, error));
+    // A v1 peer is refused by name, never half-read.
+    EXPECT_FALSE(parseCampaignSpec(
+        "{\"schema\": \"mondrian-campaign-spec-v1\", \"systems\": []}",
+        parsed, error));
+    EXPECT_NE(error.find("mondrian-campaign-spec-v2"), std::string::npos)
+        << error;
+
+    // Toggles are 0 or 1, one object per exec point.
+    const std::string good = campaignSpecJson(smallGrid());
+    const std::string head = good.substr(0, good.find("\"exec_toggles\""));
+    ASSERT_TRUE(parseCampaignSpec(head + "\"exec_toggles\": [{}]}", parsed,
+                                  error)) << error;
+    for (const char *toggles :
+         {"[{\"coalesce\": 2}]", "[{\"radix\": 1}]", "[]", "[{}, {}]"}) {
+        EXPECT_FALSE(parseCampaignSpec(
+            head + "\"exec_toggles\": " + toggles + "}", parsed, error))
+            << toggles;
+    }
 }
 
 // --------------------------------------------- coordinator byte-identity

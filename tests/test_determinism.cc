@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "system/report.hh"
-#include "system/runner.hh"
+#include "system/traffic.hh"
 
 using namespace mondrian;
 
@@ -21,8 +21,7 @@ runOnce(SystemKind kind, OpKind op, std::uint64_t tuples,
     WorkloadConfig wl;
     wl.tuples = tuples;
     wl.seed = seed;
-    Runner runner(wl);
-    return runner.run(kind, op);
+    return ServedRunner(wl).run(makeSystem(kind), degenerateScenario(op));
 }
 
 } // namespace

@@ -409,7 +409,8 @@ runJoinWith(SystemKind kind, const ExecConfig &exec_overrides)
     auto exec = runJoin(pool, cfg.exec, pair.r, pair.s);
     Machine m(cfg, pool);
     MachineRun out;
-    out.phases = m.run(exec);
+    for (const PhaseExec &phase : exec.phases)
+        out.phases.push_back(m.runPhase(phase));
     out.simEvents = m.simEvents();
     out.executed = m.eventsExecuted();
     out.coalesced = m.eventsCoalesced();
@@ -486,8 +487,8 @@ TEST(MachineTransforms, ScanRleNeutralUnderPrefetchWarmup)
         c.exec.rleRunBatching = rle;
         auto exec = runScan(pool, c.exec, rel, 1);
         Machine m(c, pool);
-        auto phases = m.run(exec);
-        return std::make_pair(phases[0].time, m.simEvents());
+        const Tick time = m.runPhase(exec.phases[0]).time;
+        return std::make_pair(time, m.simEvents());
     };
     auto on = runOne(true);
     auto off = runOne(false);

@@ -54,7 +54,8 @@ runJoinOn(SystemKind kind, std::uint64_t tuples)
     auto exec = runJoin(pool, cfg.exec, pair.r, pair.s);
     Machine m(cfg, pool);
     JoinRun out;
-    out.phases = m.run(exec);
+    for (const PhaseExec &phase : exec.phases)
+        out.phases.push_back(m.runPhase(phase));
     out.activity = m.energyActivity();
     out.energy = m.energy();
     out.matches = exec.joinMatches;
@@ -168,8 +169,8 @@ TEST(Machine, ScanSaturatesMondrianVaults)
     Relation rel = WorkloadGenerator(wl).makeUniform(pool, wl.tuples);
     auto exec = runScan(pool, cfg.exec, rel, 1);
     Machine m(cfg, pool);
-    auto phases = m.run(exec);
+    const PhaseResult probe = m.runPhase(exec.phases[0]);
     // Streaming scan should push each vault well past half its peak
     // bandwidth (the paper reports 6.7 of 8 GB/s).
-    EXPECT_GT(phases[0].avgVaultBWGBps, 4.0);
+    EXPECT_GT(probe.avgVaultBWGBps, 4.0);
 }

@@ -1,9 +1,9 @@
-/** @file End-to-end runner tests and report math. */
+/** @file End-to-end single-query runs and report math. */
 
 #include <gtest/gtest.h>
 
 #include "system/report.hh"
-#include "system/runner.hh"
+#include "system/traffic.hh"
 
 using namespace mondrian;
 
@@ -20,12 +20,13 @@ smallWorkload()
 
 } // namespace
 
-TEST(Runner, ScanRunsOnAllSystems)
+TEST(SingleQueryRun, ScanRunsOnAllSystems)
 {
-    Runner runner(smallWorkload());
+    ServedRunner runner(smallWorkload());
     for (SystemKind k : {SystemKind::kCpu, SystemKind::kNmp,
                          SystemKind::kMondrian}) {
-        RunResult r = runner.run(k, OpKind::kScan);
+        RunResult r = runner.run(makeSystem(k),
+                                 degenerateScenario(OpKind::kScan));
         EXPECT_GT(r.totalTime, 0u) << systemKindName(k);
         EXPECT_EQ(r.partitionTime, 0u);
         EXPECT_GT(r.probeTime, 0u);
@@ -33,28 +34,33 @@ TEST(Runner, ScanRunsOnAllSystems)
     }
 }
 
-TEST(Runner, JoinFunctionalAgreementAcrossSystems)
+TEST(SingleQueryRun, JoinFunctionalAgreementAcrossSystems)
 {
-    Runner runner(smallWorkload());
-    RunResult cpu = runner.run(SystemKind::kCpu, OpKind::kJoin);
-    RunResult mon = runner.run(SystemKind::kMondrian, OpKind::kJoin);
+    ServedRunner runner(smallWorkload());
+    RunResult cpu = runner.run(makeSystem(SystemKind::kCpu),
+                               degenerateScenario(OpKind::kJoin));
+    RunResult mon = runner.run(makeSystem(SystemKind::kMondrian),
+                               degenerateScenario(OpKind::kJoin));
     EXPECT_EQ(cpu.joinMatches, smallWorkload().tuples);
     EXPECT_EQ(mon.joinMatches, cpu.joinMatches);
 }
 
-TEST(Runner, GroupByChecksumStableAcrossSystems)
+TEST(SingleQueryRun, GroupByChecksumStableAcrossSystems)
 {
-    Runner runner(smallWorkload());
-    RunResult a = runner.run(SystemKind::kNmpRand, OpKind::kGroupBy);
-    RunResult b = runner.run(SystemKind::kMondrian, OpKind::kGroupBy);
+    ServedRunner runner(smallWorkload());
+    RunResult a = runner.run(makeSystem(SystemKind::kNmpRand),
+                             degenerateScenario(OpKind::kGroupBy));
+    RunResult b = runner.run(makeSystem(SystemKind::kMondrian),
+                             degenerateScenario(OpKind::kGroupBy));
     EXPECT_EQ(a.aggChecksum, b.aggChecksum);
     EXPECT_EQ(a.groupCount, b.groupCount);
 }
 
-TEST(Runner, PhaseTimesSumToTotal)
+TEST(SingleQueryRun, PhaseTimesSumToTotal)
 {
-    Runner runner(smallWorkload());
-    RunResult r = runner.run(SystemKind::kNmp, OpKind::kJoin);
+    ServedRunner runner(smallWorkload());
+    RunResult r = runner.run(makeSystem(SystemKind::kNmp),
+                             degenerateScenario(OpKind::kJoin));
     EXPECT_EQ(r.partitionTime + r.probeTime, r.totalTime);
     Tick sum = 0;
     for (const auto &p : r.phases)
@@ -113,8 +119,9 @@ TEST(Report, FormatsDigits)
 
 TEST(Report, DescribeRunMentionsPhases)
 {
-    Runner runner(smallWorkload());
-    RunResult r = runner.run(SystemKind::kNmp, OpKind::kJoin);
+    ServedRunner runner(smallWorkload());
+    RunResult r = runner.run(makeSystem(SystemKind::kNmp),
+                             degenerateScenario(OpKind::kJoin));
     std::string d = describeRun(r);
     EXPECT_NE(d.find("join"), std::string::npos);
     EXPECT_NE(d.find("partition"), std::string::npos);

@@ -5,6 +5,7 @@
 #include "common/json.hh"
 #include "sim/stats.hh"
 #include "system/campaign.hh"
+#include "system/machine.hh"
 #include "system/report.hh"
 #include "system/report_model.hh"
 #include "system/runner.hh"
@@ -23,6 +24,35 @@ smallWorkload()
     wl.tuples = 1u << 10;
     wl.seed = 7;
     return wl;
+}
+
+/**
+ * The single-query run replayed phase by phase, with no served
+ * plumbing: prepare, Machine::runPhase per phase, then fold each stage
+ * and finish.
+ */
+RunResult
+replayPhaseByPhase(const WorkloadConfig &wl, const SystemConfig &sys,
+                   const Scenario &scenario)
+{
+    MemoryPool pool(sys.geo);
+    PreparedScenario ps = prepareScenario(pool, wl, sys, scenario);
+    Machine machine(sys, pool);
+    RunResult res;
+    res.system = sys.name;
+    res.op = scenario.name;
+    const double vaults = static_cast<double>(sys.geo.totalVaults());
+    EnergyBreakdown prev_energy;
+    for (std::size_t i = 0; i < ps.execs.size(); ++i) {
+        std::vector<PhaseResult> phases;
+        for (const PhaseExec &phase : ps.execs[i].phases)
+            phases.push_back(machine.runPhase(phase));
+        accumulateStage(res, ps, i, std::move(phases), vaults,
+                        machine.energy(), prev_energy);
+    }
+    finishRunResult(res, vaults, machine.energyActivity(), machine.energy());
+    res.simEvents = machine.simEvents();
+    return res;
 }
 
 TrafficSpec
@@ -105,8 +135,20 @@ TEST(TrafficSpec, RejectsMalformedSpecs)
     EXPECT_NE(validateTrafficSpec(bad), "");
     bad = TrafficSpec{};
     bad.lambdaQps = 1000.0;
+    bad.mix = parseOrDie("lambda=1000,mix=scan:1+join:1").mix;
     bad.mixZipfTheta = 2.5;
-    EXPECT_NE(validateTrafficSpec(bad), "");
+    EXPECT_EQ(validateTrafficSpec(bad), "traffic mix-zipf must be in [0, 2)");
+}
+
+TEST(TrafficSpec, RejectsMixZipfWithoutMix)
+{
+    // With one scenario type no arrival draws a type, so the skew would
+    // only relabel an identical point (and the grid block drops it).
+    TrafficSpec t;
+    std::string err;
+    EXPECT_FALSE(parseTrafficSpec("lambda=1000,mix-zipf=0.5", t, err));
+    EXPECT_EQ(err, "traffic mix-zipf needs a mix");
+    parseOrDie("lambda=1000,mix=scan:1,mix-zipf=0.5");
 }
 
 TEST(Arrivals, DeterministicAndSeedSensitive)
@@ -191,18 +233,18 @@ TEST(LatencySampleStats, NearestRankPercentiles)
 TEST(ServedRunner, DegenerateTrafficMatchesRunnerByteForByte)
 {
     // THE correctness oracle: a single arrival at tick 0 through the
-    // full served plumbing must reproduce the single-query Runner's
-    // result exactly — same simulated machine, same event order, same
-    // JSON bytes.
+    // full served plumbing must reproduce a plain phase-by-phase replay
+    // exactly — same simulated machine, same event order, same JSON
+    // bytes.
     Scenario sessions;
     std::string err;
     ASSERT_TRUE(scenarioFromSpec("sessions", sessions, err)) << err;
 
     for (SystemKind k : {SystemKind::kCpu, SystemKind::kMondrian}) {
-        Runner runner(smallWorkload());
-        RunResult direct = runner.run(makeSystem(k), sessions);
+        RunResult direct =
+            replayPhaseByPhase(smallWorkload(), makeSystem(k), sessions);
 
-        ServedRunner served(smallWorkload(), TrafficSpec{});
+        ServedRunner served(smallWorkload());
         RunResult via_traffic = served.run(makeSystem(k), sessions);
 
         EXPECT_EQ(runResultJson(direct), runResultJson(via_traffic))

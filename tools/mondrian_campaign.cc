@@ -122,8 +122,7 @@ usage(const char *prog)
         "                         (config, workload, traffic) hash matches\n"
         "                         are not re-simulated\n"
         "  --dry-run              print the expanded job list (all axes,\n"
-        "                         baseline pairing, cache hits; with\n"
-        "                         --workers also the shard plan) and exit\n"
+        "                         baseline pairing, cache hits) and exit\n"
         "                         without simulating\n"
         "  --quiet                suppress per-run progress on stderr\n"
         "  --list                 print known systems, ops, scenarios and\n"
@@ -575,11 +574,6 @@ main(int argc, char **argv)
         std::string listing;
         try {
             listing = campaignDryRun(grid, have_cache ? &cache : nullptr);
-            if (workers > 0 || !coord_config.listenEndpoint.empty()) {
-                listing += "\n" + shardPlanListing(
-                    grid, workers > 0 ? workers : 1,
-                    have_cache ? &cache : nullptr);
-            }
             if (!coord_config.listenEndpoint.empty()) {
                 listing += "listen: " + coord_config.listenEndpoint +
                            " (remote --worker-connect workers join the "
