@@ -35,7 +35,6 @@
 #include "system/analysis.hh"
 #include "system/campaign.hh"
 #include "system/report.hh"
-#include "system/report_model.hh"
 
 using namespace mondrian;
 
@@ -142,16 +141,8 @@ main(int argc, char **argv)
     std::printf("%s\n", renderTable(table).c_str());
 
     if (!csv_prefix.empty()) {
-        // Round-trip the report through its JSON schema into the
-        // analysis layer, so the CSV is exactly what any consumer of the
-        // report artifact would compute.
-        ReportModel model;
-        std::string err;
-        if (!loadReportModel(campaignReportJson(report), model, err)) {
-            std::fprintf(stderr, "report model: %s\n", err.c_str());
-            return 2;
-        }
-        if (!writeFile(csv_prefix + "-runs.csv", runsCsv(model, "")) ||
+        if (!writeFile(csv_prefix + "-runs.csv",
+                       runsCsv(report, std::nullopt)) ||
             !writeFile(csv_prefix + "-edge.csv", edge_csv))
             return 2;
     }

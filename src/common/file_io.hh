@@ -1,6 +1,6 @@
 /**
  * @file
- * Tiny file-output helper shared by the CLIs and examples.
+ * Tiny file helpers shared by the CLIs and examples.
  *
  * An ofstream opens fine on a full disk and fails mid-write; its
  * destructor swallows the error, so an unchecked `out << text` can exit
@@ -12,6 +12,7 @@
 #define MONDRIAN_COMMON_FILE_IO_HH
 
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace mondrian {
@@ -34,6 +35,27 @@ writeTextFile(const std::string &path, const std::string &text,
     out.flush();
     if (!out.good()) {
         error = "write to '" + path + "' failed";
+        return false;
+    }
+    return true;
+}
+
+/**
+ * Read the whole of @p path (binary) into @p text.
+ * @return false with @p error set when the file cannot be opened or read.
+ */
+inline bool
+readTextFile(const std::string &path, std::string &text, std::string &error)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        error = "cannot open '" + path + "'";
+        return false;
+    }
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    if (in.bad()) {
+        error = "read of '" + path + "' failed";
         return false;
     }
     return true;

@@ -1,7 +1,7 @@
 #include "system/analysis.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <set>
 
@@ -12,83 +12,29 @@ namespace mondrian {
 
 namespace {
 
-/** Baseline run per comparison group (the ReportModel twin of
- *  baselineIndex()). */
-std::map<std::string, const ReportRun *>
-baselineRuns(const ReportModel &m, const std::string &baseline)
+/** A run's coordinate labels, system first, as the diff names it. */
+std::string
+runLabel(const CampaignRun &r)
 {
-    std::map<std::string, const ReportRun *> base;
-    for (const ReportRun &r : m.runs) {
-        if (r.system == baseline)
-            base[r.groupKey()] = &r;
-    }
-    return base;
+    const CampaignJob &j = r.job;
+    // Theta at the report's canonical 12-digit encoding (see json.hh).
+    return std::string(systemKindName(j.system)) + "|" + j.scenario.name +
+           "|" + std::to_string(j.log2Tuples) + "|" + std::to_string(j.seed) +
+           "|" + geometryName(j.geometry) + "|" + j.exec.name() + "|" +
+           JsonWriter::doubleString(j.zipfTheta) + "|" + j.traffic.name();
 }
 
-/** Per-(row label, system) comparison accumulator. */
-struct CellAccum
+/** The leading CSV columns of a run: index and coordinates up to theta. */
+std::string
+coordinateColumns(const CampaignJob &j)
 {
-    std::size_t total = 0;
-    std::vector<double> speedups;
-    std::vector<double> perfPerWatt;
-};
-
-/**
- * Shared accumulation for sensitivity tables and the recomputed summary:
- * group non-baseline runs by @p rowLabel, pair each with the baseline
- * run of its comparison group, and reduce every group to geomean cells.
- * Row order is first appearance in the runs (grid order); cell order is
- * the report's system order.
- */
-std::vector<SensitivityRow>
-accumulateRows(const ReportModel &m, const std::string &baseline,
-               const std::function<std::string(const ReportRun &)> &rowLabel)
-{
-    auto base = baselineRuns(m, baseline);
-
-    std::vector<std::string> row_order;
-    std::map<std::string, std::map<std::string, CellAccum>> cells;
-    for (const ReportRun &r : m.runs) {
-        if (r.system == baseline)
-            continue;
-        std::string row = rowLabel(r);
-        if (cells.find(row) == cells.end())
-            row_order.push_back(row);
-        CellAccum &acc = cells[row][r.system];
-        ++acc.total;
-        auto it = base.find(r.groupKey());
-        if (it == base.end())
-            continue; // unpaired: counted in total only
-        acc.speedups.push_back(overallSpeedup(it->second->result, r.result));
-        acc.perfPerWatt.push_back(
-            efficiencyImprovement(it->second->result, r.result));
-    }
-
-    std::vector<SensitivityRow> rows;
-    rows.reserve(row_order.size());
-    for (const std::string &label : row_order) {
-        SensitivityRow row;
-        row.value = label;
-        for (const std::string &sys : m.systems) {
-            auto it = cells[label].find(sys);
-            if (it == cells[label].end())
-                continue;
-            const CellAccum &acc = it->second;
-            SensitivityCell cell;
-            cell.system = sys;
-            cell.total = acc.total;
-            cell.paired = acc.speedups.size();
-            GeomeanStats sp = geomeanStats(acc.speedups);
-            GeomeanStats pw = geomeanStats(acc.perfPerWatt);
-            cell.geomeanSpeedup = sp.value;
-            cell.geomeanPerfPerWatt = pw.value;
-            cell.droppedSpeedups = sp.dropped;
-            cell.droppedPerfPerWatt = pw.dropped;
-            row.cells.push_back(std::move(cell));
-        }
-        rows.push_back(std::move(row));
-    }
-    return rows;
+    std::string out = std::to_string(j.index) + "," +
+                      systemKindName(j.system) + "," + j.scenario.name +
+                      "," + std::to_string(j.log2Tuples) + "," +
+                      std::to_string(j.seed) + "," +
+                      geometryName(j.geometry) + "," + j.exec.name() + ",";
+    JsonWriter::appendDouble(out, j.zipfTheta);
+    return out;
 }
 
 /** |a-b| / max(|a|,|b|); 0 when both sides are exactly 0. */
@@ -153,15 +99,26 @@ diffPhaseList(const std::string &where, const std::string &prefix,
             continue;
         }
         FieldDiffer pd{where, rtol, out};
-        const std::string time_f = tag + ".time_ps";
-        const std::string bytes_f = tag + ".dram_bytes";
-        const std::string act_f = tag + ".activations";
-        pd.approx(time_f.c_str(), static_cast<double>(pa.time),
+        pd.approx((tag + ".time_ps").c_str(), static_cast<double>(pa.time),
                   static_cast<double>(pb.time));
-        pd.approx(bytes_f.c_str(), static_cast<double>(pa.dramBytes),
+        pd.approx((tag + ".dram_bytes").c_str(),
+                  static_cast<double>(pa.dramBytes),
                   static_cast<double>(pb.dramBytes));
-        pd.approx(act_f.c_str(), static_cast<double>(pa.activations),
+        pd.approx((tag + ".activations").c_str(),
+                  static_cast<double>(pa.activations),
                   static_cast<double>(pb.activations));
+        pd.approx((tag + ".avg_vault_bw_gbps").c_str(), pa.avgVaultBWGBps,
+                  pb.avgVaultBWGBps);
+        pd.approx((tag + ".core_utilization").c_str(), pa.coreUtilization,
+                  pb.coreUtilization);
+        pd.approx((tag + ".stalls.store").c_str(), pa.stallStore,
+                  pb.stallStore);
+        pd.approx((tag + ".stalls.stream").c_str(), pa.stallStream,
+                  pb.stallStream);
+        pd.approx((tag + ".stalls.load").c_str(), pa.stallLoad,
+                  pb.stallLoad);
+        pd.approx((tag + ".stalls.fence").c_str(), pa.stallFence,
+                  pb.stallFence);
     }
 }
 
@@ -245,10 +202,12 @@ diffRunResult(const std::string &where, const RunResult &a,
             const StageResult &sa = a.stages[i];
             const StageResult &sb = b.stages[i];
             const std::string tag = "stages[" + std::to_string(i) + "]";
-            if (sa.stage != sb.stage || sa.op != sb.op) {
+            if (sa.stage != sb.stage || sa.op != sb.op ||
+                sa.input != sb.input) {
                 out.structural.push_back(
                     where + ": " + tag + " is " + sa.stage + "(" + sa.op +
-                    ") vs " + sb.stage + "(" + sb.op + ")");
+                    ", input " + sa.input + ") vs " + sb.stage + "(" +
+                    sb.op + ", input " + sb.input + ")");
                 continue;
             }
             FieldDiffer sd{where, rtol, out};
@@ -325,29 +284,50 @@ allAxes()
 }
 
 std::string
-axisValueLabel(const ReportRun &run, Axis axis)
+axisValueLabel(const CampaignRun &run, Axis axis)
 {
+    const CampaignJob &j = run.job;
     switch (axis) {
-      case Axis::kGeometry: return run.geometry;
-      case Axis::kExec: return run.exec;
-      case Axis::kZipfTheta: return JsonWriter::doubleString(run.zipfTheta);
-      case Axis::kScale: return "2^" + std::to_string(run.log2Tuples);
-      case Axis::kScenario: return run.scenario;
-      case Axis::kSeed: return std::to_string(run.seed);
-      case Axis::kTraffic: return run.traffic;
+      case Axis::kGeometry: return geometryName(j.geometry);
+      case Axis::kExec: return j.exec.name();
+      case Axis::kZipfTheta: return JsonWriter::doubleString(j.zipfTheta);
+      case Axis::kScale: return "2^" + std::to_string(j.log2Tuples);
+      case Axis::kScenario: return j.scenario.name;
+      case Axis::kSeed: return std::to_string(j.seed);
+      case Axis::kTraffic: return j.traffic.name();
     }
     return "?";
 }
 
 SensitivityTable
-sensitivity(const ReportModel &m, Axis axis, const std::string &baseline)
+sensitivity(const CampaignReport &report, Axis axis, SystemKind baseline)
 {
     SensitivityTable t;
     t.axis = axis;
-    t.baseline = baseline;
-    t.rows = accumulateRows(m, baseline, [axis](const ReportRun &r) {
-        return axisValueLabel(r, axis);
-    });
+    // Rows: the axis values of the compared runs, in grid order.
+    std::vector<std::string> values;
+    for (const CampaignRun &r : report.runs) {
+        if (r.failed || r.job.system == baseline)
+            continue;
+        std::string value = axisValueLabel(r, axis);
+        if (std::find(values.begin(), values.end(), value) == values.end())
+            values.push_back(std::move(value));
+    }
+    for (const std::string &value : values) {
+        // Holding the axis at one value keeps whole comparison groups: a
+        // run and its baseline differ only in the system.
+        std::vector<CampaignRun> at_value;
+        for (const CampaignRun &r : report.runs) {
+            if (!r.failed && axisValueLabel(r, axis) == value)
+                at_value.push_back(r);
+        }
+        SensitivityRow &row = t.rows.emplace_back();
+        row.value = value;
+        row.cells = summarizeRuns(report.grid, at_value, baseline);
+        std::erase_if(row.cells, [](const SystemSummary &c) {
+            return c.totalRuns == 0;
+        });
+    }
     return t;
 }
 
@@ -358,9 +338,9 @@ renderSensitivityMarkdown(const SensitivityTable &t)
     rows.push_back({axisName(t.axis), "system", "paired",
                     "geomean speedup", "geomean perf/W"});
     for (const SensitivityRow &row : t.rows) {
-        for (const SensitivityCell &c : row.cells) {
+        for (const SystemSummary &c : row.cells) {
             rows.push_back(
-                {row.value, c.system, pairedCountLabel(c.paired, c.total),
+                {row.value, c.system, pairedCountLabel(c.runs, c.totalRuns),
                  geomeanCellLabel(c.geomeanSpeedup, c.droppedSpeedups, 4),
                  geomeanCellLabel(c.geomeanPerfPerWatt,
                                   c.droppedPerfPerWatt, 4)});
@@ -376,10 +356,10 @@ sensitivityCsv(const SensitivityTable &t)
                       "dropped_perf_per_watt,geomean_speedup,"
                       "geomean_perf_per_watt\n";
     for (const SensitivityRow &row : t.rows) {
-        for (const SensitivityCell &c : row.cells) {
+        for (const SystemSummary &c : row.cells) {
             out += std::string(axisName(t.axis)) + "," + row.value + "," +
-                   c.system + "," + std::to_string(c.paired) + "," +
-                   std::to_string(c.total) + "," +
+                   c.system + "," + std::to_string(c.runs) + "," +
+                   std::to_string(c.totalRuns) + "," +
                    std::to_string(c.droppedSpeedups) + "," +
                    std::to_string(c.droppedPerfPerWatt) + ",";
             JsonWriter::appendDouble(out, c.geomeanSpeedup);
@@ -391,27 +371,15 @@ sensitivityCsv(const SensitivityTable &t)
     return out;
 }
 
-AnalysisSummary
-recomputeSummary(const ReportModel &m, const std::string &baseline)
-{
-    AnalysisSummary s;
-    s.baseline = baseline;
-    auto rows = accumulateRows(
-        m, baseline, [](const ReportRun &) { return std::string("all"); });
-    if (!rows.empty())
-        s.systems = std::move(rows.front().cells);
-    return s;
-}
-
 std::string
-renderSummaryMarkdown(const AnalysisSummary &s)
+renderSummaryMarkdown(const std::vector<SystemSummary> &s)
 {
     std::vector<std::vector<std::string>> rows;
     rows.push_back({"system", "paired runs", "geomean speedup",
                     "geomean perf/W"});
-    for (const SensitivityCell &c : s.systems) {
+    for (const SystemSummary &c : s) {
         rows.push_back(
-            {c.system, pairedCountLabel(c.paired, c.total),
+            {c.system, pairedCountLabel(c.runs, c.totalRuns),
              geomeanCellLabel(c.geomeanSpeedup, c.droppedSpeedups, 4),
              geomeanCellLabel(c.geomeanPerfPerWatt, c.droppedPerfPerWatt,
                               4)});
@@ -420,7 +388,7 @@ renderSummaryMarkdown(const AnalysisSummary &s)
 }
 
 ReportDiff
-diffReports(const ReportModel &a, const ReportModel &b, double rtol)
+diffReports(const CampaignReport &a, const CampaignReport &b, double rtol)
 {
     ReportDiff out;
     if (a.baseline != b.baseline) {
@@ -428,49 +396,42 @@ diffReports(const ReportModel &a, const ReportModel &b, double rtol)
                                  b.baseline + "'");
     }
 
-    // Group both sides by point key so duplicates — a report with two
-    // runs at one grid point is corrupt — surface structurally instead
-    // of being silently collapsed by a last-wins map.
-    std::map<std::string, std::vector<const ReportRun *>> a_runs, b_runs;
-    for (const ReportRun &r : a.runs)
-        a_runs[r.pointKey()].push_back(&r);
-    for (const ReportRun &r : b.runs)
-        b_runs[r.pointKey()].push_back(&r);
-    auto noteDuplicates = [&out](const auto &by_key, const char *which) {
-        for (const auto &[key, runs] : by_key) {
-            if (runs.size() > 1) {
-                out.structural.push_back(
-                    "run " + key + " appears " +
-                    std::to_string(runs.size()) + " times in " + which +
-                    " report");
-            }
+    // Runs pair by grid point, not by index, so reports of two grids
+    // still compare the points they share.
+    using Point = std::pair<SystemKind, GridGroupKey>;
+    auto points = [](const CampaignReport &r) {
+        std::map<Point, const CampaignRun *> by_point;
+        for (const CampaignRun &run : r.runs) {
+            if (!run.failed)
+                by_point[{run.job.system, gridGroupKey(run)}] = &run;
         }
+        return by_point;
     };
-    noteDuplicates(a_runs, "first");
-    noteDuplicates(b_runs, "second");
-
-    for (const auto &[key, runs] : a_runs) {
-        auto it = b_runs.find(key);
+    const auto a_runs = points(a), b_runs = points(b);
+    for (const CampaignRun &r : a.runs) {
+        if (r.failed)
+            continue;
+        auto it = b_runs.find({r.job.system, gridGroupKey(r)});
         if (it == b_runs.end()) {
-            out.structural.push_back("run " + key +
+            out.structural.push_back("run " + runLabel(r) +
                                      " only in first report");
             continue;
         }
-        diffRunResult("run " + key, runs.front()->result,
-                      it->second.front()->result, rtol, out);
+        diffRunResult("run " + runLabel(r), r.result, it->second->result,
+                      rtol, out);
     }
-    for (const auto &[key, runs] : b_runs) {
-        if (a_runs.find(key) == a_runs.end()) {
-            out.structural.push_back("run " + key +
+    for (const CampaignRun &r : b.runs) {
+        if (!r.failed && !a_runs.count({r.job.system, gridGroupKey(r)})) {
+            out.structural.push_back("run " + runLabel(r) +
                                      " only in second report");
         }
     }
 
-    std::map<std::string, const ReportSummaryRow *> b_summary;
-    for (const ReportSummaryRow &row : b.summaries)
+    std::map<std::string, const SystemSummary *> b_summary;
+    for (const SystemSummary &row : b.summaries)
         b_summary[row.system] = &row;
     std::set<std::string> summary_matched;
-    for (const ReportSummaryRow &row : a.summaries) {
+    for (const SystemSummary &row : a.summaries) {
         auto it = b_summary.find(row.system);
         if (it == b_summary.end()) {
             out.structural.push_back("summary " + row.system +
@@ -486,7 +447,7 @@ diffReports(const ReportModel &a, const ReportModel &b, double rtol)
         d.approx("geomean_perf_per_watt", row.geomeanPerfPerWatt,
                  it->second->geomeanPerfPerWatt);
     }
-    for (const ReportSummaryRow &row : b.summaries) {
+    for (const SystemSummary &row : b.summaries) {
         if (summary_matched.find(row.system) == summary_matched.end()) {
             out.structural.push_back("summary " + row.system +
                                      " only in second report");
@@ -514,13 +475,15 @@ renderDiff(const ReportDiff &d)
 }
 
 std::string
-runsCsv(const ReportModel &m, const std::string &baseline)
+runsCsv(const CampaignReport &report, std::optional<SystemKind> baseline)
 {
-    auto base = baselineRuns(m, baseline);
+    std::map<GridGroupKey, const CampaignRun *> base;
+    if (baseline)
+        base = baselineIndex(report.runs, *baseline);
 
     bool any_served = false;
-    for (const ReportRun &r : m.runs)
-        any_served = any_served || r.result.served.valid;
+    for (const CampaignRun &r : report.runs)
+        any_served = any_served || (!r.failed && r.result.served.valid);
 
     std::string out =
         "index,system,scenario,log2_tuples,seed,geometry,exec,zipf_theta,"
@@ -537,12 +500,10 @@ runsCsv(const ReportModel &m, const std::string &baseline)
                "served_latency_mean_ps,served_energy_per_query_j";
     }
     out += "\n";
-    for (const ReportRun &r : m.runs) {
-        out += std::to_string(r.index) + "," + r.system + "," +
-               r.scenario + "," + std::to_string(r.log2Tuples) + "," +
-               std::to_string(r.seed) + "," + r.geometry + "," + r.exec +
-               ",";
-        JsonWriter::appendDouble(out, r.zipfTheta);
+    for (const CampaignRun &r : report.runs) {
+        if (r.failed)
+            continue;
+        out += coordinateColumns(r.job);
         out += "," + std::to_string(r.result.totalTime) + "," +
                std::to_string(r.result.partitionTime) + "," +
                std::to_string(r.result.probeTime) + ",";
@@ -564,8 +525,8 @@ runsCsv(const ReportModel &m, const std::string &baseline)
         // Pairing columns stay empty for the baseline's own runs, for
         // unpaired grid points, and when no baseline was requested.
         std::string speedup, ppw;
-        if (!baseline.empty() && r.system != baseline) {
-            auto it = base.find(r.groupKey());
+        if (baseline && r.job.system != *baseline) {
+            auto it = base.find(gridGroupKey(r));
             if (it != base.end()) {
                 JsonWriter::appendDouble(
                     speedup, overallSpeedup(it->second->result, r.result));
@@ -577,7 +538,7 @@ runsCsv(const ReportModel &m, const std::string &baseline)
         out += "," + speedup + "," + ppw;
         if (any_served) {
             const ServedMetrics &s = r.result.served;
-            out += "," + r.traffic;
+            out += "," + r.job.traffic.name();
             if (s.valid) {
                 out += "," + std::to_string(s.offered) + "," +
                        std::to_string(s.admitted) + "," +
@@ -603,7 +564,7 @@ runsCsv(const ReportModel &m, const std::string &baseline)
 }
 
 std::string
-renderServedMarkdown(const ReportModel &m)
+renderServedMarkdown(const CampaignReport &report)
 {
     std::vector<std::vector<std::string>> table;
     table.push_back({"system", "scenario", "traffic", "offered", "adm",
@@ -614,14 +575,15 @@ renderServedMarkdown(const ReportModel &m)
         JsonWriter::appendDouble(s, static_cast<double>(ps) / 1e6);
         return s;
     };
-    for (const ReportRun &r : m.runs) {
+    for (const CampaignRun &r : report.runs) {
         const ServedMetrics &s = r.result.served;
-        if (!s.valid)
+        if (r.failed || !s.valid)
             continue;
         std::string qps, epq;
         JsonWriter::appendDouble(qps, s.sustainedQps);
         JsonWriter::appendDouble(epq, s.energyPerQueryJ);
-        table.push_back({r.system, r.scenario, r.traffic,
+        table.push_back({systemKindName(r.job.system),
+                         r.job.scenario.name, r.job.traffic.name(),
                          std::to_string(s.offered),
                          std::to_string(s.admitted),
                          std::to_string(s.rejected),
@@ -635,7 +597,7 @@ renderServedMarkdown(const ReportModel &m)
 }
 
 std::string
-stagesCsv(const ReportModel &m)
+stagesCsv(const CampaignReport &report)
 {
     std::string out =
         "index,system,scenario,log2_tuples,seed,geometry,exec,zipf_theta,"
@@ -643,14 +605,11 @@ stagesCsv(const ReportModel &m)
         "probe_time_ps,energy_total_j,partition_vault_bw_gbps,"
         "probe_vault_bw_gbps,input_tuples,output_tuples,scan_matches,"
         "join_matches,group_count,agg_checksum\n";
-    for (const ReportRun &r : m.runs) {
-        for (std::size_t i = 0; i < r.result.stages.size(); ++i) {
+    for (const CampaignRun &r : report.runs) {
+        for (std::size_t i = 0; !r.failed && i < r.result.stages.size();
+             ++i) {
             const StageResult &s = r.result.stages[i];
-            out += std::to_string(r.index) + "," + r.system + "," +
-                   r.scenario + "," + std::to_string(r.log2Tuples) + "," +
-                   std::to_string(r.seed) + "," + r.geometry + "," +
-                   r.exec + ",";
-            JsonWriter::appendDouble(out, r.zipfTheta);
+            out += coordinateColumns(r.job);
             out += "," + std::to_string(i) + "," + s.stage + "," + s.op +
                    "," + s.input + "," + std::to_string(s.totalTime) +
                    "," + std::to_string(s.partitionTime) + "," +
@@ -672,75 +631,67 @@ stagesCsv(const ReportModel &m)
 }
 
 std::vector<StageBreakdownRow>
-stageBreakdown(const ReportModel &m, const std::string &baseline)
+stageBreakdown(const CampaignReport &report, SystemKind baseline)
 {
-    auto base = baselineRuns(m, baseline);
+    const auto base = baselineIndex(report.runs, baseline);
 
     // Row identity: (scenario, stage index). Cells accumulate per
     // system, pairing each run's stage with the baseline run's stage at
     // the same grid point (same index — scenarios fix the stage list).
     std::vector<StageBreakdownRow> rows;
-    auto rowFor = [&rows](const ReportRun &r,
-                          std::size_t stage_idx) -> StageBreakdownRow & {
-        for (StageBreakdownRow &row : rows) {
-            if (row.scenario == r.scenario && row.stageIndex == stage_idx)
-                return row;
+    auto rowIndex = [&rows](const CampaignRun &r, std::size_t stage_idx) {
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            if (rows[i].scenario == r.job.scenario.name &&
+                rows[i].stageIndex == stage_idx)
+                return i;
         }
-        StageBreakdownRow row;
-        row.scenario = r.scenario;
+        StageBreakdownRow &row = rows.emplace_back();
+        row.scenario = r.job.scenario.name;
         row.stageIndex = stage_idx;
         row.stage = r.result.stages[stage_idx].stage;
         row.op = r.result.stages[stage_idx].op;
-        rows.push_back(std::move(row));
-        return rows.back();
+        return rows.size() - 1;
     };
 
-    std::map<std::pair<std::string, std::string>, CellAccum> accums;
-    for (const ReportRun &r : m.runs) {
-        if (r.system == baseline)
+    struct Comparisons
+    {
+        std::size_t total = 0;
+        std::vector<double> speedups, perfPerWatt;
+    };
+    std::map<std::pair<std::size_t, SystemKind>, Comparisons> cells;
+    for (const CampaignRun &r : report.runs) {
+        if (r.failed || r.job.system == baseline)
             continue;
-        const ReportRun *b = nullptr;
-        if (auto it = base.find(r.groupKey()); it != base.end())
+        const CampaignRun *b = nullptr;
+        if (auto it = base.find(gridGroupKey(r)); it != base.end())
             b = it->second;
         for (std::size_t i = 0; i < r.result.stages.size(); ++i) {
-            rowFor(r, i); // establish row order by first appearance
-            CellAccum &acc =
-                accums[{r.scenario + "|" + std::to_string(i), r.system}];
-            ++acc.total;
+            Comparisons &c = cells[{rowIndex(r, i), r.job.system}];
+            ++c.total;
             if (!b || b->result.stages.size() != r.result.stages.size())
                 continue;
             const StageResult &ss = r.result.stages[i];
             const StageResult &bs = b->result.stages[i];
-            acc.speedups.push_back(
+            c.speedups.push_back(
                 ss.totalTime > 0
                     ? static_cast<double>(bs.totalTime) /
                           static_cast<double>(ss.totalTime)
                     : 0.0);
-            acc.perfPerWatt.push_back(
+            c.perfPerWatt.push_back(
                 ss.energy.total() > 0.0
                     ? bs.energy.total() / ss.energy.total()
                     : 0.0);
         }
     }
 
-    for (StageBreakdownRow &row : rows) {
-        for (const std::string &sys : m.systems) {
-            auto it = accums.find(
-                {row.scenario + "|" + std::to_string(row.stageIndex), sys});
-            if (it == accums.end())
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        for (SystemKind sys : report.grid.systems) {
+            auto it = cells.find({i, sys});
+            if (it == cells.end())
                 continue;
-            const CellAccum &acc = it->second;
-            SensitivityCell cell;
-            cell.system = sys;
-            cell.total = acc.total;
-            cell.paired = acc.speedups.size();
-            GeomeanStats sp = geomeanStats(acc.speedups);
-            GeomeanStats pw = geomeanStats(acc.perfPerWatt);
-            cell.geomeanSpeedup = sp.value;
-            cell.geomeanPerfPerWatt = pw.value;
-            cell.droppedSpeedups = sp.dropped;
-            cell.droppedPerfPerWatt = pw.dropped;
-            row.cells.push_back(std::move(cell));
+            rows[i].cells.push_back(summarizeComparisons(
+                systemKindName(sys), it->second.total, it->second.speedups,
+                it->second.perfPerWatt));
         }
     }
     return rows;
@@ -753,11 +704,11 @@ renderStageBreakdownMarkdown(const std::vector<StageBreakdownRow> &rows)
     table.push_back({"scenario", "stage", "op", "system", "paired",
                      "geomean speedup", "geomean perf/W"});
     for (const StageBreakdownRow &row : rows) {
-        for (const SensitivityCell &c : row.cells) {
+        for (const SystemSummary &c : row.cells) {
             table.push_back(
                 {row.scenario,
                  std::to_string(row.stageIndex) + ":" + row.stage, row.op,
-                 c.system, pairedCountLabel(c.paired, c.total),
+                 c.system, pairedCountLabel(c.runs, c.totalRuns),
                  geomeanCellLabel(c.geomeanSpeedup, c.droppedSpeedups, 4),
                  geomeanCellLabel(c.geomeanPerfPerWatt,
                                   c.droppedPerfPerWatt, 4)});

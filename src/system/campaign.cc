@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <tuple>
@@ -67,6 +68,21 @@ readNumber(const JsonValue *v, double &dst)
         return false;
     dst = v->asDouble();
     return true;
+}
+
+/** The first label @p label gives to two values of @p axis; nullopt when
+ *  every label is distinct. */
+template <typename T, typename Label>
+std::optional<std::string>
+repeatedLabel(const std::vector<T> &axis, Label label)
+{
+    std::set<std::string> seen;
+    for (const T &v : axis) {
+        std::string l = label(v);
+        if (!seen.insert(l).second)
+            return l;
+    }
+    return std::nullopt;
 }
 
 /** Typed member reads of one object; a failure names its member. */
@@ -154,14 +170,9 @@ validateGrid(const CampaignGrid &grid, std::string &error)
         error = "scenario axis is empty";
         return false;
     }
-    std::set<std::string> scenario_names;
     for (const Scenario &sc : grid.scenarios) {
         if (sc.stages.empty()) {
             error = "scenario '" + sc.name + "' has no stages";
-            return false;
-        }
-        if (!scenario_names.insert(sc.name).second) {
-            error = "duplicate scenario '" + sc.name + "'";
             return false;
         }
     }
@@ -189,15 +200,10 @@ validateGrid(const CampaignGrid &grid, std::string &error)
         error = "traffic axis is empty";
         return false;
     }
-    std::set<std::string> traffic_names;
     for (const TrafficSpec &t : grid.traffics) {
         std::string t_error = validateTrafficSpec(t);
         if (!t_error.empty()) {
             error = "invalid traffic point " + t.name() + ": " + t_error;
-            return false;
-        }
-        if (!traffic_names.insert(t.name()).second) {
-            error = "duplicate traffic point " + t.name();
             return false;
         }
     }
@@ -216,15 +222,13 @@ validateGrid(const CampaignGrid &grid, std::string &error)
         // Thetas are labeled (and resume-keyed) at the report's 12-digit
         // encoding; values identical at that precision would share one
         // axis label and cache identity, so reject them as duplicates.
-        std::string name;
-        appendDouble(name, z);
+        const std::string name = JsonWriter::doubleString(z);
         if (!theta_names.insert(name).second) {
             error = "duplicate zipf-theta axis value " + name +
                     " (identical at the report's 12-digit precision)";
             return false;
         }
     }
-    std::set<std::string> geo_names;
     for (const MemGeometry &geo : grid.geometries) {
         std::string geo_error;
         if (!validateGeometry(geo, geo_error)) {
@@ -232,12 +236,7 @@ validateGrid(const CampaignGrid &grid, std::string &error)
                     geo_error;
             return false;
         }
-        if (!geo_names.insert(geometryName(geo)).second) {
-            error = "duplicate geometry " + geometryName(geo);
-            return false;
-        }
     }
-    std::set<std::string> exec_names;
     for (const ExecOverride &ov : grid.execOverrides) {
         std::string ov_error;
         if (!validateExecOverride(ov, ov_error)) {
@@ -245,8 +244,35 @@ validateGrid(const CampaignGrid &grid, std::string &error)
                     ov_error;
             return false;
         }
-        if (!exec_names.insert(ov.name()).second) {
-            error = "duplicate exec-ablation point " + ov.name();
+    }
+    // A repeated axis point runs one grid point twice and writes two
+    // runs (a repeated system: two summary rows) under one label. Each
+    // axis is compared by its report label.
+    const std::pair<const char *, std::optional<std::string>> repeats[] = {
+        {"system", repeatedLabel(grid.systems, [](SystemKind k) {
+             return std::string(systemKindName(k));
+         })},
+        {"scenario",
+         repeatedLabel(grid.scenarios, [](const Scenario &sc) {
+             return sc.name;
+         })},
+        {"log2-tuples value",
+         repeatedLabel(grid.log2Tuples,
+                       [](unsigned l) { return std::to_string(l); })},
+        {"seed", repeatedLabel(grid.seeds, [](std::uint64_t seed) {
+             return std::to_string(seed);
+         })},
+        {"geometry", repeatedLabel(grid.geometries, geometryName)},
+        {"exec-ablation point",
+         repeatedLabel(grid.execOverrides,
+                       [](const ExecOverride &ov) { return ov.name(); })},
+        {"traffic point",
+         repeatedLabel(grid.traffics,
+                       [](const TrafficSpec &t) { return t.name(); })},
+    };
+    for (const auto &[axis, label] : repeats) {
+        if (label) {
+            error = std::string("duplicate ") + axis + " '" + *label + "'";
             return false;
         }
     }
@@ -445,7 +471,7 @@ summarizeRuns(const CampaignGrid &grid, const std::vector<CampaignRun> &runs,
         if (sys == baseline)
             continue;
         std::vector<double> speedups, perfPerWatt;
-        std::size_t paired = 0, total = 0;
+        std::size_t total = 0;
         for (const auto &r : runs) {
             if (r.failed || r.job.system != sys)
                 continue;
@@ -453,24 +479,32 @@ summarizeRuns(const CampaignGrid &grid, const std::vector<CampaignRun> &runs,
             auto it = base.find(gridGroupKey(r));
             if (it == base.end())
                 continue; // unpaired: no comparison to roll up
-            ++paired;
             speedups.push_back(overallSpeedup(it->second->result, r.result));
             perfPerWatt.push_back(
                 efficiencyImprovement(it->second->result, r.result));
         }
-        SystemSummary s;
-        s.system = systemKindName(sys);
-        s.runs = paired;
-        s.totalRuns = total;
-        GeomeanStats sp = geomeanStats(speedups);
-        GeomeanStats pw = geomeanStats(perfPerWatt);
-        s.geomeanSpeedup = sp.value;
-        s.geomeanPerfPerWatt = pw.value;
-        s.droppedSpeedups = sp.dropped;
-        s.droppedPerfPerWatt = pw.dropped;
-        out.push_back(s);
+        out.push_back(summarizeComparisons(systemKindName(sys), total,
+                                           speedups, perfPerWatt));
     }
     return out;
+}
+
+SystemSummary
+summarizeComparisons(const std::string &system, std::size_t total_runs,
+                     const std::vector<double> &speedups,
+                     const std::vector<double> &perf_per_watt)
+{
+    SystemSummary s;
+    s.system = system;
+    s.runs = speedups.size();
+    s.totalRuns = total_runs;
+    GeomeanStats sp = geomeanStats(speedups);
+    GeomeanStats pw = geomeanStats(perf_per_watt);
+    s.geomeanSpeedup = sp.value;
+    s.geomeanPerfPerWatt = pw.value;
+    s.droppedSpeedups = sp.dropped;
+    s.droppedPerfPerWatt = pw.dropped;
+    return s;
 }
 
 std::string
@@ -512,82 +546,13 @@ bool
 ResumeCache::load(const std::string &json_text, std::string &error)
 {
     entries_.clear();
-    JsonValue doc;
-    if (!parseJson(json_text, doc, error) || !checkReportSchema(doc, error))
+    CampaignReport report;
+    if (!readCampaignReport(json_text, report, error))
         return false;
-    const JsonValue *block = doc.find("grid");
-    if (!block) {
-        error = "report has no grid block";
-        return false;
-    }
-    CampaignGrid grid;
-    if (!readCampaignGrid(*block, grid, error))
-        return false;
-
-    // Axis tables: run labels resolve to the axis values they name.
-    std::map<std::string, MemGeometry> geometries;
-    for (const MemGeometry &geo : grid.geometries)
-        geometries[geometryName(geo)] = geo;
-    std::map<std::string, ExecOverride> overrides;
-    for (const ExecOverride &ov : grid.execOverrides)
-        overrides[ov.name()] = ov;
-    // Scenario label -> full cache identity (name + stage structure), so
-    // a renamed or restructured pipeline can never satisfy a stale cache
-    // entry.
-    std::map<std::string, std::string> scenario_identities;
-    for (const Scenario &sc : grid.scenarios)
-        scenario_identities[sc.name] = scenarioIdentity(sc);
-
-    const JsonValue *runs = doc.find("runs");
-    if (!runs || !runs->isArray()) {
-        error = "report has no runs array";
-        return false;
-    }
-    std::size_t run_no = 0;
-    for (const JsonValue &r : runs->items) {
-        // A corrupt entry is named in a warning, never silently dropped
-        // or spliced as garbage.
-        std::string label = "run #" + std::to_string(run_no++);
-        RunCoordinates c;
-        std::string coord_error;
-        if (!readRunCoordinates(r, c, coord_error)) {
-            warn("resume: skipping %s: %s", label.c_str(),
-                 coord_error.c_str());
-            continue;
-        }
-        label += " (" + c.system + "|" + c.scenario + "|2^" +
-                 std::to_string(c.log2Tuples) + "|seed " +
-                 std::to_string(c.seed) + ")";
-        const JsonValue *result = r.find("result");
-        if (!result) {
-            warn("resume: skipping %s: no result", label.c_str());
-            continue;
-        }
-        auto git = geometries.find(c.geometry);
-        auto eit = overrides.find(c.exec);
-        auto sit = scenario_identities.find(c.scenario);
-        if (git == geometries.end() || eit == overrides.end() ||
-            sit == scenario_identities.end()) {
-            const std::string &missing = git == geometries.end() ? c.geometry
-                                         : eit == overrides.end() ? c.exec
-                                                                  : c.scenario;
-            warn("resume: skipping %s: axis label '%s' has no grid table "
-                 "entry", label.c_str(), missing.c_str());
-            continue;
-        }
-        Entry e;
-        if (!readRunResult(*result, e.result)) {
-            warn("resume: skipping %s: unreadable result subtree",
-                 label.c_str());
-            continue;
-        }
-        e.rawResultJson =
-            json_text.substr(result->begin, result->end - result->begin);
-        // TrafficSpec::name() is the full spec identity, so runs key by
-        // their traffic label verbatim.
-        entries_[gridPointHash(c.system, sit->second, c.log2Tuples, c.seed,
-                               c.zipfTheta, git->second, eit->second,
-                               c.traffic)] = std::move(e);
+    for (CampaignRun &r : report.runs) {
+        if (!r.failed)
+            entries_[campaignJobKey(r.job)] = {std::move(r.result),
+                                               std::move(r.rawResultJson)};
     }
     return true;
 }
@@ -766,8 +731,8 @@ CampaignRunner::run(unsigned jobs)
 
 namespace {
 
-/** The coordinate members of one run entry; readRunCoordinates reads
- *  them back. */
+/** The coordinate members of one run entry; placeRunEntry reads them
+ *  back. */
 void
 writeRunCoordinates(JsonWriter &w, const CampaignJob &job)
 {
@@ -782,8 +747,8 @@ writeRunCoordinates(JsonWriter &w, const CampaignJob &job)
     w.member("traffic", job.traffic.name());
 }
 
-} // namespace
-
+/** Check the "schema" member of a parsed report: false with @p error
+ *  naming the document's schema unless it is kCampaignReportSchema. */
 bool
 checkReportSchema(const JsonValue &doc, std::string &error)
 {
@@ -796,20 +761,67 @@ checkReportSchema(const JsonValue &doc, std::string &error)
     return false;
 }
 
-bool
-readRunCoordinates(const JsonValue &run, RunCoordinates &out,
-                   std::string &error)
+/**
+ * Read the coordinates of one "runs" or "failed_runs" entry and find the
+ * slot of @p report they name. Each member is type-checked (a string
+ * seed must not read as seed 0, another grid point), the index must be
+ * in range and not given before (@p taken), and every label must equal
+ * the grid point's.
+ * @return nullptr with @p error naming the fault otherwise.
+ */
+CampaignRun *
+placeRunEntry(const JsonValue &entry, CampaignReport &report,
+              std::vector<bool> &taken, std::string &error)
 {
-    MemberReader m{run, error};
-    return m.uint("index", out.index) && m.str("system", out.system) &&
-           m.str("scenario", out.scenario) &&
-           m.uint("log2_tuples", out.log2Tuples) &&
-           m.uint("seed", out.seed) && m.str("geometry", out.geometry) &&
-           m.str("exec", out.exec) && m.number("zipf_theta", out.zipfTheta) &&
-           m.str("traffic", out.traffic);
+    MemberReader m{entry, error};
+    std::size_t index = 0;
+    unsigned log2 = 0;
+    std::uint64_t seed = 0;
+    double theta = 0.0;
+    std::string system, scenario, geometry, exec, traffic;
+    if (!m.uint("index", index) || !m.str("system", system) ||
+        !m.str("scenario", scenario) || !m.uint("log2_tuples", log2) ||
+        !m.uint("seed", seed) || !m.str("geometry", geometry) ||
+        !m.str("exec", exec) || !m.number("zipf_theta", theta) ||
+        !m.str("traffic", traffic))
+        return nullptr;
+    if (index >= report.runs.size()) {
+        error = "index " + std::to_string(index) + " out of range (the "
+                "grid has " + std::to_string(report.runs.size()) +
+                " points)";
+        return nullptr;
+    }
+    if (taken[index]) {
+        error = "index " + std::to_string(index) + " given twice";
+        return nullptr;
+    }
+    const CampaignJob &job = report.runs[index].job;
+    const std::pair<const char *, std::pair<std::string, std::string>>
+        labels[] = {
+            {"system", {system, systemKindName(job.system)}},
+            {"scenario", {scenario, job.scenario.name}},
+            {"log2_tuples",
+             {std::to_string(log2), std::to_string(job.log2Tuples)}},
+            {"seed", {std::to_string(seed), std::to_string(job.seed)}},
+            {"geometry", {geometry, geometryName(job.geometry)}},
+            {"exec", {exec, job.exec.name()}},
+            {"zipf_theta",
+             {JsonWriter::doubleString(theta),
+              JsonWriter::doubleString(job.zipfTheta)}},
+            {"traffic", {traffic, job.traffic.name()}},
+        };
+    for (const auto &[member, got_want] : labels) {
+        if (got_want.first != got_want.second) {
+            error = "\"" + std::string(member) + "\" is '" +
+                    got_want.first + "' but grid point " +
+                    std::to_string(index) + " has '" + got_want.second +
+                    "'";
+            return nullptr;
+        }
+    }
+    taken[index] = true;
+    return &report.runs[index];
 }
-
-namespace {
 
 /**
  * Read grid axis @p name of @p block, one entry at a time through
@@ -991,6 +1003,104 @@ readCampaignGrid(const JsonValue &block, CampaignGrid &out,
         return false;
     }
     out = std::move(g);
+    return true;
+}
+
+bool
+readCampaignReport(const std::string &json_text, CampaignReport &out,
+                   std::string &error)
+{
+    JsonValue doc;
+    if (!parseJson(json_text, doc, error) || !checkReportSchema(doc, error))
+        return false;
+    const JsonValue *block = doc.find("grid");
+    if (!block) {
+        error = "report has no grid block";
+        return false;
+    }
+    CampaignReport report;
+    if (!readCampaignGrid(*block, report.grid, error))
+        return false;
+    if (!validateGrid(report.grid, error)) {
+        error = "invalid grid block: " + error;
+        return false;
+    }
+    // Every slot starts failed: only a runs entry gives it a result.
+    for (CampaignJob &job : expandGrid(report.grid)) {
+        CampaignRun &slot = report.runs.emplace_back();
+        slot.job = std::move(job);
+        slot.failed = true;
+    }
+    std::vector<bool> taken(report.runs.size());
+
+    const JsonValue *runs = doc.find("runs");
+    if (!runs || !runs->isArray()) {
+        error = "report has no runs array";
+        return false;
+    }
+    for (std::size_t i = 0; i < runs->items.size(); ++i) {
+        const JsonValue &entry = runs->items[i];
+        const std::string where = "run " + std::to_string(i) + ": ";
+        CampaignRun *slot = placeRunEntry(entry, report, taken, error);
+        if (!slot) {
+            error = where + error;
+            return false;
+        }
+        const JsonValue *result = entry.find("result");
+        if (!result || !readRunResult(*result, slot->result)) {
+            error = where + "malformed result object";
+            return false;
+        }
+        slot->rawResultJson =
+            json_text.substr(result->begin, result->end - result->begin);
+        slot->failed = false;
+    }
+
+    if (const JsonValue *failed = doc.find("failed_runs")) {
+        if (!failed->isArray()) {
+            error = "report \"failed_runs\" is not an array";
+            return false;
+        }
+        for (std::size_t i = 0; i < failed->items.size(); ++i) {
+            const JsonValue &entry = failed->items[i];
+            FailedRun f;
+            MemberReader m{entry, error};
+            const CampaignRun *slot =
+                placeRunEntry(entry, report, taken, error);
+            if (!slot || !m.uint("attempts", f.attempts) ||
+                !m.str("error", f.error)) {
+                error = "failed run " + std::to_string(i) + ": " + error;
+                return false;
+            }
+            f.index = slot->job.index;
+            report.failedRuns.push_back(std::move(f));
+        }
+    }
+
+    const JsonValue *summary = doc.find("summary");
+    const JsonValue *systems = summary ? summary->find("systems") : nullptr;
+    if (!summary ||
+        !MemberReader{*summary, error}.str("baseline", report.baseline) ||
+        !systems || !systems->isArray()) {
+        error = "report summary block missing or malformed";
+        return false;
+    }
+    for (std::size_t i = 0; i < systems->items.size(); ++i) {
+        SystemSummary &s = report.summaries.emplace_back();
+        MemberReader m{systems->items[i], error,
+                       "summary.systems[" + std::to_string(i) + "]."};
+        if (!m.str("system", s.system) || !m.uint("runs", s.runs))
+            return false;
+        // The writer omits the provenance members at their defaults.
+        s.totalRuns = s.runs;
+        if (!m.optUint("runs_total", s.totalRuns) ||
+            !m.optUint("dropped_speedups", s.droppedSpeedups) ||
+            !m.optUint("dropped_perf_per_watt", s.droppedPerfPerWatt) ||
+            !m.number("geomean_speedup", s.geomeanSpeedup) ||
+            !m.number("geomean_perf_per_watt", s.geomeanPerfPerWatt))
+            return false;
+    }
+    out = std::move(report);
     return true;
 }
 

@@ -23,11 +23,12 @@
  * Every report is one schema, mondrian-campaign-v4 (docs/report-schema.md):
  * axis tables in the grid block, every run labeled with all eight of its
  * coordinates, pipeline runs carrying per-stage sub-results and served
- * runs a "served" object. campaignReportJson writes it; ResumeCache and
- * loadReportModel read it through one coordinate reader
- * (readRunCoordinates) and reject any other schema. The grid block has
- * one writer and one reader (writeCampaignGrid/readCampaignGrid), shared
- * by ResumeCache and the worker spec (system/campaign_spec.hh).
+ * runs a "served" object. campaignReportJson writes it and
+ * readCampaignReport, its exact inverse, reads it back into the
+ * CampaignReport that wrote it; ResumeCache and the analysis CLI both
+ * load reports through it and reject any other schema. The grid block
+ * has one writer and one reader (writeCampaignGrid/readCampaignGrid),
+ * shared by the report and the worker spec (system/campaign_spec.hh).
  * expandGrid() flattens the cross-product into an ordered job list and
  * CampaignRunner executes the jobs on a thread pool. Each job builds a
  * fresh MemoryPool/Machine, so jobs share no mutable state and the
@@ -94,7 +95,8 @@ bool gridHasTraffic(const CampaignGrid &grid);
 
 /**
  * Check that every axis is non-empty and every axis value is valid
- * (geometries pass validateGeometry(), no duplicate axis points).
+ * (geometries pass validateGeometry(), no axis repeats a point: a
+ * repeated system, scale or seed would run one grid point twice).
  * @return false with @p error naming the offending axis otherwise.
  */
 bool validateGrid(const CampaignGrid &grid, std::string &error);
@@ -236,6 +238,17 @@ std::vector<SystemSummary>
 summarizeRuns(const CampaignGrid &grid, const std::vector<CampaignRun> &runs,
               SystemKind baseline);
 
+/**
+ * The rollup of one system's comparisons against the baseline:
+ * @p speedups and @p perf_per_watt hold its baseline-paired ratios,
+ * @p total_runs counts all its runs, paired or not. summarizeRuns is
+ * this over each system's runs.
+ */
+SystemSummary summarizeComparisons(const std::string &system,
+                                   std::size_t total_runs,
+                                   const std::vector<double> &speedups,
+                                   const std::vector<double> &perf_per_watt);
+
 /** Everything a campaign produced, in grid order. */
 struct CampaignReport
 {
@@ -276,10 +289,10 @@ struct CampaignReport
  * resumed summary could in principle differ from a fresh one in the
  * final printed digit of a geomean.
  *
- * Loads mondrian-campaign-v4 reports only. Run labels resolve against
- * the grid's axis tables: geometry and exec by name, scenario by its
- * stage structure (scenarioIdentity), so a renamed or restructured
- * pipeline never satisfies a stale entry.
+ * Loads mondrian-campaign-v4 reports only, through readCampaignReport:
+ * every run keys by campaignJobKey of its grid point, whose scenario
+ * identity carries the stage structure (scenarioIdentity), so a renamed
+ * or restructured pipeline never satisfies a stale entry.
  */
 class ResumeCache
 {
@@ -287,15 +300,10 @@ class ResumeCache
     /**
      * Load entries from a prior report's JSON text. Replaces the
      * current contents.
-     *
-     * Corrupt run entries inside an otherwise-parseable report (a
-     * missing or wrong-typed coordinate, a label without an axis-table
-     * entry, an unreadable result subtree) are skipped with a warn()
-     * naming the bad run — never cached as garbage, never keyed at a
-     * wrong grid point. A truncated report fails the top-level parse,
-     * and a malformed grid block fails readCampaignGrid(); both return
-     * false.
-     * @return false with @p error set on parse/schema/grid problems.
+     * @return false with @p error set when readCampaignReport() rejects
+     * the report: a truncated document, a malformed grid block or a
+     * malformed run entry fails the whole load, so nothing is ever
+     * cached as garbage or keyed at a wrong grid point.
      */
     bool load(const std::string &json_text, std::string &error);
 
@@ -430,7 +438,7 @@ std::string campaignJournalLine(const CampaignJob &job,
                                 const RunResult &result);
 
 /** The one report schema: written by campaignReportJson, and the only
- *  one ResumeCache::load and loadReportModel accept. */
+ *  one readCampaignReport accepts. */
 inline constexpr const char *kCampaignReportSchema = "mondrian-campaign-v4";
 
 /**
@@ -441,42 +449,18 @@ inline constexpr const char *kCampaignReportSchema = "mondrian-campaign-v4";
 std::string campaignReportJson(const CampaignReport &report);
 
 /**
- * Check the "schema" member of a parsed report.
- * @return false with @p error naming the document's schema unless it is
- * kCampaignReportSchema.
+ * The exact inverse of campaignReportJson: read a report back into the
+ * CampaignReport that wrote it. The grid block is read and validated
+ * (readCampaignGrid, validateGrid) and expanded; each "runs" entry goes
+ * into the slot its "index" names, after its coordinate labels are
+ * checked against that grid point's, with the verbatim "result" subtree
+ * kept in rawResultJson so campaignReportJson rewrites the same bytes.
+ * Slots without a runs entry stay failed; "failed_runs" and the stored
+ * summary are read back as written.
+ * @return false with @p error naming the fault (and the run entry, for
+ * a malformed one) on any parse, schema, grid or run problem.
  */
-bool checkReportSchema(const JsonValue &doc, std::string &error);
-
-/**
- * The grid coordinates a report labels one run with — the members the
- * writer puts before a run's result (or before a failed run's error),
- * axis values by their report labels.
- */
-struct RunCoordinates
-{
-    std::size_t index = 0;
-    std::string system;
-    std::string scenario;
-    unsigned log2Tuples = 0;
-    std::uint64_t seed = 0;
-    /** Geometry axis label (geometryName form, e.g. "4x16x8-8MiB-r256"). */
-    std::string geometry;
-    /** Exec-ablation axis label ("base" when no override). */
-    std::string exec;
-    double zipfTheta = 0.0;
-    /** Traffic axis label (TrafficSpec::name() form; "none" when
-     *  degenerate). */
-    std::string traffic = "none";
-};
-
-/**
- * Read the coordinates of one report run entry — the reader every
- * report loader shares. Each member is type-checked: a string seed or
- * theta must not silently read as 0, which is another grid point.
- * @return false with @p error naming the first missing or wrong-typed
- * member.
- */
-bool readRunCoordinates(const JsonValue &run, RunCoordinates &out,
+bool readCampaignReport(const std::string &json_text, CampaignReport &out,
                         std::string &error);
 
 /**
@@ -489,7 +473,8 @@ void writeCampaignGrid(JsonWriter &w, const CampaignGrid &grid);
 
 /**
  * The inverse of writeCampaignGrid. Every member is type-checked, as
- * readRunCoordinates does, because the block may arrive over the wire:
+ * readCampaignReport does for run coordinates, because the block may
+ * arrive over the wire:
  * scenarios are rebuilt from their stage lists, and each labeled entry
  * must rebuild to its own label. Structural only — callers that expand
  * the grid still run validateGrid().

@@ -364,6 +364,35 @@ TEST(Campaign, ValidateGridRejectsThetaDuplicates)
     EXPECT_TRUE(validateGrid(grid, err)) << err;
 }
 
+TEST(Campaign, ValidateGridRejectsRepeatedSystemsScalesAndSeeds)
+{
+    // Each would run one grid point twice; a repeated system would also
+    // write two summary rows for it.
+    std::string err;
+    CampaignGrid grid = testGrid();
+    grid.systems = {SystemKind::kCpu, SystemKind::kMondrian,
+                    SystemKind::kMondrian};
+    EXPECT_FALSE(validateGrid(grid, err));
+    EXPECT_NE(err.find("duplicate system 'mondrian'"), std::string::npos)
+        << err;
+
+    grid = testGrid();
+    grid.log2Tuples = {8, 8};
+    EXPECT_FALSE(validateGrid(grid, err));
+    EXPECT_NE(err.find("duplicate log2-tuples value '8'"), std::string::npos)
+        << err;
+
+    grid = testGrid();
+    grid.seeds = {42, 7, 42};
+    EXPECT_FALSE(validateGrid(grid, err));
+    EXPECT_NE(err.find("duplicate seed '42'"), std::string::npos) << err;
+
+    // The campaign entry points refuse such a grid before running it.
+    grid = testGrid();
+    grid.systems = {SystemKind::kCpu, SystemKind::kCpu};
+    EXPECT_THROW(CampaignRunner(grid).run(1), std::invalid_argument);
+}
+
 TEST(Campaign, ParallelMatchesSerialByteForByte)
 {
     CampaignGrid grid;
@@ -914,10 +943,11 @@ TEST(Resume, SplicesAcrossAxisValues)
               runsSpan(campaignReportJson(reference)));
 }
 
-TEST(Resume, SkipsWrongTypedCoordinates)
+TEST(Resume, WrongTypedCoordinatesFailTheLoad)
 {
     // A seed written as a string must not read as seed 0: the run would
-    // be cached, and spliced, at the wrong grid point.
+    // be cached, and spliced, at the wrong grid point. The load fails,
+    // naming the run and the member.
     CampaignGrid grid;
     grid.systems = {SystemKind::kCpu};
     grid.scenarios = {degenerateScenario(OpKind::kScan)};
@@ -931,19 +961,10 @@ TEST(Resume, SkipsWrongTypedCoordinates)
 
     ResumeCache cache;
     std::string err;
-    testing::internal::CaptureStderr();
-    ASSERT_TRUE(cache.load(json, err)) << err;
-    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(cache.load(json, err));
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_NE(warnings.find("resume: skipping run #0"), std::string::npos)
-        << warnings;
-    EXPECT_NE(warnings.find("\"seed\""), std::string::npos) << warnings;
-
-    CampaignGrid seed0 = grid;
-    seed0.seeds = {0};
-    CampaignRunner runner(seed0);
-    runner.setResume(&cache);
-    EXPECT_EQ(runner.run(1).cachedRuns, 0u);
+    EXPECT_NE(err.find("run 0"), std::string::npos) << err;
+    EXPECT_NE(err.find("\"seed\""), std::string::npos) << err;
 }
 
 namespace {

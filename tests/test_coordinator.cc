@@ -285,6 +285,15 @@ TEST(Coordinator, StickyFaultExhaustsRetriesIntoFailedRuns)
     for (const CampaignRun &r : report.runs)
         runs_emitted += r.failed ? 0 : 1;
     EXPECT_EQ(runs_emitted, 3u);
+
+    // The report reads back into the same failed slot and failed_runs
+    // entry, and rewrites byte-identically.
+    CampaignReport loaded;
+    ASSERT_TRUE(readCampaignReport(json, loaded, error)) << error;
+    EXPECT_TRUE(loaded.runs[2].failed);
+    ASSERT_EQ(loaded.failedRuns.size(), 1u);
+    EXPECT_EQ(loaded.failedRuns[0].attempts, 2u);
+    EXPECT_EQ(campaignReportJson(loaded), json);
 }
 
 TEST(Coordinator, DegradesToInProcessWhenWorkersCannotSpawn)
@@ -404,22 +413,24 @@ TEST(ResumeCache, TruncatedReportFailsLoudlyNotSilently)
     EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ResumeCache, CorruptRunEntryIsSkippedOthersLoad)
+TEST(ResumeCache, CorruptRunEntryFailsTheLoad)
 {
     const CampaignGrid grid = servedGrid();
     std::string report = referenceReport(grid);
     ASSERT_NE(report.find("mondrian-campaign-v4"), std::string::npos);
 
-    // Break the first run's result subtree; the other three must still
-    // load (satellite: skip with a warning, never crash or mis-splice).
+    // Break the first run's result subtree: the load fails naming the
+    // run, and nothing is cached from the half-read report.
     const std::size_t pos = report.find("\"result\"");
     ASSERT_NE(pos, std::string::npos);
     report.replace(pos, 8, "\"broken\"");
 
     ResumeCache cache;
     std::string error;
-    ASSERT_TRUE(cache.load(report, error)) << error;
-    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_FALSE(cache.load(report, error));
+    EXPECT_NE(error.find("run 0: malformed result"), std::string::npos)
+        << error;
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 // ------------------------------------------------- remote TCP workers

@@ -1,10 +1,10 @@
-/** @file Typed report loading: the one schema, axis labels, fail-loud. */
+/** @file Reading a report back: readCampaignReport, the one loader. */
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.hh"
 #include "system/campaign.hh"
 #include "system/report.hh"
-#include "system/report_model.hh"
 #include "system/scenario.hh"
 #include "system/traffic.hh"
 
@@ -18,93 +18,218 @@ modelGrid()
 {
     CampaignGrid grid;
     grid.systems = {SystemKind::kCpu, SystemKind::kMondrian};
-    grid.scenarios = {degenerateScenario(OpKind::kScan), degenerateScenario(OpKind::kJoin)};
+    grid.scenarios = {degenerateScenario(OpKind::kScan),
+                      degenerateScenario(OpKind::kJoin)};
     grid.log2Tuples = {8};
     grid.seeds = {42};
     grid.zipfThetas = {0.0, 0.5};
     return grid;
 }
 
+/** One cpu scan at 2^8: the smallest report there is. */
+std::string
+tinyReportJson()
+{
+    CampaignGrid grid;
+    grid.systems = {SystemKind::kCpu};
+    grid.scenarios = {degenerateScenario(OpKind::kScan)};
+    grid.log2Tuples = {8};
+    grid.seeds = {42};
+    return campaignReportJson(CampaignRunner(grid).run(1));
+}
+
+std::string
+goldenText(const std::string &name)
+{
+    std::string text, err;
+    EXPECT_TRUE(readTextFile(std::string(MONDRIAN_SOURCE_DIR) +
+                                 "/scripts/golden/" + name,
+                             text, err))
+        << err;
+    return text;
+}
+
+/** readCampaignReport then campaignReportJson, as the file ends. */
+std::string
+rewritten(const std::string &json)
+{
+    CampaignReport report;
+    std::string err;
+    EXPECT_TRUE(readCampaignReport(json, report, err)) << err;
+    return campaignReportJson(report) + "\n";
+}
+
+/** The load error of @p json (the load must fail). */
+std::string
+loadError(const std::string &json)
+{
+    CampaignReport report;
+    std::string err;
+    EXPECT_FALSE(readCampaignReport(json, report, err));
+    EXPECT_FALSE(err.empty());
+    return err;
+}
+
+/** @p json with the first @p from after the runs array starts replaced. */
+std::string
+editRuns(std::string json, const std::string &from, const std::string &to)
+{
+    const std::size_t at = json.find(from, json.find("\"runs\""));
+    EXPECT_NE(at, std::string::npos) << from;
+    return json.replace(at, from.size(), to);
+}
+
 } // namespace
 
-TEST(ReportModel, RoundTripsDegenerateReport)
+TEST(ReportLoader, RewritesBothGoldensByteIdentically)
 {
-    CampaignGrid grid = modelGrid();
-    CampaignReport report = CampaignRunner(grid).run(1);
-    std::string json = campaignReportJson(report);
+    for (const char *name : {"paper14-report.json", "served12-report.json"}) {
+        const std::string golden = goldenText(name);
+        ASSERT_FALSE(golden.empty()) << name;
+        EXPECT_EQ(rewritten(golden), golden) << name;
+    }
+}
 
-    ReportModel m;
+TEST(ReportLoader, RewritesAReportWithFailedRunsByteIdentically)
+{
+    // The shape a sticky fault leaves: the coordinator marks the job's
+    // slot failed, lists it under failed_runs, and the summary counts
+    // the now-unpaired run in runs_total.
+    CampaignReport report = CampaignRunner(modelGrid()).run(1);
+    report.runs[2].failed = true;
+    report.failedRuns.push_back({2, 2, "worker crashed (injected)"});
+    finishCampaign(report);
+    const std::string json = campaignReportJson(report) + "\n";
+    ASSERT_NE(json.find("\"failed_runs\""), std::string::npos);
+    ASSERT_NE(json.find("\"runs_total\""), std::string::npos);
+    EXPECT_EQ(rewritten(json), json);
+
+    CampaignReport loaded;
     std::string err;
-    ASSERT_TRUE(loadReportModel(json, m, err)) << err;
-    EXPECT_EQ(m.paper, "conf_isca_DrumondDMUPFGP17");
+    ASSERT_TRUE(readCampaignReport(json, loaded, err)) << err;
+    ASSERT_EQ(loaded.failedRuns.size(), 1u);
+    EXPECT_EQ(loaded.failedRuns[0].index, 2u);
+    EXPECT_EQ(loaded.failedRuns[0].attempts, 2u);
+    EXPECT_EQ(loaded.failedRuns[0].error, "worker crashed (injected)");
+    EXPECT_TRUE(loaded.runs[2].failed);
+    EXPECT_FALSE(loaded.runs[3].failed);
+}
+
+TEST(ReportLoader, PutsEveryRunInItsGridSlot)
+{
+    const CampaignReport report = CampaignRunner(modelGrid()).run(1);
+    const std::string json = campaignReportJson(report);
+
+    CampaignReport m;
+    std::string err;
+    ASSERT_TRUE(readCampaignReport(json, m, err)) << err;
     EXPECT_EQ(m.baseline, "cpu");
+    EXPECT_EQ(campaignReportJson(m), json);
 
-    // Axis values are derived from the runs, in grid order.
-    EXPECT_EQ(m.systems, (std::vector<std::string>{"cpu", "mondrian"}));
-    EXPECT_EQ(m.scenarios, (std::vector<std::string>{"scan", "join"}));
-    EXPECT_EQ(m.log2Tuples, std::vector<unsigned>{8});
-    EXPECT_EQ(m.seeds, std::vector<std::uint64_t>{42});
-    EXPECT_EQ(m.geometries,
-              std::vector<std::string>{geometryName(defaultGeometry())});
-    EXPECT_EQ(m.execs, std::vector<std::string>{"base"});
-    EXPECT_EQ(m.zipfThetas, (std::vector<double>{0.0, 0.5}));
-    EXPECT_EQ(m.traffics, std::vector<std::string>{"none"});
-
-    // Every run round-trips: exact integers, 12-digit doubles, phases.
+    // Every slot holds its own grid point and the run's result: exact
+    // integers, 12-digit doubles, phases.
     ASSERT_EQ(m.runs.size(), report.runs.size());
     for (std::size_t i = 0; i < m.runs.size(); ++i) {
-        const ReportRun &got = m.runs[i];
+        const CampaignRun &got = m.runs[i];
         const CampaignRun &want = report.runs[i];
-        EXPECT_EQ(got.index, want.job.index);
-        EXPECT_EQ(got.system, systemKindName(want.job.system));
-        EXPECT_EQ(got.scenario, want.job.scenario.name);
-        EXPECT_EQ(got.log2Tuples, want.job.log2Tuples);
-        EXPECT_EQ(got.seed, want.job.seed);
-        EXPECT_EQ(got.geometry, geometryName(want.job.geometry));
-        EXPECT_EQ(got.exec, want.job.exec.name());
-        EXPECT_DOUBLE_EQ(got.zipfTheta, want.job.zipfTheta);
+        EXPECT_FALSE(got.failed);
+        EXPECT_EQ(got.job.index, i);
+        EXPECT_EQ(campaignJobKey(got.job), campaignJobKey(want.job));
         EXPECT_EQ(got.result.totalTime, want.result.totalTime);
-        EXPECT_EQ(got.result.partitionTime, want.result.partitionTime);
         EXPECT_EQ(got.result.aggChecksum, want.result.aggChecksum);
         EXPECT_EQ(got.result.phases.size(), want.result.phases.size());
         EXPECT_NEAR(got.result.energy.total(), want.result.energy.total(),
                     want.result.energy.total() * 1e-9);
     }
 
-    ASSERT_EQ(m.summaries.size(), report.summaries.size());
-    for (std::size_t i = 0; i < m.summaries.size(); ++i) {
-        EXPECT_EQ(m.summaries[i].system, report.summaries[i].system);
-        EXPECT_EQ(m.summaries[i].runs, report.summaries[i].runs);
-        EXPECT_NEAR(m.summaries[i].geomeanSpeedup,
-                    report.summaries[i].geomeanSpeedup,
-                    report.summaries[i].geomeanSpeedup * 1e-9);
+    // summarizeRuns over the loaded runs reproduces the stored rollups.
+    const std::vector<SystemSummary> again =
+        summarizeRuns(m.grid, m.runs, SystemKind::kCpu);
+    ASSERT_EQ(again.size(), m.summaries.size());
+    for (std::size_t i = 0; i < again.size(); ++i) {
+        EXPECT_EQ(again[i].system, m.summaries[i].system);
+        EXPECT_EQ(again[i].runs, m.summaries[i].runs);
+        EXPECT_EQ(JsonWriter::doubleString(again[i].geomeanSpeedup),
+                  JsonWriter::doubleString(m.summaries[i].geomeanSpeedup));
     }
 }
 
-TEST(ReportModel, PointAndGroupKeysSeparateEveryAxis)
+TEST(ReportLoader, RejectsMalformedDocumentsNamingTheFault)
 {
-    ReportRun base;
-    base.system = "cpu";
-    base.scenario = "join";
+    const std::string json = tinyReportJson();
+
+    loadError("not json");
+    EXPECT_NE(loadError("{\"schema\": \"something-else\"}")
+                  .find("something-else"),
+              std::string::npos);
+    EXPECT_NE(loadError("{\"schema\": \"mondrian-campaign-v4\"}")
+                  .find("grid block"),
+              std::string::npos);
+
+    // A wrong-typed coordinate (a string seed) must not read as seed 0,
+    // another grid point.
+    std::string err = loadError(
+        editRuns(json, "\"seed\": 42,", "\"seed\": \"42\","));
+    EXPECT_NE(err.find("run 0"), std::string::npos) << err;
+    EXPECT_NE(err.find("wrong-typed \"seed\""), std::string::npos) << err;
+
+    err = loadError(editRuns(json, "\"index\": 0,", "\"index\": 7,"));
+    EXPECT_NE(err.find("run 0"), std::string::npos) << err;
+    EXPECT_NE(err.find("index 7 out of range"), std::string::npos) << err;
+
+    // Coordinates that disagree with the grid point their index names.
+    err = loadError(editRuns(json, "\"log2_tuples\": 8,",
+                             "\"log2_tuples\": 9,"));
+    EXPECT_NE(err.find("\"log2_tuples\" is '9' but grid point 0 has '8'"),
+              std::string::npos)
+        << err;
+
+    err = loadError(editRuns(json, "\"result\": {", "\"broken\": {"));
+    EXPECT_NE(err.find("run 0: malformed result"), std::string::npos) << err;
+}
+
+TEST(ReportLoader, RejectsAnIndexGivenTwice)
+{
+    CampaignGrid grid = modelGrid();
+    grid.zipfThetas = {0.0};
+    CampaignReport report = CampaignRunner(grid).run(1);
+    report.runs.push_back(report.runs.front());
+    const std::string err = loadError(campaignReportJson(report));
+    EXPECT_NE(err.find("run 4: index 0 given twice"), std::string::npos)
+        << err;
+}
+
+TEST(ReportLoader, RejectsAGridBlockThatFailsValidation)
+{
+    // Structurally fine, but a repeated seed would run one point twice.
+    std::string json = tinyReportJson();
+    const std::string seeds = "\"seeds\": [\n      42\n    ]";
+    const std::size_t at = json.find(seeds);
+    ASSERT_NE(at, std::string::npos);
+    json.replace(at, seeds.size(), "\"seeds\": [42, 42]");
+    json.replace(json.find("\"total_runs\": 1"), 15, "\"total_runs\": 2");
+    const std::string err = loadError(json);
+    EXPECT_NE(err.find("duplicate seed '42'"), std::string::npos) << err;
+}
+
+TEST(GridGroupKey, SeparatesEveryAxisButTheSystem)
+{
+    CampaignJob base;
+    base.system = SystemKind::kCpu;
+    base.scenario = degenerateScenario(OpKind::kJoin);
     base.log2Tuples = 14;
-    base.seed = 42;
-    base.geometry = "4x16x8-8MiB-r256";
-    base.exec = "base";
-    base.zipfTheta = 0.0;
 
     // The group key ignores the system (that's what pairing means) ...
-    ReportRun sys = base;
-    sys.system = "nmp";
-    EXPECT_EQ(sys.groupKey(), base.groupKey());
-    EXPECT_NE(sys.pointKey(), base.pointKey());
+    CampaignJob v = base;
+    v.system = SystemKind::kNmp;
+    EXPECT_EQ(gridGroupKey(v), gridGroupKey(base));
 
-    // ... and every other axis separates both keys.
-    auto differs = [&base](ReportRun v) {
-        EXPECT_NE(v.groupKey(), base.groupKey());
-        EXPECT_NE(v.pointKey(), base.pointKey());
+    // ... and any one other axis changes it.
+    auto differs = [&base](const CampaignJob &j) {
+        EXPECT_NE(gridGroupKey(j), gridGroupKey(base));
     };
-    ReportRun v = base;
-    v.scenario = "scan";
+    v = base;
+    v.scenario = degenerateScenario(OpKind::kScan);
     differs(v);
     v = base;
     v.log2Tuples = 15;
@@ -113,97 +238,18 @@ TEST(ReportModel, PointAndGroupKeysSeparateEveryAxis)
     v.seed = 43;
     differs(v);
     v = base;
-    v.geometry = "2x8x8-8MiB-r256";
+    v.geometry.vaultsPerStack = 8;
     differs(v);
     v = base;
-    v.exec = "radix=9";
+    v.exec.radixBits = 9;
     differs(v);
     v = base;
     v.zipfTheta = 0.75;
     differs(v);
-}
-
-TEST(ReportModel, RejectsMalformedDocuments)
-{
-    ReportModel m;
-    std::string err;
-    EXPECT_FALSE(loadReportModel("not json", m, err));
-    EXPECT_FALSE(loadReportModel("{\"schema\": \"something-else\"}", m, err));
-    EXPECT_NE(err.find("something-else"), std::string::npos);
-    // A report without runs is not analyzable.
-    EXPECT_FALSE(loadReportModel(
-        "{\"schema\": \"mondrian-campaign-v4\"}", m, err));
-    EXPECT_NE(err.find("runs"), std::string::npos);
-
-    // Unlike the best-effort resume cache, a malformed run entry fails
-    // the whole load: analysis over a half-parsed report would produce
-    // confidently wrong numbers.
-    EXPECT_FALSE(loadReportModel(
-        "{\"schema\": \"mondrian-campaign-v4\", \"runs\": [{\"system\": "
-        "\"cpu\"}]}",
-        m, err));
-    EXPECT_NE(err.find("run 0"), std::string::npos);
-
-    // A run without axis labels is malformed, not defaulted.
-    EXPECT_FALSE(loadReportModel(
-        "{\"schema\": \"mondrian-campaign-v4\", \"runs\": [{"
-        "\"index\": 0, \"system\": \"cpu\", \"scenario\": \"scan\", "
-        "\"log2_tuples\": 8, \"seed\": 42, \"result\": {\"system\": "
-        "\"cpu\", \"op\": \"scan\"}}]}",
-        m, err));
-    EXPECT_NE(err.find("\"geometry\""), std::string::npos) << err;
-
-    // Wrong-typed coordinates (e.g. a string scale from a foreign
-    // serializer) would decode as 0 and corrupt every point key.
-    EXPECT_FALSE(loadReportModel(
-        "{\"schema\": \"mondrian-campaign-v4\", \"runs\": [{"
-        "\"index\": 0, \"system\": \"cpu\", \"scenario\": \"scan\", "
-        "\"log2_tuples\": \"14\", \"seed\": 42, \"geometry\": \"g\", "
-        "\"exec\": \"base\", \"zipf_theta\": 0, \"traffic\": \"none\", "
-        "\"result\": {\"system\": \"cpu\", \"op\": \"scan\"}}]}",
-        m, err));
-    EXPECT_NE(err.find("wrong-typed \"log2_tuples\""), std::string::npos)
-        << err;
-
-    EXPECT_FALSE(loadReportFile("/nonexistent/report.json", m, err));
-    EXPECT_NE(err.find("/nonexistent/report.json"), std::string::npos);
-}
-
-TEST(ReportModel, RejectsDuplicateGridPoints)
-{
-    // Two runs at one grid point make every per-point analysis
-    // ambiguous; the load fails instead of letting a last-wins lookup
-    // pick one silently.
-    CampaignGrid grid;
-    grid.systems = {SystemKind::kCpu};
-    grid.scenarios = {degenerateScenario(OpKind::kScan)};
-    grid.log2Tuples = {8};
-    grid.seeds = {42};
-    CampaignReport report = CampaignRunner(grid).run(1);
-    report.runs.push_back(report.runs.front());
-    ReportModel m;
-    std::string err;
-    EXPECT_FALSE(loadReportModel(campaignReportJson(report), m, err));
-    EXPECT_NE(err.find("duplicate run at grid point"), std::string::npos);
-}
-
-TEST(ReportModel, LoadsCheckedInGoldenReport)
-{
-    // The nightly regression artifact: full paper grid at 2^14.
-    ReportModel m;
-    std::string err;
-    ASSERT_TRUE(loadReportFile(std::string(MONDRIAN_SOURCE_DIR) +
-                                   "/scripts/golden/paper14-report.json",
-                               m, err))
-        << err;
-    EXPECT_EQ(m.baseline, "cpu");
-    EXPECT_EQ(m.systems.size(), 7u);
-    EXPECT_EQ(m.scenarios.size(), 4u);
-    EXPECT_EQ(m.runs.size(), 28u);
-    EXPECT_EQ(m.log2Tuples, std::vector<unsigned>{14});
-    EXPECT_EQ(m.summaries.size(), 6u);
-    for (const ReportRun &r : m.runs)
-        EXPECT_GT(r.result.totalTime, 0u);
+    v = base;
+    v.traffic.lambdaQps = 1000.0;
+    v.traffic.queries = 4;
+    differs(v);
 }
 
 TEST(ReportSchema, EveryGridEmitsV4)
@@ -240,29 +286,17 @@ TEST(ReportSchema, EveryGridEmitsV4)
                   std::string::npos);
         EXPECT_NE(json.find("\"traffic\": \"" + traffic + "\""),
                   std::string::npos);
-
-        ReportModel m;
-        ASSERT_TRUE(loadReportModel(json, m, err)) << err;
-        ASSERT_EQ(m.runs.size(), 1u);
-        EXPECT_EQ(m.runs[0].scenario, sc);
-        EXPECT_EQ(m.runs[0].traffic, traffic);
+        EXPECT_EQ(rewritten(json), json + "\n") << sc << "/" << traffic;
     }
 }
 
 TEST(ReportSchema, ReadersRejectOlderSchemas)
 {
-    CampaignGrid grid;
-    grid.systems = {SystemKind::kCpu};
-    grid.scenarios = {degenerateScenario(OpKind::kScan)};
-    grid.log2Tuples = {8};
-    grid.seeds = {42};
-    std::string json = campaignReportJson(CampaignRunner(grid).run(1));
+    std::string json = tinyReportJson();
     const std::string v4 = "mondrian-campaign-v4";
     json.replace(json.find(v4), v4.size(), "mondrian-campaign-v2");
 
-    ReportModel m;
-    std::string err;
-    EXPECT_FALSE(loadReportModel(json, m, err));
+    std::string err = loadError(json);
     EXPECT_NE(err.find("mondrian-campaign-v2"), std::string::npos) << err;
 
     ResumeCache cache;

@@ -5,7 +5,6 @@
 #include "common/json_parse.hh"
 #include "system/campaign.hh"
 #include "system/report.hh"
-#include "system/report_model.hh"
 #include "system/traffic.hh"
 #include "system/scenario.hh"
 
@@ -209,7 +208,7 @@ TEST(ScenarioRun, StageResultsSerializeAndRoundTrip)
     }
 }
 
-TEST(ScenarioCampaign, PipelineReportRoundTripsThroughTheModel)
+TEST(ScenarioCampaign, PipelineReportRoundTripsThroughTheLoader)
 {
     CampaignGrid grid;
     grid.systems = {SystemKind::kCpu, SystemKind::kMondrian};
@@ -221,15 +220,17 @@ TEST(ScenarioCampaign, PipelineReportRoundTripsThroughTheModel)
     std::string json = campaignReportJson(report);
     EXPECT_NE(json.find("\"scenario\": \"sessions\""), std::string::npos);
 
-    ReportModel m;
+    CampaignReport m;
     std::string err;
-    ASSERT_TRUE(loadReportModel(json, m, err)) << err;
-    EXPECT_EQ(m.scenarios, (std::vector<std::string>{"scan", "sessions"}));
+    ASSERT_TRUE(readCampaignReport(json, m, err)) << err;
+    EXPECT_EQ(campaignReportJson(m), json);
     ASSERT_EQ(m.runs.size(), 4u);
     // Degenerate runs carry no stages; pipeline runs carry all four.
     EXPECT_TRUE(m.runs[0].result.stages.empty());
     EXPECT_EQ(m.runs[2].result.stages.size(), 4u);
-    EXPECT_EQ(m.runs[2].scenario, "sessions");
+    EXPECT_EQ(m.runs[2].job.scenario.name, "sessions");
+    EXPECT_EQ(scenarioIdentity(m.runs[2].job.scenario),
+              scenarioIdentity(grid.scenarios[1]));
 }
 
 TEST(ScenarioCampaign, DegenerateResumeSplicesVerbatimIntoPipelineSweeps)

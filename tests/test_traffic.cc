@@ -7,7 +7,6 @@
 #include "system/campaign.hh"
 #include "system/machine.hh"
 #include "system/report.hh"
-#include "system/report_model.hh"
 #include "system/runner.hh"
 #include "system/traffic.hh"
 
@@ -332,18 +331,18 @@ TEST(ServedReport, V4RoundTripThroughModelAndResume)
     EXPECT_NE(json.find("\"traffics\""), std::string::npos);
     EXPECT_NE(json.find("\"served\""), std::string::npos);
 
-    // Model round-trip: traffic labels and served metrics survive.
-    ReportModel m;
+    // Report round-trip: traffic points and served metrics survive.
+    CampaignReport m;
     std::string err;
-    ASSERT_TRUE(loadReportModel(json, m, err)) << err;
+    ASSERT_TRUE(readCampaignReport(json, m, err)) << err;
+    EXPECT_EQ(campaignReportJson(m), json);
     ASSERT_EQ(m.runs.size(), 2u);
-    ASSERT_EQ(m.traffics.size(), 1u);
-    EXPECT_EQ(m.traffics[0], "poisson-l200000-q6-s1");
-    for (const ReportRun &r : m.runs) {
-        EXPECT_EQ(r.traffic, m.traffics[0]);
+    ASSERT_EQ(m.grid.traffics.size(), 1u);
+    EXPECT_EQ(m.grid.traffics[0].name(), "poisson-l200000-q6-s1");
+    for (const CampaignRun &r : m.runs) {
+        EXPECT_EQ(r.job.traffic.name(), "poisson-l200000-q6-s1");
         EXPECT_TRUE(r.result.served.valid);
         EXPECT_EQ(r.result.served.offered, 6u);
-        EXPECT_NE(r.pointKey().find(m.traffics[0]), std::string::npos);
     }
 
     // Resume round-trip: a served report fully caches its own grid.

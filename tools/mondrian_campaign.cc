@@ -29,7 +29,6 @@
 
 #include <signal.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -335,28 +334,22 @@ main(int argc, char **argv)
     // either flag append — so combining them never silently drops axis
     // values.
     bool scenarios_set = false;
-    auto addScenario = [&](Scenario sc, const std::string &spec) {
+    auto addScenario = [&](Scenario sc) {
         if (!scenarios_set) {
             grid.scenarios.clear();
             scenarios_set = true;
         }
-        for (const Scenario &s : grid.scenarios)
-            if (s.name == sc.name)
-                die("duplicate scenario '" + spec + "'");
         grid.scenarios.push_back(std::move(sc));
     };
     // --traffic is repeatable (one spec per occurrence — the spec grammar
     // itself uses ','); the first occurrence replaces the degenerate
     // default axis, later ones append.
     bool traffics_set = false;
-    auto addTraffic = [&](TrafficSpec t, const std::string &spec) {
+    auto addTraffic = [&](TrafficSpec t) {
         if (!traffics_set) {
             grid.traffics.clear();
             traffics_set = true;
         }
-        for (const TrafficSpec &o : grid.traffics)
-            if (o.name() == t.name())
-                die("duplicate traffic spec '" + spec + "'");
         grid.traffics.push_back(std::move(t));
     };
 
@@ -376,10 +369,6 @@ main(int argc, char **argv)
                 SystemKind k;
                 if (!systemKindFromName(name, k))
                     die("unknown system '" + name + "'");
-                // Duplicate grid values would double-count summary rows.
-                if (std::find(grid.systems.begin(), grid.systems.end(), k) !=
-                    grid.systems.end())
-                    die("duplicate system '" + name + "'");
                 grid.systems.push_back(k);
             }
         } else if (arg == "--ops") {
@@ -387,7 +376,7 @@ main(int argc, char **argv)
                 OpKind op;
                 if (!opKindFromName(name, op))
                     die("unknown operator '" + name + "'");
-                addScenario(degenerateScenario(op), name);
+                addScenario(degenerateScenario(op));
             }
         } else if (arg == "--scenario" || arg == "--scenarios") {
             for (const auto &spec :
@@ -396,7 +385,7 @@ main(int argc, char **argv)
                 std::string err;
                 if (!scenarioFromSpec(spec, sc, err))
                     die("--scenario: " + err);
-                addScenario(std::move(sc), spec);
+                addScenario(std::move(sc));
             }
         } else if (arg == "--log2-tuples") {
             grid.log2Tuples.clear();
@@ -404,20 +393,12 @@ main(int argc, char **argv)
                 std::uint64_t l = parseU64(v, "--log2-tuples");
                 if (l < 4 || l > 24)
                     die("--log2-tuples values must be in [4, 24]");
-                if (std::find(grid.log2Tuples.begin(), grid.log2Tuples.end(),
-                              l) != grid.log2Tuples.end())
-                    die("duplicate --log2-tuples value '" + v + "'");
                 grid.log2Tuples.push_back(static_cast<unsigned>(l));
             }
         } else if (arg == "--seeds") {
             grid.seeds.clear();
-            for (const auto &v : splitCsv(argValue(argc, argv, i, "--seeds"))) {
-                std::uint64_t s = parseU64(v, "--seeds");
-                if (std::find(grid.seeds.begin(), grid.seeds.end(), s) !=
-                    grid.seeds.end())
-                    die("duplicate seed '" + v + "'");
-                grid.seeds.push_back(s);
-            }
+            for (const auto &v : splitCsv(argValue(argc, argv, i, "--seeds")))
+                grid.seeds.push_back(parseU64(v, "--seeds"));
         } else if (arg == "--geometry") {
             grid.geometries.clear();
             for (const auto &spec : splitCsv(argValue(argc, argv, i, "--geometry"))) {
@@ -425,9 +406,6 @@ main(int argc, char **argv)
                 std::string err;
                 if (!parseGeometrySpec(spec, geo, err))
                     die("--geometry '" + spec + "': " + err);
-                for (const MemGeometry &g : grid.geometries)
-                    if (geometryName(g) == geometryName(geo))
-                        die("duplicate geometry '" + spec + "'");
                 grid.geometries.push_back(geo);
             }
         } else if (arg == "--exec-ablation") {
@@ -437,22 +415,12 @@ main(int argc, char **argv)
                 std::string err;
                 if (!parseExecOverride(spec, ov, err))
                     die("--exec-ablation '" + spec + "': " + err);
-                for (const ExecOverride &o : grid.execOverrides)
-                    if (o.name() == ov.name())
-                        die("duplicate exec-ablation point '" + spec + "'");
                 grid.execOverrides.push_back(ov);
             }
         } else if (arg == "--zipf") {
             grid.zipfThetas.clear();
-            for (const auto &v : splitCsv(argValue(argc, argv, i, "--zipf"))) {
-                double z = parseDouble(v, "--zipf");
-                if (z < 0.0 || z >= 2.0)
-                    die("--zipf values must be in [0, 2)");
-                if (std::find(grid.zipfThetas.begin(), grid.zipfThetas.end(),
-                              z) != grid.zipfThetas.end())
-                    die("duplicate --zipf value '" + v + "'");
-                grid.zipfThetas.push_back(z);
-            }
+            for (const auto &v : splitCsv(argValue(argc, argv, i, "--zipf")))
+                grid.zipfThetas.push_back(parseDouble(v, "--zipf"));
         } else if (arg == "--traffic") {
             const std::string spec = argValue(argc, argv, i, "--traffic");
             TrafficSpec t;
@@ -461,7 +429,7 @@ main(int argc, char **argv)
                 die("--traffic '" + spec + "': " + err);
             if (std::string verr = validateTrafficSpec(t); !verr.empty())
                 die("--traffic '" + spec + "': " + verr);
-            addTraffic(std::move(t), spec);
+            addTraffic(std::move(t));
         } else if (arg == "--jobs") {
             std::uint64_t n =
                 parseU64(argValue(argc, argv, i, "--jobs"), "--jobs");
@@ -527,8 +495,8 @@ main(int argc, char **argv)
         }
     }
 
-    // Fail fast on empty axes or invalid geometries — a grid that cannot
-    // run must never emit an empty report.
+    // Fail fast on empty axes, repeated axis points or invalid values —
+    // a grid that cannot run must never emit an empty report.
     std::string grid_error;
     if (!validateGrid(grid, grid_error))
         die(grid_error);
@@ -536,13 +504,8 @@ main(int argc, char **argv)
     ResumeCache cache;
     bool have_cache = false;
     if (!resume_path.empty()) {
-        std::ifstream in(resume_path, std::ios::binary);
-        if (!in)
-            die("cannot open resume report '" + resume_path + "'");
-        std::stringstream ss;
-        ss << in.rdbuf();
-        std::string err;
-        if (!cache.load(ss.str(), err))
+        std::string text, err;
+        if (!readTextFile(resume_path, text, err) || !cache.load(text, err))
             die("cannot resume from '" + resume_path + "': " + err);
         std::fprintf(stderr, "resume: %zu cached grid points loaded from %s\n",
                      cache.size(), resume_path.c_str());
@@ -554,10 +517,8 @@ main(int argc, char **argv)
     // simulating anything, then keep appending to it.
     std::ofstream journal_out;
     if (!journal_path.empty()) {
-        if (std::ifstream jin(journal_path, std::ios::binary); jin) {
-            std::stringstream ss;
-            ss << jin.rdbuf();
-            const std::size_t n = cache.loadJournal(ss.str());
+        if (std::string text, err; readTextFile(journal_path, text, err)) {
+            const std::size_t n = cache.loadJournal(text);
             if (n > 0) {
                 std::fprintf(stderr,
                              "journal: %zu completed runs recovered "

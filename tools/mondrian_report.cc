@@ -31,16 +31,17 @@
  *       with --axis, or one row per (run, stage) with --stages.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/file_io.hh"
 #include "common/logging.hh"
 #include "system/analysis.hh"
-#include "system/report_model.hh"
 
 using namespace mondrian;
 
@@ -92,40 +93,47 @@ argValue(int argc, char **argv, int &i, const char *flag)
     return argv[++i];
 }
 
-ReportModel
+CampaignReport
 loadOrDie(const std::string &path)
 {
-    ReportModel m;
-    std::string error;
-    if (!loadReportFile(path, m, error))
+    std::string text, error;
+    CampaignReport report;
+    if (!readTextFile(path, text, error))
         die(error);
-    return m;
+    if (!readCampaignReport(text, report, error))
+        die(path + ": " + error);
+    return report;
 }
 
 /** The report's baseline unless overridden; summary/sensitivity/csv
- *  pairing needs one. */
-std::string
-resolveBaseline(const ReportModel &m, const std::string &override_sys,
+ *  pairing needs one. nullopt: no pairing. */
+std::optional<SystemKind>
+resolveBaseline(const CampaignReport &report, const std::string &override_sys,
                 bool required)
 {
-    std::string baseline = override_sys.empty() ? m.baseline : override_sys;
-    if (baseline.empty()) {
+    const std::string name =
+        override_sys.empty() ? report.baseline : override_sys;
+    if (name.empty()) {
         if (required) {
             die("report has no baseline system; pass --baseline "
                 "(one of the report's systems)");
         }
-        return baseline;
+        return std::nullopt;
     }
-    bool known = false;
-    for (const std::string &sys : m.systems)
-        known = known || sys == baseline;
+    SystemKind baseline;
+    const bool known =
+        systemKindFromName(name, baseline) &&
+        std::any_of(report.runs.begin(), report.runs.end(),
+                    [baseline](const CampaignRun &r) {
+                        return !r.failed && r.job.system == baseline;
+                    });
     if (!known) {
         // An explicitly requested (or required) baseline must exist; a
-        // stored baseline absent from the runs (hand-truncated partial
-        // report) just means no pairing.
+        // stored baseline absent from the runs (every baseline run
+        // failed) just means no pairing.
         if (!override_sys.empty() || required)
-            die("baseline '" + baseline + "' has no runs in the report");
-        return "";
+            die("baseline '" + name + "' has no runs in the report");
+        return std::nullopt;
     }
     return baseline;
 }
@@ -199,23 +207,29 @@ main(int argc, char **argv)
     if (command == "summary") {
         if (positional.size() != 1)
             die("summary takes exactly one report");
-        ReportModel m = loadOrDie(positional[0]);
-        std::string baseline = resolveBaseline(m, baseline_arg, true);
+        const CampaignReport report = loadOrDie(positional[0]);
+        const SystemKind baseline =
+            *resolveBaseline(report, baseline_arg, true);
+        const std::string base_name = systemKindName(baseline);
+        const auto ran = std::count_if(
+            report.runs.begin(), report.runs.end(),
+            [](const CampaignRun &r) { return !r.failed; });
         std::string out = "Summary of " + positional[0] + " (" +
-                          std::to_string(m.runs.size()) + " runs, vs " +
-                          baseline + "):\n\n";
-        out += renderSummaryMarkdown(recomputeSummary(m, baseline));
+                          std::to_string(ran) + " runs, vs " + base_name +
+                          "):\n\n";
+        out += renderSummaryMarkdown(
+            summarizeRuns(report.grid, report.runs, baseline));
         // Pipeline scenario runs carry per-stage sub-results — append
         // the per-stage breakdown so the summary shows where in the
         // pipeline each system wins.
-        auto breakdown = stageBreakdown(m, baseline);
+        auto breakdown = stageBreakdown(report, baseline);
         if (!breakdown.empty()) {
-            out += "\n### Stages (vs " + baseline + ")\n\n";
+            out += "\n### Stages (vs " + base_name + ")\n\n";
             out += renderStageBreakdownMarkdown(breakdown);
         }
         // Served-workload runs (traffic sweeps) report throughput and
         // tail latency — the open-loop view a speedup geomean cannot show.
-        std::string served = renderServedMarkdown(m);
+        std::string served = renderServedMarkdown(report);
         if (!served.empty()) {
             out += "\n### Served traffic\n\n";
             out += served;
@@ -227,19 +241,20 @@ main(int argc, char **argv)
     if (command == "sensitivity") {
         if (positional.size() != 1)
             die("sensitivity takes exactly one report");
-        ReportModel m = loadOrDie(positional[0]);
-        std::string baseline = resolveBaseline(m, baseline_arg, true);
+        const CampaignReport report = loadOrDie(positional[0]);
+        const SystemKind baseline =
+            *resolveBaseline(report, baseline_arg, true);
         std::string out;
         for (Axis a : allAxes()) {
             if (have_axis && a != axis)
                 continue;
             // Without --axis, single-value axes add nothing a summary
             // doesn't already say — show the swept ones.
-            SensitivityTable t = sensitivity(m, a, baseline);
+            SensitivityTable t = sensitivity(report, a, baseline);
             if (!have_axis && t.rows.size() < 2)
                 continue;
             out += std::string("### Sensitivity: ") + axisName(a) +
-                   " (vs " + baseline + ")\n\n";
+                   " (vs " + systemKindName(baseline) + ")\n\n";
             out += renderSensitivityMarkdown(t);
             out += "\n";
         }
@@ -255,9 +270,8 @@ main(int argc, char **argv)
     if (command == "diff") {
         if (positional.size() != 2)
             die("diff takes exactly two reports");
-        ReportModel a = loadOrDie(positional[0]);
-        ReportModel b = loadOrDie(positional[1]);
-        ReportDiff d = diffReports(a, b, rtol);
+        ReportDiff d = diffReports(loadOrDie(positional[0]),
+                                   loadOrDie(positional[1]), rtol);
         emit(renderDiff(d), out_path);
         return d.empty() ? 0 : 1;
     }
@@ -267,17 +281,18 @@ main(int argc, char **argv)
             die("csv takes exactly one report");
         if (stages && have_axis)
             die("--stages and --axis are mutually exclusive");
-        ReportModel m = loadOrDie(positional[0]);
+        const CampaignReport report = loadOrDie(positional[0]);
         // Per-run and per-stage CSV work without a baseline (pairing
         // columns empty); a sensitivity CSV needs one.
-        std::string baseline = resolveBaseline(m, baseline_arg, have_axis);
+        const std::optional<SystemKind> baseline =
+            resolveBaseline(report, baseline_arg, have_axis);
         std::string out;
         if (stages)
-            out = stagesCsv(m);
+            out = stagesCsv(report);
         else if (have_axis)
-            out = sensitivityCsv(sensitivity(m, axis, baseline));
+            out = sensitivityCsv(sensitivity(report, axis, *baseline));
         else
-            out = runsCsv(m, baseline);
+            out = runsCsv(report, baseline);
         emit(out, out_path);
         return 0;
     }
