@@ -27,7 +27,10 @@
  * history point.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -253,6 +256,29 @@ writeHistoryEntry(JsonWriter &w, const std::string &pr, double events_per_sec,
     w.endObject();
 }
 
+/**
+ * Parse positional argument @p text as an unsigned integer in
+ * [0, @p max]; print an error naming @p what and exit 2 on garbage,
+ * a sign, or an out-of-range value.
+ */
+std::uint64_t
+parseUnsignedArg(const char *text, const char *what, std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    // strtoull skips whitespace and wraps a leading '-': demand a digit.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || v > max) {
+        std::fprintf(stderr,
+                     "bench_sim_hotpath: %s must be an integer in [0, "
+                     "%llu] (got '%s')\n",
+                     what, static_cast<unsigned long long>(max), text);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
@@ -272,10 +298,12 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--label") && a + 1 < argc) {
             label = argv[++a];
         } else if (positional == 0) {
-            log2_tuples = static_cast<unsigned>(std::atoi(argv[a]));
+            // The campaign grid accepts scales up to 2^32 tuples.
+            log2_tuples = static_cast<unsigned>(
+                parseUnsignedArg(argv[a], "log2_tuples", 32));
             ++positional;
         } else if (positional == 1) {
-            seed = static_cast<std::uint64_t>(std::atoll(argv[a]));
+            seed = parseUnsignedArg(argv[a], "seed", UINT64_MAX);
             ++positional;
         } else {
             out_path = argv[a];

@@ -2,12 +2,12 @@
  * @file
  * Shared checked argument parsing for the examples.
  *
- * Every example takes small positional numbers (log2 scale factors,
- * thread counts, thetas). Bare atoi/atof silently turn garbage into 0
- * and let out-of-range values through — `1ull << atoi(argv[1])` is
- * undefined behavior for arguments >= 64 (and negative ones are worse).
- * These helpers reject non-numeric and out-of-range values with a clear
- * message instead, the way the campaign CLI does.
+ * Every example takes a small positional number (a log2 scale factor).
+ * Bare atoi silently turns garbage into 0 and lets out-of-range values
+ * through — `1ull << atoi(argv[1])` is undefined behavior for arguments
+ * >= 64 (and negative ones are worse). intArg rejects non-numeric and
+ * out-of-range values with a clear message instead, the way the
+ * campaign CLI does.
  */
 
 #ifndef MONDRIAN_EXAMPLES_EXAMPLE_ARGS_HH
@@ -40,28 +40,6 @@ intArg(int argc, char **argv, int index, const char *what, long lo, long hi,
     if (v < lo || v > hi) {
         std::fprintf(stderr, "%s must be in [%ld, %ld] (got %s)\n", what,
                      lo, hi, text);
-        std::exit(2);
-    }
-    return v;
-}
-
-/** Same, for doubles in [@p lo, @p hi). */
-inline double
-doubleArg(int argc, char **argv, int index, const char *what, double lo,
-          double hi, double fallback)
-{
-    if (index >= argc)
-        return fallback;
-    const char *text = argv[index];
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: '%s' is not a number\n", what, text);
-        std::exit(2);
-    }
-    if (!(v >= lo) || !(v < hi)) {
-        std::fprintf(stderr, "%s must be in [%g, %g) (got %s)\n", what, lo,
-                     hi, text);
         std::exit(2);
     }
     return v;

@@ -13,9 +13,10 @@
 #       resume journal, which must round-trip doubles exactly) or the
 #       "report-precision: canonical" marker (the committed 12-digit
 #       report format) within the preceding window.
-#   R3  No rand()/srand()/atoi()/atof() in src/ tools/ — unseeded RNG
-#       and unchecked numeric parsing both break the determinism
-#       contract. examples/example_args.hh is the one sanctioned home
+#   R3  No rand()/srand()/atoi()/atof()/atol()/atoll() in src/ tools/
+#       bench/ — unseeded RNG and unchecked numeric parsing both break
+#       the determinism contract (and let a CI bench run on garbage
+#       arguments). examples/example_args.hh is the one sanctioned home
 #       for quick-and-dirty demo parsing.
 #   R4  The calendar queue's bucket-count/width power-of-two
 #       static_asserts stay in place (index math masks, never divides).
@@ -93,10 +94,12 @@ for f in src/system/campaign.cc src/system/coordinator.cc \
 done
 
 # --------------------------------------------------------------------- R3
-r3_hits=$(grep -rnE '(^|[^_[:alnum:]])(rand|srand|atoi|atof)[[:space:]]*\(' \
-              src/ tools/ --include='*.cc' --include='*.hh' || true)
+r3_hits=$(grep -rnE \
+              '(^|[^_[:alnum:]])(rand|srand|atoi|atof|atol|atoll)[[:space:]]*\(' \
+              src/ tools/ bench/ --include='*.cc' --include='*.hh' || true)
 if [[ -n "$r3_hits" ]]; then
-    note "R3 rand()/srand()/atoi()/atof() in src/ or tools/:"$'\n'"$r3_hits"
+    note "R3 rand()/srand()/atoi()/atof()/atol()/atoll() in src/, tools/" \
+         "or bench/:"$'\n'"$r3_hits"
 fi
 
 # --------------------------------------------------------------------- R4
@@ -133,7 +136,7 @@ if [[ "$SELF_TEST" -eq 1 ]]; then
     make_sandbox() {
         cleanup
         sandbox="$(mktemp -d)"
-        cp -r src tools scripts "$sandbox/"
+        cp -r src tools bench scripts "$sandbox/"
     }
 
     expect_fail() {
@@ -176,6 +179,12 @@ EOF
         >> "$sandbox/src/system/campaign.cc"
     expect_fail "atoi() in src/ (R3)"
 
+    # R3: unchecked atoll in a bench (the CI perf floor parses argv).
+    make_sandbox
+    printf '\n// probe\nstatic long long selfTestR3b(const char *s) { return atoll(s); }\n' \
+        >> "$sandbox/bench/bench_sim_hotpath.cc"
+    expect_fail "atoll() in bench/ (R3)"
+
     # R4: power-of-two static_asserts removed.
     make_sandbox
     sed -i '/kNumBuckets & (kNumBuckets - 1)/d;/kWidth & (kWidth - 1)/d' \
@@ -199,7 +208,7 @@ namespace mondrian { namespace {
 EOF
     expect_fail "oversized hot-path closure (R5 compile probe)"
 
-    echo "OK: self-test caught all 5 seeded violations"
+    echo "OK: self-test caught all 6 seeded violations"
     exit 0
 fi
 

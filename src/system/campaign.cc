@@ -149,6 +149,9 @@ smokeGrid()
     return grid;
 }
 
+namespace {
+
+/** True when @p grid sweeps any non-degenerate (served) traffic point. */
 bool
 gridHasTraffic(const CampaignGrid &grid)
 {
@@ -158,6 +161,8 @@ gridHasTraffic(const CampaignGrid &grid)
     }
     return false;
 }
+
+} // namespace
 
 bool
 validateGrid(const CampaignGrid &grid, std::string &error)
@@ -1266,18 +1271,23 @@ campaignReportJson(const CampaignReport &report)
 }
 
 std::string
-campaignSummaryTable(const CampaignReport &report)
+gridShape(const CampaignGrid &grid)
 {
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"system", "runs", "geomean speedup", "geomean perf/W"});
-    for (const auto &s : report.summaries) {
-        rows.push_back(
-            {s.system, pairedCountLabel(s.runs, s.totalRuns),
-             geomeanCellLabel(s.geomeanSpeedup, s.droppedSpeedups),
-             geomeanCellLabel(s.geomeanPerfPerWatt,
-                              s.droppedPerfPerWatt)});
+    std::string traffic_dim;
+    if (gridHasTraffic(grid)) {
+        traffic_dim =
+            " x " + std::to_string(grid.traffics.size()) + " traffics";
     }
-    return renderTable(rows);
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "%zu runs (%zu systems x %zu scenarios x %zu scales x "
+                  "%zu seeds x %zu geometries x %zu exec points x %zu "
+                  "thetas%s)",
+                  grid.size(), grid.systems.size(), grid.scenarios.size(),
+                  grid.log2Tuples.size(), grid.seeds.size(),
+                  grid.geometries.size(), grid.execOverrides.size(),
+                  grid.zipfThetas.size(), traffic_dim.c_str());
+    return line;
 }
 
 std::string
@@ -1336,22 +1346,8 @@ campaignDryRun(const CampaignGrid &grid, const ResumeCache *resume)
                       hit ? " (cached)" : "");
         out += line;
     }
-    std::string traffic_dim;
-    if (show_traffic) {
-        traffic_dim =
-            " x " + std::to_string(grid.traffics.size()) + " traffics";
-    }
-    char tail[256];
-    std::snprintf(tail, sizeof(tail),
-                  "%zu runs (%zu systems x %zu scenarios x %zu scales x "
-                  "%zu seeds x %zu geometries x %zu exec points x %zu "
-                  "thetas%s), %zu baseline-paired, %zu cached\n",
-                  jobs.size(), grid.systems.size(), grid.scenarios.size(),
-                  grid.log2Tuples.size(), grid.seeds.size(),
-                  grid.geometries.size(), grid.execOverrides.size(),
-                  grid.zipfThetas.size(), traffic_dim.c_str(), paired,
-                  cached);
-    out += tail;
+    out += gridShape(grid) + ", " + std::to_string(paired) +
+           " baseline-paired, " + std::to_string(cached) + " cached\n";
     return out;
 }
 

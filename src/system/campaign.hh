@@ -90,9 +90,6 @@ struct CampaignGrid
     }
 };
 
-/** True when @p grid sweeps any non-degenerate (served) traffic point. */
-bool gridHasTraffic(const CampaignGrid &grid);
-
 /**
  * Check that every axis is non-empty and every axis value is valid
  * (geometries pass validateGeometry(), no axis repeats a point: a
@@ -483,8 +480,12 @@ void writeCampaignGrid(JsonWriter &w, const CampaignGrid &grid);
 bool readCampaignGrid(const JsonValue &block, CampaignGrid &out,
                       std::string &error);
 
-/** Render the summary table (one row per system) for terminal output. */
-std::string campaignSummaryTable(const CampaignReport &report);
+/**
+ * The grid's axis product as one line: "N runs (S systems x C scenarios
+ * x ... x Z thetas[ x T traffics])". Shared by the campaign banner and
+ * the --dry-run tail.
+ */
+std::string gridShape(const CampaignGrid &grid);
 
 /**
  * Render the expanded job list without simulating anything (--dry-run):

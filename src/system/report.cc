@@ -1,6 +1,5 @@
 #include "system/report.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -65,36 +64,6 @@ fmt(double v, int digits)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
     return buf;
-}
-
-std::string
-renderTable(const std::vector<std::vector<std::string>> &rows)
-{
-    if (rows.empty())
-        return "";
-    std::vector<std::size_t> widths;
-    for (const auto &row : rows) {
-        if (widths.size() < row.size())
-            widths.resize(row.size(), 0);
-        for (std::size_t c = 0; c < row.size(); ++c)
-            widths[c] = std::max(widths[c], row[c].size());
-    }
-    std::ostringstream out;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        for (std::size_t c = 0; c < rows[r].size(); ++c) {
-            out << rows[r][c];
-            if (c + 1 < rows[r].size())
-                out << std::string(widths[c] - rows[r][c].size() + 2, ' ');
-        }
-        out << '\n';
-        if (r == 0) {
-            std::size_t total = 0;
-            for (std::size_t c = 0; c < widths.size(); ++c)
-                total += widths[c] + (c + 1 < widths.size() ? 2 : 0);
-            out << std::string(total, '-') << '\n';
-        }
-    }
-    return out.str();
 }
 
 std::string
@@ -417,18 +386,6 @@ runResultJson(const RunResult &run)
     JsonWriter w;
     // report-precision: canonical 12-digit (human-facing JSON helper).
     writeRunResult(w, run);
-    return w.str();
-}
-
-std::string
-runResultsJson(const std::vector<RunResult> &runs)
-{
-    JsonWriter w;
-    w.beginArray();
-    // report-precision: canonical 12-digit (human-facing JSON helper).
-    for (const auto &r : runs)
-        writeRunResult(w, r);
-    w.endArray();
     return w.str();
 }
 

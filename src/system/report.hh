@@ -49,7 +49,7 @@ const char *phaseKindName(PhaseKind kind);
 
 /**
  * Serialize one run as a JSON object into @p w (deterministic: same run,
- * same bytes). Shared by the campaign CLI, the benches and tests.
+ * same bytes). Shared by the campaign CLI and tests.
  */
 void writeRunResult(JsonWriter &w, const RunResult &run);
 
@@ -63,12 +63,6 @@ std::string runResultJson(const RunResult &run);
  * digit encoding. @return false when @p v is not a run-result object.
  */
 bool readRunResult(const JsonValue &v, RunResult &out);
-
-/**
- * Serialize a homogeneous list of runs as a JSON array. Used by benches
- * to dump raw figure data next to the rendered tables.
- */
-std::string runResultsJson(const std::vector<RunResult> &runs);
 
 /** Geometric mean of @p values (ignores non-positive entries). */
 double geomean(const std::vector<double> &values);
@@ -86,9 +80,6 @@ struct GeomeanStats
     std::size_t dropped = 0; ///< non-positive entries excluded
 };
 GeomeanStats geomeanStats(const std::vector<double> &values);
-
-/** Render a fixed-width table; first row is the header. */
-std::string renderTable(const std::vector<std::vector<std::string>> &rows);
 
 /** Render a GitHub-flavored markdown table; first row is the header. */
 std::string

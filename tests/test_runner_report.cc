@@ -103,14 +103,6 @@ TEST(Report, EnergySharesSumToOne)
     EXPECT_NEAR(s.network, 0.4, 1e-12);
 }
 
-TEST(Report, TableRendersAligned)
-{
-    std::string t = renderTable({{"a", "bb"}, {"ccc", "d"}});
-    EXPECT_NE(t.find("a    bb"), std::string::npos);
-    EXPECT_NE(t.find("ccc  d"), std::string::npos);
-    EXPECT_NE(t.find("-----"), std::string::npos);
-}
-
 TEST(Report, FormatsDigits)
 {
     EXPECT_EQ(fmt(3.14159, 2), "3.14");

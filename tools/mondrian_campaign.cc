@@ -41,6 +41,7 @@
 #include "common/file_io.hh"
 #include "common/logging.hh"
 #include "net/socket.hh"
+#include "system/analysis.hh"
 #include "system/campaign.hh"
 #include "system/coordinator.hh"
 #include "system/report.hh"
@@ -553,11 +554,6 @@ main(int argc, char **argv)
     installSignalHandlers();
 
     const std::size_t total = grid.size();
-    std::string traffic_dim;
-    if (gridHasTraffic(grid)) {
-        traffic_dim =
-            " x " + std::to_string(grid.traffics.size()) + " traffics";
-    }
     const bool coordinated =
         workers > 0 || !coord_config.listenEndpoint.empty();
     std::string exec_mode = coordinated
@@ -565,14 +561,7 @@ main(int argc, char **argv)
                                 : "jobs=" + std::to_string(jobs);
     if (!coord_config.listenEndpoint.empty())
         exec_mode += ", listening on " + coord_config.listenEndpoint;
-    std::fprintf(stderr,
-                 "campaign: %zu runs (%zu systems x %zu scenarios x %zu "
-                 "scales x %zu seeds x %zu geometries x %zu exec points x "
-                 "%zu thetas%s), %s\n",
-                 total, grid.systems.size(), grid.scenarios.size(),
-                 grid.log2Tuples.size(), grid.seeds.size(),
-                 grid.geometries.size(), grid.execOverrides.size(),
-                 grid.zipfThetas.size(), traffic_dim.c_str(),
+    std::fprintf(stderr, "campaign: %s, %s\n", gridShape(grid).c_str(),
                  exec_mode.c_str());
 
     // One progress callback for both execution paths: journal first
@@ -676,7 +665,7 @@ main(int argc, char **argv)
     if (!report.summaries.empty()) {
         std::fprintf(stderr, "\nsummary vs. %s baseline:\n%s",
                      report.baseline.c_str(),
-                     campaignSummaryTable(report).c_str());
+                     renderSummaryMarkdown(report.summaries).c_str());
     }
 
     if (!report.failedRuns.empty()) {

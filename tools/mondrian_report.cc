@@ -64,10 +64,8 @@ usage(const char *prog)
         "Options:\n"
         "  --axis A                  axis to analyze: geometry exec\n"
         "                            zipf-theta scale scenario seed traffic\n"
-        "                            ('op' is accepted as an alias for\n"
-        "                            scenario; sensitivity: default =\n"
-        "                            every swept axis; csv: default =\n"
-        "                            per-run rows)\n"
+        "                            (sensitivity: default = every swept\n"
+        "                            axis; csv: default = per-run rows)\n"
         "  --stages                  csv: one row per (run, stage) of\n"
         "                            pipeline scenario runs\n"
         "  --baseline SYS            baseline system (default: the\n"
