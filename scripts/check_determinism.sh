@@ -43,27 +43,6 @@ fi
 
 echo "OK: reports are byte-identical across thread counts and reruns"
 
-# --- Event-count-reduction ablation oracle ---------------------------------
-# The perf transforms (docs/perf.md) are output-identical by contract:
-# completion coalescing, closed-form RLE runs, queue skip-ahead and eager
-# local issue may change how many physical events the simulator pops, but
-# never a single byte of the report. The toggles are excluded from the
-# exec-point name, so a toggled-off smoke campaign must be byte-identical
-# to the default (all-on) serial report — individually and all at once.
-for ablation in coalesce=0 rle=0 skip=0 eager=0 \
-                coalesce=0+rle=0+skip=0+eager=0; do
-    echo "== smoke campaign with --exec-ablation $ablation"
-    "$CAMPAIGN_BIN" --smoke --jobs 1 --quiet --exec-ablation "$ablation" \
-        --out "$workdir/ablate.json"
-    if ! cmp "$workdir/serial.json" "$workdir/ablate.json"; then
-        echo "FAIL: report changed with --exec-ablation $ablation" >&2
-        diff "$workdir/serial.json" "$workdir/ablate.json" | head -40 >&2 || true
-        exit 1
-    fi
-done
-
-echo "OK: every perf-transform toggle is output-identical"
-
 # --- Geometry-sweep determinism + cross-axis resume splicing ---------------
 # The design-space axes (geometry, exec-ablation, zipf) must honor the same
 # contract: identical bytes for any --jobs, and a partial sweep resumed into

@@ -77,14 +77,6 @@ ExecOverride::apply(ExecConfig &cfg) const
         cfg.readChunkBytes = static_cast<std::uint32_t>(readChunkBytes);
     if (tlbEntries >= 0)
         cfg.tlbEntries = static_cast<unsigned>(tlbEntries);
-    if (coalesce >= 0)
-        cfg.coalesceCompletions = coalesce != 0;
-    if (rle >= 0)
-        cfg.rleRunBatching = rle != 0;
-    if (skip >= 0)
-        cfg.queueSkipAhead = skip != 0;
-    if (eager >= 0)
-        cfg.eagerLocalIssue = eager != 0;
 }
 
 bool
@@ -102,10 +94,6 @@ validateExecOverride(const ExecOverride &ov, std::string &error)
     }
     if (ov.tlbEntries >= 0 && (ov.tlbEntries < 1 || ov.tlbEntries > 1 << 20)) {
         error = "tlb entries must be in [1, 2^20]";
-        return false;
-    }
-    if (ov.coalesce > 1 || ov.rle > 1 || ov.skip > 1 || ov.eager > 1) {
-        error = "perf toggles (coalesce/rle/skip/eager) take 0 or 1";
         return false;
     }
     return true;
@@ -148,17 +136,9 @@ parseExecOverride(const std::string &spec, ExecOverride &out, std::string &error
             slot = &out.readChunkBytes;
         } else if (key == "tlb") {
             slot = &out.tlbEntries;
-        } else if (key == "coalesce") {
-            slot = &out.coalesce;
-        } else if (key == "rle") {
-            slot = &out.rle;
-        } else if (key == "skip") {
-            slot = &out.skip;
-        } else if (key == "eager") {
-            slot = &out.eager;
         } else {
             error = "unknown exec-ablation knob '" + key +
-                    "' (expected radix/chunk/tlb/coalesce/rle/skip/eager)";
+                    "' (expected radix/chunk/tlb)";
             return false;
         }
         if (*slot >= 0) {

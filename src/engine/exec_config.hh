@@ -62,16 +62,14 @@ struct ExecConfig
     KernelCosts costs;
 
     /**
-     * Event-count-reduction toggles (docs/perf.md). Each transform is
-     * output-identical — reports stay byte-identical either way — so the
-     * toggles select an execution strategy, not a modeled system, and are
-     * deliberately excluded from ExecOverride::name() and the grid-point
-     * identity. Off is the reference path, kept for A/B pricing and the
-     * determinism oracle.
+     * Event-count-reduction shortcuts (docs/perf.md). Each is
+     * output-identical, so they are not model knobs: no campaign sets
+     * them and no report names them. Off runs the general path, which
+     * also runs whenever a shortcut does not apply; tests switch them
+     * off to get the reference a shortcut must match byte for byte.
      */
     bool coalesceCompletions = true; ///< batch same-tick completion events
     bool rleRunBatching = true;      ///< closed-form RLE plain-hit prefixes
-    bool queueSkipAhead = true;      ///< calendar-queue empty-bucket jump
     bool eagerLocalIssue = true;     ///< local arrivals issue sans event
 
     /** Vaults owned by unit @p u out of @p total_vaults (data share). */
@@ -114,19 +112,6 @@ struct ExecOverride
     int readChunkBytes = -1; ///< ExecConfig::readChunkBytes
     int tlbEntries = -1;     ///< ExecConfig::tlbEntries
 
-    /**
-     * Perf-transform toggles (0 = off, 1 = on, negative = inherit).
-     * Unlike the model knobs above these are identity-neutral by the
-     * output-identity contract: name(), isBase() and the grid-point hash
-     * ignore them, so "coalesce=0" labels as "base" and its report must
-     * be byte-identical — which is exactly what check_determinism.sh's
-     * coalescing block verifies with cmp.
-     */
-    int coalesce = -1; ///< ExecConfig::coalesceCompletions
-    int rle = -1;      ///< ExecConfig::rleRunBatching
-    int skip = -1;     ///< ExecConfig::queueSkipAhead
-    int eager = -1;    ///< ExecConfig::eagerLocalIssue
-
     bool isBase() const
     {
         return radixBits < 0 && readChunkBytes < 0 && tlbEntries < 0;
@@ -136,7 +121,6 @@ struct ExecOverride
      * Canonical name, e.g. "base" or "chunk=256+radix=9" (keys in fixed
      * chunk/radix/tlb order). Equal names imply equal deltas, so the name
      * doubles as the axis label in reports and the resume identity.
-     * Perf toggles are excluded: they never change results.
      */
     std::string name() const;
 

@@ -81,43 +81,25 @@ EventQueue::advanceToOccupied()
     // Only called with the current bucket drained, so its occupancy bit
     // is clear and the scan starts at the bucket after it.
     std::size_t cur = bucketIndexOf(base_);
-    std::size_t steps = 0;
     std::size_t idx = (cur + 1) & (kNumBuckets - 1);
     std::size_t word = idx >> 6;
     std::uint64_t mask = occupied_[word] & (~std::uint64_t{0} << (idx & 63));
-    if (skipAhead_) {
-        // Skip-ahead: instead of walking empty occupancy words one by
-        // one, rotate the one-word summary so the word after `word` lands
-        // at bit 0 and count straight to the next non-empty word. A run
-        // of thousands of empty buckets (sparse schedules, long DRAM
-        // gaps) costs one shift+countr_zero instead of a 64-word walk.
-        if (mask == 0) {
-            sim_assert(summary_ != 0); // a bucket event exists
-            const std::uint64_t after = summary_ >> 1 >> word;
-            word = after != 0
-                       ? word + 1 +
-                             static_cast<std::size_t>(std::countr_zero(after))
-                       : static_cast<std::size_t>(
-                             std::countr_zero(summary_));
-            mask = occupied_[word];
-        }
-        std::size_t found =
-            (word << 6) + static_cast<std::size_t>(std::countr_zero(mask));
-        steps = (found - cur) & (kNumBuckets - 1);
-    } else {
-        for (std::size_t scanned = 0;; ++scanned) {
-            sim_assert(scanned <= occupied_.size());
-            if (mask != 0) {
-                std::size_t found =
-                    (word << 6) +
-                    static_cast<std::size_t>(std::countr_zero(mask));
-                steps = (found - cur) & (kNumBuckets - 1);
-                break;
-            }
-            word = (word + 1) % occupied_.size();
-            mask = occupied_[word];
-        }
+    // Rotate the one-word summary so the word after `word` lands at bit
+    // 0 and count straight to the next non-empty word: a run of
+    // thousands of empty buckets (sparse schedules, long DRAM gaps)
+    // costs one shift+countr_zero.
+    if (mask == 0) {
+        sim_assert(summary_ != 0); // a bucket event exists
+        const std::uint64_t after = summary_ >> 1 >> word;
+        word = after != 0
+                   ? word + 1 +
+                         static_cast<std::size_t>(std::countr_zero(after))
+                   : static_cast<std::size_t>(std::countr_zero(summary_));
+        mask = occupied_[word];
     }
+    const std::size_t found =
+        (word << 6) + static_cast<std::size_t>(std::countr_zero(mask));
+    const std::size_t steps = (found - cur) & (kNumBuckets - 1);
     base_ += static_cast<Tick>(steps) * kWidth;
     // The window moved forward; overflow events may have entered it. They
     // are all beyond the old horizon, hence strictly beyond the bucket
@@ -171,50 +153,6 @@ EventQueue::currentBucket()
 }
 
 Tick
-EventQueue::headWhen()
-{
-    Bucket &b = currentBucket();
-    return b.keys[b.cursor].when;
-}
-
-void
-EventQueue::step()
-{
-    Bucket &b = currentBucket();
-    const Bucket::Key k = b.keys[b.cursor++];
-    now_ = k.when;
-    curSeq_ = k.seq;
-    ++executed_;
-    --size_;
-    if (!b.live()) {
-        // Drained: recycle the bucket *before* the callback runs — it
-        // may immediately schedule back into it.
-        b.clear();
-        const std::size_t idx = bucketIndexOf(base_);
-        occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-        if (occupied_[idx >> 6] == 0)
-            summary_ &= ~(std::uint64_t{1} << (idx >> 6));
-    }
-    // Callbacks run in place: the slot arena is pointer-stable, so a
-    // callback scheduling new events (growing the arena) cannot move the
-    // closure out from under itself. The follower chain is walked after
-    // the event's own callback — scheduleCoalesced() guarantees nothing
-    // can append to an event once it starts executing.
-    Slot &s = slot(k.slot);
-    s.cb();
-    std::uint32_t fi = s.head;
-    freeSlot(k.slot);
-    while (fi != kNilSlot) {
-        Slot &f = slot(fi);
-        const std::uint32_t next = f.head;
-        f.cb();
-        --pendingFollowers_;
-        freeSlot(fi);
-        fi = next;
-    }
-}
-
-Tick
 EventQueue::run()
 {
     while (size_ > 0) {
@@ -227,12 +165,20 @@ EventQueue::run()
             --size_;
             const bool drained = !b.live();
             if (drained) {
+                // Recycle the bucket *before* the callback runs: it may
+                // immediately schedule back into it.
                 b.clear();
                 const std::size_t idx = bucketIndexOf(base_);
                 occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
                 if (occupied_[idx >> 6] == 0)
                     summary_ &= ~(std::uint64_t{1} << (idx >> 6));
             }
+            // Callbacks run in place: the slot arena is pointer-stable,
+            // so a callback scheduling new events (growing the arena)
+            // cannot move the closure out from under itself. The
+            // follower chain is walked after the event's own callback;
+            // scheduleCoalesced() guarantees nothing can append to an
+            // event once it starts executing.
             Slot &s = slot(k.slot);
             s.cb();
             std::uint32_t fi = s.head;
@@ -253,17 +199,6 @@ EventQueue::run()
                 break;
         }
     }
-    return now_;
-}
-
-Tick
-EventQueue::runUntil(Tick limit)
-{
-    while (size_ > 0 && headWhen() <= limit)
-        step();
-    if (now_ < limit && size_ == 0)
-        return now_;
-    now_ = limit > now_ ? limit : now_;
     return now_;
 }
 

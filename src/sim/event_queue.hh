@@ -21,7 +21,7 @@
  *    popping is a cursor increment — no per-pop min-scan, no tombstones,
  *    no compaction;
  *  - an occupancy bitmap with a one-word summary lets the window skip
- *    runs of empty buckets in one rotate-and-count (see setSkipAhead);
+ *    runs of empty buckets in one rotate-and-count;
  *  - the rare far-future event goes to an overflow binary heap and
  *    migrates into the calendar when the window reaches it;
  *  - same-tick completion bursts coalesce: scheduleCoalesced() appends a
@@ -163,23 +163,18 @@ class EventQueue
     std::uint64_t scheduleCalls() const { return nextSeq_; }
 
     /**
-     * Toggle the empty-bucket skip-ahead in the calendar scan. A pure
-     * search-strategy switch: on, the scan consults a one-word summary of
-     * the occupancy bitmap and jumps straight to the next occupied word;
-     * off, it walks the bitmap word by word. Identical results either
-     * way — the toggle exists so the A/B ablation axis can price it.
-     */
-    void setSkipAhead(bool on) { skipAhead_ = on; }
-
-    /**
      * Toggle completion coalescing; off, scheduleCoalesced() degrades to
      * schedule(). Output-identical either way (see scheduleCoalesced());
      * executed() + coalesced() is invariant under the toggle.
      */
     void setCoalescing(bool on) { coalesceOn_ = on; }
 
-    /** Run until the queue drains or stop is requested. Returns the
-     *  final tick. */
+    /**
+     * Run until the queue drains or stop is requested. Returns the final
+     * tick. Callbacks run in place (no event is moved or copied);
+     * destroying or resetting the queue from inside a callback is not
+     * supported.
+     */
     Tick run();
 
     /**
@@ -192,16 +187,6 @@ class EventQueue
      * run() that observes it.
      */
     void requestStop() { stopRequested_ = true; }
-
-    /** Run until the queue drains or @p limit is reached. */
-    Tick runUntil(Tick limit);
-
-    /**
-     * Execute the next event. Queue must not be empty. The callback runs
-     * in place (no event is moved or copied); destroying or resetting the
-     * queue from inside a callback is not supported.
-     */
-    void step();
 
     /** Drop all pending events and reset time to zero. */
     void reset();
@@ -243,10 +228,16 @@ class EventQueue
      * One calendar bucket: compact ordering keys only (the callbacks live
      * in the slot arena). keys[0..cursor) are executed; keys[cursor..)
      * are pending, and sorted by (when, seq) once `sorted` catches up to
-     * keys.size() — the sort runs lazily when the window pops or peeks
-     * the bucket, so schedule() is a plain append.
+     * keys.size() — the sort runs lazily when the window pops the
+     * bucket, so schedule() is a plain append.
+     *
+     * Aligned to its 32 bytes so no bucket straddles a cache line.
+     * Unaligned, the calendar's construction took twice as long (about
+     * 6 us instead of 3 us) whenever malloc happened to place the array
+     * at 16 mod 64, which made Machine set-up time depend on what the
+     * process had allocated before.
      */
-    struct Bucket
+    struct alignas(32) Bucket
     {
         struct Key
         {
@@ -357,24 +348,15 @@ class EventQueue
     std::uint32_t
     place(Tick when, std::uint64_t seq, F &&cb)
     {
-        // The window's first bucket holds now() except after runUntil()
-        // peeked ahead, advancing the window past ticks that are still
-        // schedulable (>= now). For that case only, everything at or
-        // below the current bucket's range joins the current bucket: the
-        // lazy sort handles mixed ticks within a bucket, and this keeps
-        // "the global minimum lives in the current bucket" true.
-        std::size_t idx;
-        if (when < base_ + kWidth) {
-            idx = bucketIndexOf(base_);
-        } else {
-            std::uint64_t rel =
-                (when >> kWidthBits) - (base_ >> kWidthBits);
-            if (rel >= kNumBuckets) {
-                placeOverflow(when, seq, std::forward<F>(cb));
-                return kNilSlot;
-            }
-            idx = bucketIndexOf(when);
+        // The window's first bucket holds now() (the window only moves
+        // to pop), so when >= now() >= base_ and rel cannot wrap.
+        const std::uint64_t rel =
+            (when >> kWidthBits) - (base_ >> kWidthBits);
+        if (rel >= kNumBuckets) {
+            placeOverflow(when, seq, std::forward<F>(cb));
+            return kNilSlot;
         }
+        const std::size_t idx = bucketIndexOf(when);
         std::uint32_t si = allocSlot(std::forward<F>(cb));
         buckets_[idx].keys.push_back(Bucket::Key{when, seq, si});
         if (occupied_[idx >> 6] == 0)
@@ -424,13 +406,10 @@ class EventQueue
         freeHead_ = i;
     }
 
-    /** Tick of the next event; queue must not be empty. */
-    Tick headWhen();
-
     // The two-level occupancy index: occupied_ has one bit per bucket,
     // summary_ one bit per occupied_ word. 4096 buckets / 64 buckets per
-    // word = exactly one summary word, which is what makes the skip-ahead
-    // scan a single rotate-and-count.
+    // word = exactly one summary word, which is what makes the scan for
+    // the next occupied bucket a single rotate-and-count.
     static_assert(kNumBuckets / 64 <= 64,
                   "summary_ holds one bit per occupancy word");
 
@@ -460,7 +439,6 @@ class EventQueue
     std::uint64_t coalSeq_ = 0;
     std::uint64_t coalStamp_ = 0;
     bool stopRequested_ = false;
-    bool skipAhead_ = true;
     bool coalesceOn_ = false;
 };
 

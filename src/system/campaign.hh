@@ -28,7 +28,7 @@
  * CampaignReport that wrote it; ResumeCache and the analysis CLI both
  * load reports through it and reject any other schema. The grid block
  * has one writer and one reader (writeCampaignGrid/readCampaignGrid),
- * shared by the report and the worker spec (system/campaign_spec.hh).
+ * shared by the report and the worker spec (system/coordinator.hh).
  * expandGrid() flattens the cross-product into an ordered job list and
  * CampaignRunner executes the jobs on a thread pool. Each job builds a
  * fresh MemoryPool/Machine, so jobs share no mutable state and the

@@ -25,7 +25,6 @@
 #include "common/json_parse.hh"
 #include "common/logging.hh"
 #include "net/transport.hh"
-#include "system/campaign_spec.hh"
 #include "system/report.hh"
 
 namespace mondrian {
@@ -478,11 +477,16 @@ joinAndServe(Channel &t, const std::string &token,
                      kind.c_str());
         return ServeStatus::kRefused;
     }
-    const JsonValue *spec_text = msg.find("spec");
+    const JsonValue *schema = msg.find("schema");
+    const JsonValue *block = msg.find("grid");
     const JsonValue *hb = msg.find("heartbeat_interval");
     CampaignGrid grid;
-    if (!spec_text || !spec_text->isString() ||
-        !parseCampaignSpec(spec_text->asString(), grid, error) ||
+    if (!schema || schema->asString() != kCampaignSpecSchema || !block) {
+        std::fprintf(stderr, "worker: not a %s spec with a grid block\n",
+                     kCampaignSpecSchema);
+        return ServeStatus::kRefused;
+    }
+    if (!readCampaignGrid(*block, grid, error) ||
         !validateGrid(grid, error)) {
         std::fprintf(stderr, "worker: bad campaign spec: %s\n",
                      error.c_str());
@@ -670,9 +674,12 @@ CampaignCoordinator::dispatch(const std::vector<CampaignJob> &todo,
     std::string spec_msg;
     {
         JsonWriter sm;
+        sm.setPreciseDoubles(true);
         sm.beginObject();
         sm.member("type", "spec");
-        sm.member("spec", campaignSpecJson(grid_));
+        sm.member("schema", kCampaignSpecSchema);
+        sm.key("grid");
+        writeCampaignGrid(sm, grid_);
         sm.member("heartbeat_interval", hb_interval);
         sm.endObject();
         spec_msg = JsonWriter::compact(sm.str());

@@ -73,6 +73,17 @@ namespace mondrian {
 constexpr int kExitNetwork = 5;
 
 /**
+ * Schema of the handshake's "spec" message. Its "grid" member is the
+ * report's own grid block (writeCampaignGrid) at exact doubles, so the
+ * worker rebuilds bit-identical WorkloadConfig values and re-expands
+ * the identical job list: job index N in the coordinator IS job index
+ * N in every worker, which is what lets the protocol ship bare indices.
+ * A worker refuses any other schema.
+ */
+inline constexpr const char *kCampaignSpecSchema =
+    "mondrian-campaign-spec-v3";
+
+/**
  * One deterministic fault to inject, for tests and CI chaos runs.
  * Faults are delivered to workers inside job-assignment messages; by
  * default each fires on the job's FIRST attempt only, so the retry

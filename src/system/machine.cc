@@ -137,11 +137,10 @@ class Machine::Path : public MemoryPath
 Machine::Machine(const SystemConfig &cfg, MemoryPool &pool)
     : cfg_(cfg), pool_(pool)
 {
-    // Event-count-reduction toggles (docs/perf.md): each transform is
+    // Event-count-reduction shortcuts (docs/perf.md): each is
     // output-identical, so these only select the fast or the reference
     // execution strategy for the same event stream.
     eq_.setCoalescing(cfg_.exec.coalesceCompletions);
-    eq_.setSkipAhead(cfg_.exec.queueSkipAhead);
     cfg_.core.rleRunBatching = cfg_.exec.rleRunBatching;
 
     pendingArrivals_.assign(cfg_.geo.totalVaults(), 0);
@@ -277,8 +276,8 @@ Machine::issueDram(Tick when, unsigned src_node, Addr addr,
     // the counter (an earlier-sequence arrival issues first and issue
     // order fixes bank/bus state), pending completions never touch bank
     // or bus state, and events scheduled after this call sort after the
-    // elided arrival anyway. One queue event per local request gone; the
-    // toggle prices it (ExecOverride "eager").
+    // elided arrival anyway. One queue event per local request gone;
+    // cfg_.exec.eagerLocalIssue switches it off for the reference run.
     if (local && cfg_.exec.eagerLocalIssue && arrive <= eq_.now() &&
         pendingArrivals_[dv] == 0 &&
         vaults_[dv]->readyForImmediateIssue()) {

@@ -120,9 +120,9 @@ class Machine
      * pop for one unit of the other two counters (a coalesced batch of k
      * is 1 executed event + k-1 coalesced; an eager local issue is the
      * arrival event that never got scheduled), so this sum is invariant
-     * under every perf toggle — it counts the logical event stream, not
-     * the physical one, which is what lets it live in the report without
-     * breaking the ablation byte-identity oracle.
+     * under every perf shortcut — it counts the logical event stream,
+     * not the physical one, which is what lets it live in the report
+     * without breaking the shortcuts-off byte-identity oracle.
      */
     std::uint64_t simEvents() const
     {

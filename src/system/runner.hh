@@ -151,9 +151,9 @@ struct RunResult
     /**
      * Simulated events behind the run: queue pops + coalesced same-tick
      * completions (Machine::simEvents()). Invariant under the perf
-     * toggles — the sum counts the logical event stream — which is why
-     * it can live in the report without breaking the ablation byte-
-     * identity oracle. Runs spliced from pre-PR-8 reports carry 0.
+     * shortcuts — the sum counts the logical event stream — which is
+     * why it can live in the report without breaking the shortcuts-off
+     * byte-identity oracle.
      */
     std::uint64_t simEvents = 0;
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Concurrent-abort contract of the campaign CLI: a SIGINT delivered
- * mid-campaign must produce exit code 3, a journal whose every line is
- * complete JSON (no torn writes), and no report file. Exercised on both
+ * Process-level contracts of the campaign CLI. A malformed numeric flag
+ * exits 2. A SIGINT delivered mid-campaign must produce exit code 3, a
+ * journal whose every line is complete JSON (no torn writes), and no
+ * report file; that is exercised on both
  * execution paths — the in-process ThreadPool (--jobs) and the
  * coordinator/worker tree (--workers) — against the real
  * mondrian_campaign binary, the same way test_coordinator drives it.
@@ -156,4 +157,50 @@ TEST(ConcurrentAbort, ThreadPoolPathExitsThreeWithIntactJournal)
 TEST(ConcurrentAbort, CoordinatorPathExitsThreeWithIntactJournal)
 {
     runAbortScenario({"--workers", "2", "--heartbeat-timeout", "2"});
+}
+
+namespace {
+
+/** Run mondrian_campaign with @p args to completion; its exit code. */
+int
+campaignExitCode(const std::vector<std::string> &args)
+{
+    const pid_t pid = spawnCampaign(args);
+    int status = 0;
+    if (pid <= 0 || ::waitpid(pid, &status, 0) != pid)
+        return -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
+}
+
+} // namespace
+
+TEST(CampaignCli, MalformedNumbersExitTwo)
+{
+    const std::vector<std::string> grid = {"--systems", "cpu", "--ops",
+                                           "scan", "--dry-run"};
+    auto with = [&grid](std::vector<std::string> args) {
+        args.insert(args.end(), grid.begin(), grid.end());
+        return args;
+    };
+    ASSERT_EQ(campaignExitCode(with({"--seeds", "7", "--job-timeout", "1.5",
+                                     "--heartbeat-timeout", "2"})),
+              0);
+
+    // strtoull wraps "-1" and saturates an overflow to 2^64-1, and skips
+    // leading whitespace; NaN passes a `<= 0` check and turns the
+    // coordinator's kill timers off.
+    const std::vector<std::vector<std::string>> bad = {
+        {"--seeds", "-1"},
+        {"--seeds", "99999999999999999999"},
+        {"--seeds", " 7"},
+        {"--job-timeout", "nan"},
+        {"--heartbeat-timeout", "nan"},
+        {"--retries", "4294967297"},
+    };
+    for (const std::vector<std::string> &args : bad)
+        EXPECT_EQ(campaignExitCode(with(args)), 2) << args[0] << " " << args[1];
+    // Parsed before the worker dials anything.
+    EXPECT_EQ(campaignExitCode({"--worker-connect", "127.0.0.1:1",
+                                "--reconnect", "-1"}),
+              2);
 }

@@ -340,6 +340,13 @@ TEST(Campaign, ExecOverrideParseAndCanonicalName)
     EXPECT_FALSE(parseExecOverride("radix=0", ov, err));
     EXPECT_FALSE(parseExecOverride("chunk=100", ov, err)); // not pow2
     EXPECT_FALSE(parseExecOverride("turbo=1", ov, err));
+    // The event-count shortcuts are not model knobs: no campaign sets
+    // them.
+    for (const char *toggle : {"coalesce=0", "rle=0", "skip=1", "eager=0"}) {
+        EXPECT_FALSE(parseExecOverride(toggle, ov, err)) << toggle;
+        EXPECT_NE(err.find("unknown exec-ablation knob"), std::string::npos)
+            << err;
+    }
     EXPECT_FALSE(parseExecOverride("radix=9+", ov, err));
     // A repeated knob is a typo'd ablation point, not "last wins".
     EXPECT_FALSE(parseExecOverride("chunk=256+chunk=128", ov, err));

@@ -1,7 +1,7 @@
 /**
  * @file
  * Distributed campaign execution: fault-injection specs,
- * the campaign.json job-spec round-trip, coordinator/worker byte-identity
+ * the worker's spec-schema check, coordinator/worker byte-identity
  * under injected crash/hang/corrupt faults, retry exhaustion, journal
  * resume and graceful degradation. The worker subprocess is the real
  * mondrian_campaign binary (MONDRIAN_BINARY_DIR), so these tests exercise
@@ -20,8 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+#include "net/transport.hh"
 #include "system/campaign.hh"
-#include "system/campaign_spec.hh"
 #include "system/coordinator.hh"
 #include "system/report.hh"
 #include "system/traffic.hh"
@@ -107,87 +108,105 @@ TEST(FaultInject, RejectsMalformedSpecs)
     EXPECT_FALSE(parseFaultInject("crash@", faults, error));
 }
 
-// ------------------------------------------------------- job-spec round-trip
+// ------------------------------------------------ worker spec handshake
 
-TEST(CampaignSpec, RoundTripsByteIdentically)
+namespace {
+
+int
+waitForExit(pid_t pid)
 {
-    CampaignGrid grid = smallGrid();
-    grid.zipfThetas = {0.0, 0.75};
-    TrafficSpec traffic;
-    traffic.process = ArrivalProcess::kPoisson;
-    traffic.lambdaQps = 1500.0;
-    traffic.queries = 8;
-    grid.traffics.push_back(traffic);
-
-    const std::string spec = campaignSpecJson(grid);
-    CampaignGrid parsed;
-    std::string error;
-    ASSERT_TRUE(parseCampaignSpec(spec, parsed, error)) << error;
-    ASSERT_TRUE(validateGrid(parsed, error)) << error;
-
-    // The parsed grid must be the same design space...
-    EXPECT_EQ(expandGrid(parsed).size(), expandGrid(grid).size());
-    // ...and re-serialize to the identical document (nothing lossy).
-    EXPECT_EQ(campaignSpecJson(parsed), spec);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
 }
 
-TEST(CampaignSpec, CarriesExecPerfToggles)
+/** Block until one message arrives; false on EOF/desync. */
+bool
+awaitMessage(Channel &t, std::string &payload)
 {
-    // --exec-ablation coalesce=0+eager=0,radix=9+rle=0: the toggles
-    // never change a result, so the report leaves them out, but every
-    // worker must still run each exec point with them.
-    CampaignGrid grid = smallGrid();
-    grid.execOverrides.clear();
-    for (const char *spec : {"coalesce=0+eager=0", "radix=9+rle=0"}) {
-        ExecOverride ov;
-        std::string error;
-        ASSERT_TRUE(parseExecOverride(spec, ov, error)) << error;
-        grid.execOverrides.push_back(ov);
+    for (;;) {
+        const int st = t.next(payload);
+        if (st != 0)
+            return st > 0;
+        const Channel::Pump p = t.pump();
+        if (p == Channel::Pump::kEof || p == Channel::Pump::kError)
+            return false;
     }
-
-    CampaignGrid parsed;
-    std::string error;
-    ASSERT_TRUE(parseCampaignSpec(campaignSpecJson(grid), parsed, error))
-        << error;
-    ASSERT_EQ(parsed.execOverrides.size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) {
-        const ExecOverride &want = grid.execOverrides[i];
-        const ExecOverride &got = parsed.execOverrides[i];
-        EXPECT_EQ(got.name(), want.name()) << i;
-        EXPECT_EQ(got.coalesce, want.coalesce) << i;
-        EXPECT_EQ(got.rle, want.rle) << i;
-        EXPECT_EQ(got.skip, want.skip) << i;
-        EXPECT_EQ(got.eager, want.eager) << i;
-    }
-    EXPECT_EQ(parsed.execOverrides[0].coalesce, 0);
-    EXPECT_EQ(parsed.execOverrides[0].eager, 0);
-    EXPECT_EQ(parsed.execOverrides[1].radixBits, 9);
-    EXPECT_EQ(parsed.execOverrides[1].rle, 0);
 }
 
-TEST(CampaignSpec, RejectsForeignDocuments)
+/** The handshake's spec message for smallGrid() under @p schema
+ *  (nullptr = no schema member). */
+std::string
+specMessage(const char *schema)
 {
-    CampaignGrid parsed;
-    std::string error;
-    EXPECT_FALSE(parseCampaignSpec("{\"schema\": \"other\"}", parsed, error));
-    EXPECT_FALSE(parseCampaignSpec("not json", parsed, error));
-    // A v1 peer is refused by name, never half-read.
-    EXPECT_FALSE(parseCampaignSpec(
-        "{\"schema\": \"mondrian-campaign-spec-v1\", \"systems\": []}",
-        parsed, error));
-    EXPECT_NE(error.find("mondrian-campaign-spec-v2"), std::string::npos)
-        << error;
+    JsonWriter w;
+    w.setPreciseDoubles(true);
+    w.beginObject();
+    w.member("type", "spec");
+    if (schema)
+        w.member("schema", schema);
+    w.key("grid");
+    writeCampaignGrid(w, smallGrid());
+    w.member("heartbeat_interval", 1.0);
+    w.endObject();
+    return JsonWriter::compact(w.str());
+}
 
-    // Toggles are 0 or 1, one object per exec point.
-    const std::string good = campaignSpecJson(smallGrid());
-    const std::string head = good.substr(0, good.find("\"exec_toggles\""));
-    ASSERT_TRUE(parseCampaignSpec(head + "\"exec_toggles\": [{}]}", parsed,
-                                  error)) << error;
-    for (const char *toggles :
-         {"[{\"coalesce\": 2}]", "[{\"radix\": 1}]", "[]", "[{}, {}]"}) {
-        EXPECT_FALSE(parseCampaignSpec(
-            head + "\"exec_toggles\": " + toggles + "}", parsed, error))
-            << toggles;
+/**
+ * Run a real `mondrian_campaign --worker` over pipes, answer its hello
+ * with @p spec_msg, then close the command direction. @p replies gets
+ * every message the worker sent after its hello.
+ * @return the worker's exit code.
+ */
+int
+workerAnswering(const std::string &spec_msg,
+                std::vector<std::string> &replies)
+{
+    int down[2], up[2];
+    if (::pipe(down) != 0 || ::pipe(up) != 0)
+        return -1;
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::dup2(down[0], STDIN_FILENO);
+        ::dup2(up[1], STDOUT_FILENO);
+        for (int fd : {down[0], down[1], up[0], up[1]})
+            ::close(fd);
+        ::execl(kWorkerBinary, kWorkerBinary, "--worker",
+                static_cast<char *>(nullptr));
+        std::_Exit(127);
+    }
+    ::close(down[0]);
+    ::close(up[1]);
+    Channel t(up[0], down[1]);
+    std::string msg;
+    if (awaitMessage(t, msg)) { // the hello
+        t.send(spec_msg);
+        t.shutdownSend();
+        while (awaitMessage(t, msg))
+            replies.push_back(msg);
+    }
+    return waitForExit(pid);
+}
+
+} // namespace
+
+TEST(WorkerSpec, JoinsOnlyUnderTheCurrentSchema)
+{
+    std::vector<std::string> replies;
+    EXPECT_EQ(workerAnswering(specMessage(kCampaignSpecSchema), replies), 0);
+    ASSERT_FALSE(replies.empty());
+    EXPECT_NE(replies[0].find("\"ready\""), std::string::npos)
+        << replies[0];
+
+    // A missing, foreign or previous-version schema is refused by name
+    // before the worker joins: exit 2, nothing sent after the hello.
+    for (const char *schema :
+         {static_cast<const char *>(nullptr), "other",
+          "mondrian-campaign-spec-v2"}) {
+        const std::string what = schema ? schema : "(no schema)";
+        replies.clear();
+        EXPECT_EQ(workerAnswering(specMessage(schema), replies), 2) << what;
+        EXPECT_TRUE(replies.empty()) << what;
     }
 }
 
@@ -456,14 +475,6 @@ spawnConnectWorker(std::uint16_t port,
         std::_Exit(127);
     }
     return pid;
-}
-
-int
-waitForExit(pid_t pid)
-{
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
 }
 
 /** Remote-only coordinator config bound to an ephemeral loopback port. */

@@ -2,17 +2,21 @@
  * @file
  * Output-identity tests for the event-count-reduction transforms
  * (docs/perf.md): completion coalescing, closed-form RLE run batching,
- * and the calendar-queue empty-bucket skip-ahead. Each transform claims
- * to change only *how fast* the simulator reaches its answer, never the
- * answer — these tests pin that claim at three levels: the event queue
- * against an exact (tick, insertion-seq) oracle, the cache batch against
- * the per-access loop it replaces, and whole Machine runs against their
- * untransformed twins.
+ * eager local issue, and the calendar-queue empty-bucket skip-ahead.
+ * Each transform claims to change only *how fast* the simulator reaches
+ * its answer, never the answer — these tests pin that claim at four
+ * levels: the event queue against an exact (tick, insertion-seq)
+ * oracle, the cache batch against the per-access loop it replaces, whole
+ * Machine runs against their untransformed twins, and the smoke
+ * campaign's report against the same campaign run with the shortcuts
+ * off.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,7 +24,9 @@
 #include "engine/ops.hh"
 #include "engine/workload.hh"
 #include "sim/event_queue.hh"
+#include "system/campaign.hh"
 #include "system/machine.hh"
+#include "system/traffic.hh"
 
 using namespace mondrian;
 
@@ -204,15 +210,20 @@ TEST(EventCoalescing, RandomizedScriptMatchesUncoalescedOrder)
 
 namespace {
 
-/** Pop trace (now, id) over a pathologically sparse schedule. */
+/**
+ * Pop trace (now, id) over a pathologically sparse schedule. Ids are
+ * handed out in schedule order, and @p scheduled collects every
+ * (tick, id) as it is filed.
+ */
 std::vector<std::pair<Tick, int>>
-runSparseSchedule(bool skip, std::uint64_t &executed)
+runSparseSchedule(std::vector<std::pair<Tick, int>> &scheduled,
+                  std::uint64_t &executed)
 {
     EventQueue eq;
-    eq.setSkipAhead(skip);
     std::vector<std::pair<Tick, int>> trace;
     int next_id = 0;
     auto record = [&](Tick t, int id) {
+        scheduled.emplace_back(t, id);
         eq.schedule(t, [&trace, &eq, id] {
             trace.emplace_back(eq.now(), id);
         });
@@ -239,21 +250,25 @@ runSparseSchedule(bool skip, std::uint64_t &executed)
     {
         EventQueue &eq;
         std::vector<std::pair<Tick, int>> &trace;
+        std::vector<std::pair<Tick, int>> &scheduled;
         int left;
         int &next_id;
         void
         hop()
         {
             const int id = next_id++;
-            eq.scheduleIn(128 * 4000 + 17, [this, id] {
+            const Tick delta = 128 * 4000 + 17;
+            scheduled.emplace_back(eq.now() + delta, id);
+            eq.scheduleIn(delta, [this, id] {
                 trace.emplace_back(eq.now(), id);
                 if (--left > 0)
                     hop();
             });
         }
     };
-    Hopper hopper{eq, trace, 20, next_id};
+    Hopper hopper{eq, trace, scheduled, 20, next_id};
     const int kick = next_id++;
+    scheduled.emplace_back(t + 3, kick);
     eq.schedule(t + 3, [&hopper, &trace, &eq, kick] {
         trace.emplace_back(eq.now(), kick);
         hopper.hop();
@@ -266,14 +281,16 @@ runSparseSchedule(bool skip, std::uint64_t &executed)
 
 } // namespace
 
-TEST(EventQueueSkipAhead, SparseScheduleIdenticalOnAndOff)
+TEST(EventQueueSkipAhead, SparseScheduleMatchesTickIdOrder)
 {
-    std::uint64_t ex_on = 0, ex_off = 0;
-    auto on = runSparseSchedule(true, ex_on);
-    auto off = runSparseSchedule(false, ex_off);
-    EXPECT_EQ(on, off);
-    EXPECT_EQ(ex_on, ex_off);
-    EXPECT_EQ(on.size(), static_cast<std::size_t>(ex_on));
+    // Every event is filed at or after now() with a fresh, larger id, so
+    // the exact pop order is all scheduled events sorted by (tick, id).
+    std::vector<std::pair<Tick, int>> scheduled;
+    std::uint64_t executed = 0;
+    const auto trace = runSparseSchedule(scheduled, executed);
+    std::sort(scheduled.begin(), scheduled.end());
+    EXPECT_EQ(trace, scheduled);
+    EXPECT_EQ(trace.size(), static_cast<std::size_t>(executed));
 }
 
 // --- Closed-form RLE runs: cache batch vs. per-access loop -------------
@@ -399,7 +416,6 @@ runJoinWith(SystemKind kind, const ExecConfig &exec_overrides)
     SystemConfig cfg = makeSystem(kind, tinyGeo());
     cfg.exec.coalesceCompletions = exec_overrides.coalesceCompletions;
     cfg.exec.rleRunBatching = exec_overrides.rleRunBatching;
-    cfg.exec.queueSkipAhead = exec_overrides.queueSkipAhead;
     cfg.exec.eagerLocalIssue = exec_overrides.eagerLocalIssue;
     MemoryPool pool(cfg.geo);
     WorkloadConfig wl;
@@ -448,23 +464,20 @@ TEST(MachineTransforms, EachToggleIsOutputNeutral)
         ExecConfig off;
         off.coalesceCompletions = false;
         off.rleRunBatching = false;
-        off.queueSkipAhead = false;
         off.eagerLocalIssue = false;
         const MachineRun base = runJoinWith(kind, off);
         EXPECT_EQ(base.coalesced, 0u);
         EXPECT_EQ(base.elided, 0u);
         EXPECT_EQ(base.simEvents, base.executed);
 
-        const char *names[] = {"coalesce", "rle", "skip", "eager", "all"};
-        for (int which = 0; which < 5; ++which) {
+        const char *names[] = {"coalesce", "rle", "eager", "all"};
+        for (int which = 0; which < 4; ++which) {
             ExecConfig e = off;
-            if (which == 0 || which == 4)
+            if (which == 0 || which == 3)
                 e.coalesceCompletions = true;
-            if (which == 1 || which == 4)
+            if (which == 1 || which == 3)
                 e.rleRunBatching = true;
-            if (which == 2 || which == 4)
-                e.queueSkipAhead = true;
-            if (which == 3 || which == 4)
+            if (which == 2 || which == 3)
                 e.eagerLocalIssue = true;
             const MachineRun run = runJoinWith(kind, e);
             expectIdenticalTiming(base, run, names[which]);
@@ -494,4 +507,32 @@ TEST(MachineTransforms, ScanRleNeutralUnderPrefetchWarmup)
     auto off = runOne(false);
     EXPECT_EQ(on.first, off.first);
     EXPECT_EQ(on.second, off.second);
+}
+
+TEST(MachineTransforms, SmokeReportIdenticalWithShortcutsOff)
+{
+    // The campaign-level oracle: every smoke-grid job, run with one
+    // shortcut off (each alone, then all three), must assemble into the
+    // byte-identical report of the default campaign.
+    const std::string expected =
+        campaignReportJson(CampaignRunner(smokeGrid()).run(1));
+    const char *names[] = {"coalesce", "rle", "eager", "all"};
+    for (int which = 0; which < 4; ++which) {
+        CampaignReport report;
+        for (const CampaignJob &job :
+             beginCampaign(smokeGrid(), nullptr, report)) {
+            SystemConfig cfg = job.systemConfig();
+            if (which == 0 || which == 3)
+                cfg.exec.coalesceCompletions = false;
+            if (which == 1 || which == 3)
+                cfg.exec.rleRunBatching = false;
+            if (which == 2 || which == 3)
+                cfg.exec.eagerLocalIssue = false;
+            report.runs[job.index].result =
+                ServedRunner(job.workload(), job.traffic)
+                    .run(cfg, job.scenario);
+        }
+        finishCampaign(report);
+        EXPECT_EQ(campaignReportJson(report), expected) << names[which];
+    }
 }

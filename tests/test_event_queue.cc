@@ -50,19 +50,6 @@ TEST(EventQueue, EventsScheduleMoreEvents)
     EXPECT_EQ(eq.now(), 40u);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(100, [&] { ++fired; });
-    eq.runUntil(50);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(EventQueue, ExecutedCount)
 {
     EventQueue eq;
@@ -167,20 +154,28 @@ TEST(EventQueue, FarFutureEventsMigrateFromOverflow)
     EXPECT_EQ(eq.now(), 200'000'000u);
 }
 
-TEST(EventQueue, RunUntilAcrossEmptyBucketsAndOverflow)
+TEST(EventQueue, ScheduleAfterStopKeepsOrder)
 {
+    // Machine::beginPhase stops run() at phase quiescence with events
+    // still pending (one far beyond the window), then schedules the next
+    // phase at and just after now(): those join the window's first
+    // bucket in (tick, seq) order with the leftovers.
     EventQueue eq;
-    int fired = 0;
-    eq.schedule(5, [&] { ++fired; });
-    eq.schedule(90'000'000, [&] { ++fired; }); // far beyond the window
-    eq.runUntil(1000);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_EQ(eq.now(), 1000u);
-    // Scheduling behind the peeked-ahead window but >= now must be legal.
-    eq.schedule(2000, [&] { ++fired; });
+    std::vector<int> order;
+    eq.schedule(10, [&] {
+        order.push_back(0);
+        eq.requestStop();
+    });
+    eq.schedule(10, [&] { order.push_back(3); });
+    eq.schedule(90'000'000, [&] { order.push_back(5); });
     eq.run();
-    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(eq.now(), 10u);
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.schedule(11, [&] { order.push_back(4); });
+    eq.schedule(10, [&] { order.push_back(1); });
+    eq.schedule(10, [&] { order.push_back(2); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2, 4, 5}));
 }
 
 TEST(EventQueue, MoveOnlyCallbacks)

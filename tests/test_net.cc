@@ -24,7 +24,6 @@
 #include "net/socket.hh"
 #include "net/transport.hh"
 #include "system/campaign.hh"
-#include "system/campaign_spec.hh"
 #include "system/coordinator.hh"
 #include "system/report.hh"
 
@@ -324,11 +323,13 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
         ASSERT_TRUE(parseJson(msg, spec_msg, error)) << error;
         ASSERT_TRUE(spec_msg.find("type"));
         ASSERT_EQ(spec_msg.find("type")->asString(), "spec");
-        ASSERT_TRUE(spec_msg.find("spec"));
+        ASSERT_TRUE(spec_msg.find("schema"));
+        ASSERT_EQ(spec_msg.find("schema")->asString(), kCampaignSpecSchema);
+        ASSERT_TRUE(spec_msg.find("grid"));
 
         CampaignGrid wire_grid;
-        ASSERT_TRUE(parseCampaignSpec(spec_msg.find("spec")->asString(),
-                                      wire_grid, error)) << error;
+        ASSERT_TRUE(readCampaignGrid(*spec_msg.find("grid"), wire_grid,
+                                     error)) << error;
         const std::vector<CampaignJob> jobs = expandGrid(wire_grid);
         ASSERT_EQ(jobs.size(), 4u);
         ASSERT_TRUE(t.send("{\"type\": \"ready\", \"jobs\": " +

@@ -30,10 +30,13 @@
 #include <signal.h>
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -247,14 +250,24 @@ argValue(int argc, char **argv, int &i, const char *flag)
     return argv[++i];
 }
 
+/**
+ * Parse @p s as an unsigned integer in [0, @p max]; exit 2 naming @p flag
+ * on garbage or an out-of-range value. strtoull skips leading whitespace
+ * and wraps a leading '-', so a leading digit is demanded.
+ */
 std::uint64_t
-parseU64(const std::string &s, const char *flag)
+parseU64(const std::string &s, const char *flag,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        die(std::string(flag) + ": '" + s + "' is not an integer");
-    return static_cast<std::uint64_t>(v);
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0')
+        die(std::string(flag) + ": '" + s + "' is not an unsigned integer");
+    if (errno == ERANGE || v > max)
+        die(std::string(flag) + " must be in [0, " + std::to_string(max) +
+            "]");
+    return v;
 }
 
 double
@@ -305,7 +318,8 @@ main(int argc, char **argv)
                 opt.cacheDir = argv[j + 1];
             } else if (std::strcmp(argv[j], "--reconnect") == 0) {
                 opt.reconnectAttempts = static_cast<unsigned>(
-                    parseU64(argv[j + 1], "--reconnect"));
+                    parseU64(argv[j + 1], "--reconnect",
+                             std::numeric_limits<unsigned>::max()));
             }
         }
         return runConnectWorker(argv[i + 1], opt);
@@ -432,35 +446,27 @@ main(int argc, char **argv)
                 die("--traffic '" + spec + "': " + verr);
             addTraffic(std::move(t));
         } else if (arg == "--jobs") {
-            std::uint64_t n =
-                parseU64(argValue(argc, argv, i, "--jobs"), "--jobs");
-            if (n > 1024)
-                die("--jobs must be in [0, 1024]");
-            jobs = static_cast<unsigned>(n);
+            jobs = static_cast<unsigned>(
+                parseU64(argValue(argc, argv, i, "--jobs"), "--jobs", 1024));
         } else if (arg == "--workers") {
-            std::uint64_t n =
-                parseU64(argValue(argc, argv, i, "--workers"), "--workers");
-            if (n > 256)
-                die("--workers must be in [0, 256]");
-            workers = static_cast<unsigned>(n);
+            workers = static_cast<unsigned>(parseU64(
+                argValue(argc, argv, i, "--workers"), "--workers", 256));
         } else if (arg == "--journal") {
             journal_path = argValue(argc, argv, i, "--journal");
         } else if (arg == "--job-timeout") {
             coord_config.jobTimeoutSec = parseDouble(
                 argValue(argc, argv, i, "--job-timeout"), "--job-timeout");
-            if (coord_config.jobTimeoutSec <= 0.0)
+            if (!(coord_config.jobTimeoutSec > 0.0)) // NaN too
                 die("--job-timeout must be positive");
         } else if (arg == "--heartbeat-timeout") {
             coord_config.heartbeatTimeoutSec =
                 parseDouble(argValue(argc, argv, i, "--heartbeat-timeout"),
                             "--heartbeat-timeout");
-            if (coord_config.heartbeatTimeoutSec <= 0.0)
+            if (!(coord_config.heartbeatTimeoutSec > 0.0)) // NaN too
                 die("--heartbeat-timeout must be positive");
         } else if (arg == "--retries") {
             coord_config.maxRetries = static_cast<unsigned>(parseU64(
-                argValue(argc, argv, i, "--retries"), "--retries"));
-            if (coord_config.maxRetries > 16)
-                die("--retries must be in [0, 16]");
+                argValue(argc, argv, i, "--retries"), "--retries", 16));
         } else if (arg == "--fault-inject") {
             const std::string spec =
                 argValue(argc, argv, i, "--fault-inject");
