@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Diff a campaign report against the committed golden report (the
-# nightly full-paper-grid regression gate) with mondrian_report — a
+# Diff a campaign report against a committed golden report (the CI
+# paper-grid and served-grid regression gates) with mondrian_report — a
 # structured, field-by-field comparison of every run and summary row,
 # instead of text-scraping the JSON with awk.
 #

@@ -41,10 +41,6 @@ runGroupBy(MemoryPool &pool, const ExecConfig &cfg, const Relation &rel)
     const unsigned vaults = pool.geometry().totalVaults();
     OperatorExecution exec;
     exec.op = "groupby";
-    exec.style = cfg.cpuStyle ? "cpu"
-                              : (cfg.simd ? "mondrian"
-                                          : (cfg.sortProbe ? "nmp-seq"
-                                                           : "nmp-rand"));
 
     Partitioner partitioner(pool, cfg);
     LocalSorter sorter(pool, cfg);

@@ -39,10 +39,6 @@ runJoin(MemoryPool &pool, const ExecConfig &cfg, const Relation &r,
     const unsigned vaults = pool.geometry().totalVaults();
     OperatorExecution exec;
     exec.op = "join";
-    exec.style = cfg.cpuStyle ? "cpu"
-                              : (cfg.simd ? "mondrian"
-                                          : (cfg.sortProbe ? "nmp-seq"
-                                                           : "nmp-rand"));
 
     Partitioner partitioner(pool, cfg);
     LocalSorter sorter(pool, cfg);

@@ -54,8 +54,7 @@ struct PhaseExec
 /** Full execution of one operator: phases + functional outputs. */
 struct OperatorExecution
 {
-    std::string op;    ///< "scan", "sort", "groupby", "join"
-    std::string style; ///< execution style description
+    std::string op; ///< "scan", "sort", "groupby", "join"
     std::vector<PhaseExec> phases;
 
     // Functional results (checked by tests against references).

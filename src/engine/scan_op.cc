@@ -12,7 +12,6 @@ runScan(MemoryPool &pool, const ExecConfig &cfg, const Relation &rel,
     const unsigned vaults = pool.geometry().totalVaults();
     OperatorExecution exec;
     exec.op = "scan";
-    exec.style = cfg.cpuStyle ? "cpu" : (cfg.simd ? "mondrian" : "nmp");
 
     PhaseExec probe;
     probe.name = "probe";

@@ -14,7 +14,6 @@ runSort(MemoryPool &pool, const ExecConfig &cfg, const Relation &rel)
     const unsigned vaults = pool.geometry().totalVaults();
     OperatorExecution exec;
     exec.op = "sort";
-    exec.style = cfg.cpuStyle ? "cpu" : (cfg.simd ? "mondrian" : "nmp");
 
     Partitioner partitioner(pool, cfg);
     LocalSorter sorter(pool, cfg);

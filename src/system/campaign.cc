@@ -951,8 +951,10 @@ readCampaignGrid(const JsonValue &block, CampaignGrid &out,
         readGridAxis(block, "systems", [&](const JsonValue &v,
                                            std::string &what) {
             std::string name;
-            what = "not a system name";
-            return readString(&v, name) &&
+            const bool is_string = readString(&v, name);
+            what = is_string ? "unknown system '" + name + "'"
+                             : "not a system name";
+            return is_string &&
                    systemKindFromName(name, g.systems.emplace_back());
         }, error) &&
         readGridAxis(block, "scenarios", [&](const JsonValue &v,

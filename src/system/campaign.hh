@@ -98,7 +98,7 @@ struct CampaignGrid
  */
 bool validateGrid(const CampaignGrid &grid, std::string &error);
 
-/** The paper's full evaluation grid (4 ops x 7 systems) at @p log2_tuples. */
+/** The paper's full evaluation grid (4 ops x 6 systems) at @p log2_tuples. */
 CampaignGrid paperGrid(unsigned log2_tuples = 15);
 
 /** Tiny grid for CI smoke runs: 3 systems x 2 ops at 2^10 tuples. */

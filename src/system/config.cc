@@ -18,8 +18,6 @@ systemKindName(SystemKind kind)
         return "nmp";
       case SystemKind::kNmpPerm:
         return "nmp-perm";
-      case SystemKind::kNmpRand:
-        return "nmp-rand";
       case SystemKind::kNmpSeq:
         return "nmp-seq";
       case SystemKind::kMondrianNoperm:
@@ -46,10 +44,9 @@ const std::vector<SystemKind> &
 allSystemKinds()
 {
     static const std::vector<SystemKind> kinds = {
-        SystemKind::kCpu,     SystemKind::kNmp,
-        SystemKind::kNmpPerm, SystemKind::kNmpRand,
-        SystemKind::kNmpSeq,  SystemKind::kMondrianNoperm,
-        SystemKind::kMondrian};
+        SystemKind::kCpu,           SystemKind::kNmp,
+        SystemKind::kNmpPerm,       SystemKind::kNmpSeq,
+        SystemKind::kMondrianNoperm, SystemKind::kMondrian};
     return kinds;
 }
 
@@ -235,43 +232,21 @@ makeSystem(SystemKind kind, const MemGeometry &geo)
         break;
 
       case SystemKind::kNmp:
-      case SystemKind::kNmpRand:
-        cfg.topo = Topology::kFullyConnectedNmp;
-        cfg.core = krait400();
-        cfg.hasL1 = true;
-        cfg.l1 = scaledL1(geo);
-        cfg.exec = nmpExec(vaults, /*permutable=*/false,
-                           /*sort_probe=*/false);
-        break;
-
       case SystemKind::kNmpPerm:
-        cfg.topo = Topology::kFullyConnectedNmp;
-        cfg.core = krait400();
-        cfg.hasL1 = true;
-        cfg.l1 = scaledL1(geo);
-        cfg.exec = nmpExec(vaults, /*permutable=*/true,
-                           /*sort_probe=*/false);
-        break;
-
       case SystemKind::kNmpSeq:
         cfg.topo = Topology::kFullyConnectedNmp;
         cfg.core = krait400();
         cfg.hasL1 = true;
         cfg.l1 = scaledL1(geo);
-        cfg.exec = nmpExec(vaults, /*permutable=*/false,
-                           /*sort_probe=*/true);
+        cfg.exec = nmpExec(vaults, kind == SystemKind::kNmpPerm,
+                           kind == SystemKind::kNmpSeq);
         break;
 
       case SystemKind::kMondrianNoperm:
-        cfg.topo = Topology::kFullyConnectedNmp;
-        cfg.core = cortexA35Simd();
-        cfg.exec = mondrianExec(vaults, /*permutable=*/false);
-        break;
-
       case SystemKind::kMondrian:
         cfg.topo = Topology::kFullyConnectedNmp;
         cfg.core = cortexA35Simd();
-        cfg.exec = mondrianExec(vaults, /*permutable=*/true);
+        cfg.exec = mondrianExec(vaults, kind == SystemKind::kMondrian);
         break;
     }
     // Mondrian's stream-buffer fetch granularity is row-sized; geometries

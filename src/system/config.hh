@@ -8,9 +8,10 @@
  *
  *  - kCpu:            16 OoO A57 cores @ 2 GHz, L1 + shared LLC,
  *                     star-connected passive cubes (Fig. 5)
- *  - kNmp / kNmpPerm / kNmpRand / kNmpSeq:
+ *  - kNmp / kNmpPerm / kNmpSeq:
  *                     one Krait400-class OoO core per vault, L1 only,
- *                     fully connected active cubes
+ *                     fully connected active cubes; kNmp runs the hash
+ *                     probe, so it is also Fig. 6's NMP-rand
  *  - kMondrianNoperm / kMondrian:
  *                     one A35+SIMD tile per vault with stream buffers
  *
@@ -43,7 +44,6 @@ enum class SystemKind
     kCpu,            ///< CPU-centric baseline
     kNmp,            ///< NMP baseline (exact shuffle + hash probe)
     kNmpPerm,        ///< NMP + permutable shuffle
-    kNmpRand,        ///< NMP with hash (random-access) probe
     kNmpSeq,         ///< NMP with sort (sequential) probe
     kMondrianNoperm, ///< Mondrian tiles without permutability
     kMondrian        ///< the full Mondrian Data Engine

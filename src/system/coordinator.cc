@@ -76,14 +76,15 @@ parseFaultInject(const std::string &spec, std::vector<FaultInjection> &out,
             f.sticky = true;
             idx.pop_back();
         }
-        if (idx.empty() ||
+        errno = 0;
+        f.index = static_cast<std::size_t>(
+            std::strtoull(idx.c_str(), nullptr, 10));
+        if (idx.empty() || errno == ERANGE ||
             idx.find_first_not_of("0123456789") != std::string::npos) {
             error = "fault '" + item + "': '" + idx +
                     "' is not a job index";
             return false;
         }
-        f.index = static_cast<std::size_t>(
-            std::strtoull(idx.c_str(), nullptr, 10));
         out.push_back(f);
     }
     if (out.empty()) {

@@ -196,6 +196,10 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
         {"--job-timeout", "nan"},
         {"--heartbeat-timeout", "nan"},
         {"--retries", "4294967297"},
+        // The grid has one job, so index 1 would never fire.
+        {"--fault-inject", "crash@1"},
+        {"--fault-inject", "crash@99999999999999999999"},
+        {"--systems", "nmp-rand"},
     };
     for (const std::vector<std::string> &args : bad)
         EXPECT_EQ(campaignExitCode(with(args)), 2) << args[0] << " " << args[1];

@@ -382,7 +382,7 @@ TEST(Analysis, GoldenReportGeomeansMatchHandComputedValues)
     SensitivityTable per_op = sensitivity(m, Axis::kScenario, cpu);
     ASSERT_EQ(per_op.rows.size(), 4u);
     for (const SensitivityRow &row : per_op.rows) {
-        ASSERT_EQ(row.cells.size(), 6u);
+        ASSERT_EQ(row.cells.size(), 5u);
         for (const SystemSummary &cell : row.cells) {
             const CampaignRun *base = nullptr, *sys = nullptr;
             for (const CampaignRun &r : m.runs) {
@@ -412,7 +412,7 @@ TEST(Analysis, GoldenReportGeomeansMatchHandComputedValues)
     for (Axis axis : {Axis::kZipfTheta, Axis::kGeometry}) {
         SensitivityTable t = sensitivity(m, axis, cpu);
         ASSERT_EQ(t.rows.size(), 1u);
-        ASSERT_EQ(t.rows[0].cells.size(), 6u);
+        ASSERT_EQ(t.rows[0].cells.size(), 5u);
         for (const SystemSummary &cell : t.rows[0].cells) {
             double prod = 1.0;
             std::size_t n = 0;

@@ -709,6 +709,7 @@ TEST(Parsing, NamesRoundTrip)
     SystemKind sink_s;
     OpKind sink_o;
     EXPECT_FALSE(systemKindFromName("gpu", sink_s));
+    EXPECT_FALSE(systemKindFromName("nmp-rand", sink_s));
     EXPECT_FALSE(opKindFromName("union", sink_o));
 }
 
@@ -1079,9 +1080,15 @@ TEST(CampaignGridBlock, ReaderNamesTheAxisOfAWrongTypedMember)
     rejects("\"log2_tuples\" entry 0", [&](JsonValue &b) {
         entry(b, "log2_tuples").text = "-1";
     });
-    rejects("\"systems\" entry 0", [&](JsonValue &b) {
-        entry(b, "systems").text = "gpu";
-    });
+    // The error names the system, e.g. the deleted nmp-rand of an old report.
+    for (const char *name : {"gpu", "nmp-rand"}) {
+        err = rejects("\"systems\" entry 0", [&](JsonValue &b) {
+            entry(b, "systems").text = name;
+        });
+        EXPECT_NE(err.find(std::string("unknown system '") + name + "'"),
+                  std::string::npos)
+            << err;
+    }
     // Each labeled entry must rebuild to its own label.
     err = rejects("\"geometries\" entry 0", [&](JsonValue &b) {
         memberOf(entry(b, "geometries"), "stacks")->text = "2";

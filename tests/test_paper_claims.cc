@@ -344,14 +344,14 @@ claims()
     t.push_back({"Fig6_ScanNmpRandEqualsNmpSeq",
                  "Fig. 6: on scan NMP-rand and NMP-seq run the same code",
                  "equal", std::nullopt, [] {
-                     const double v = probeVsCpu(K::kNmpRand, OpKind::kScan) /
+                     const double v = probeVsCpu(K::kNmp, OpKind::kScan) /
                                       probeVsCpu(K::kNmpSeq, OpKind::kScan);
                      return Outcome{v == 1.0, v,
                                     "rand/seq " + num(v, "x")};
                  }});
     t.push_back({"Fig6_ScanNmp2_4x", "Fig. 6: NMP scan probe ~2.4x over CPU",
                  "2.4x", std::nullopt, [] {
-                     const double v = probeVsCpu(K::kNmpRand, OpKind::kScan);
+                     const double v = probeVsCpu(K::kNmp, OpKind::kScan);
                      return Outcome{within(v, 2.4), v, num(v, "x")};
                  }});
     t.push_back({"Fig6_ScanMondrian6x",
@@ -364,7 +364,7 @@ claims()
                  "Fig. 6: NMP-rand probe beats NMP-seq on group-by and join",
                  "rand > seq", std::nullopt, [] {
                      auto ratio = [](OpKind op) {
-                         return probeVsCpu(K::kNmpRand, op) /
+                         return probeVsCpu(K::kNmp, op) /
                                 probeVsCpu(K::kNmpSeq, op);
                      };
                      const double v = std::min(ratio(OpKind::kGroupBy),
@@ -386,7 +386,7 @@ claims()
                  "mondrian > nmp-rand", 0.600, [] {
                      auto ratio = [](OpKind op) {
                          return probeVsCpu(K::kMondrian, op) /
-                                probeVsCpu(K::kNmpRand, op);
+                                probeVsCpu(K::kNmp, op);
                      };
                      const double v = std::min(ratio(OpKind::kGroupBy),
                                                ratio(OpKind::kJoin));

@@ -48,7 +48,7 @@ TEST(SingleQueryRun, JoinFunctionalAgreementAcrossSystems)
 TEST(SingleQueryRun, GroupByChecksumStableAcrossSystems)
 {
     ServedRunner runner(smallWorkload());
-    RunResult a = runner.run(makeSystem(SystemKind::kNmpRand),
+    RunResult a = runner.run(makeSystem(SystemKind::kNmp),
                              degenerateScenario(OpKind::kGroupBy));
     RunResult b = runner.run(makeSystem(SystemKind::kMondrian),
                              degenerateScenario(OpKind::kGroupBy));

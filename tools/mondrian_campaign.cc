@@ -89,8 +89,8 @@ usage(const char *prog)
         "\n"
         "Grid selection:\n"
         "  --smoke                tiny CI grid (3 systems x 2 ops, 2^10 tuples)\n"
-        "  --paper                full paper grid (7 systems x 4 ops, 2^15 tuples)\n"
-        "  --systems a,b,...      systems: cpu nmp nmp-perm nmp-rand nmp-seq\n"
+        "  --paper                full paper grid (6 systems x 4 ops, 2^15 tuples)\n"
+        "  --systems a,b,...      systems: cpu nmp nmp-perm nmp-seq\n"
         "                         mondrian-noperm mondrian (default: all)\n"
         "  --ops a,b,...          operators: scan sort groupby join (default: all);\n"
         "                         shorthand for the degenerate scenarios\n"
@@ -154,7 +154,8 @@ usage(const char *prog)
         "                         kind@index, kind in {crash,hang,corrupt,\n"
         "                         disconnect}; fires on the job's first\n"
         "                         attempt only unless suffixed '!' (every\n"
-        "                         attempt), e.g. crash@2,hang@5,corrupt@1\n"
+        "                         attempt), e.g. crash@2,hang@5,corrupt@1;\n"
+        "                         each index must be below the job count\n"
         "\n"
         "Remote workers (TCP; docs/distributed.md):\n"
         "  --listen HOST:PORT     also accept remote --worker-connect\n"
@@ -507,6 +508,15 @@ main(int argc, char **argv)
     std::string grid_error;
     if (!validateGrid(grid, grid_error))
         die(grid_error);
+    // A fault past the last job never fires, so a chaos run would pass
+    // without injecting anything.
+    for (const FaultInjection &f : coord_config.faults) {
+        if (f.index >= grid.size())
+            die("--fault-inject: " + std::string(faultKindName(f.kind)) +
+                "@" + std::to_string(f.index) +
+                " is past the last job index " +
+                std::to_string(grid.size() - 1));
+    }
 
     ResumeCache cache;
     bool have_cache = false;
