@@ -590,35 +590,21 @@ ResumeCache::loadJournal(const std::string &text)
                    line.substr(prefix.size(), end - prefix.size()) + ")";
         };
 
-        JsonValue doc;
-        std::string parse_error;
-        if (!parseJson(line, doc, parse_error)) {
+        std::string key, error;
+        Entry e;
+        if (!readJournalLine(line, key, e.result, error)) {
             // A torn final line is the expected artifact of a killed
             // writer; anything else is corruption. Either way: skip
             // loudly, never splice.
             warn("journal: skipping %s line %zu%s: %s",
                  torn ? "torn" : "corrupt", lineno, key_hint().c_str(),
-                 parse_error.c_str());
-            continue;
-        }
-        const JsonValue *key = doc.find("key");
-        const JsonValue *result = doc.find("result");
-        if (!key || !key->isString() || key->asString().empty() ||
-            !result) {
-            warn("journal: skipping line %zu%s: missing key or result",
-                 lineno, key_hint().c_str());
-            continue;
-        }
-        Entry e;
-        if (!readRunResult(*result, e.result)) {
-            warn("journal: skipping line %zu (grid key %s): unreadable "
-                 "result", lineno, key->asString().c_str());
+                 error.c_str());
             continue;
         }
         // No rawResultJson: journal doubles are exact (shortest round
         // trip), so re-serializing through the canonical report writer
         // reproduces a fresh run's bytes — no splicing needed.
-        entries_[key->asString()] = std::move(e);
+        entries_[key] = std::move(e);
         ++added;
     }
     return added;
@@ -645,6 +631,27 @@ campaignJournalLine(const CampaignJob &job, const RunResult &result)
     writeRunResult(w, result);
     w.endObject();
     return JsonWriter::compact(w.str()) + "\n";
+}
+
+bool
+readJournalLine(const std::string &line, std::string &key,
+                RunResult &result, std::string &error)
+{
+    JsonValue doc;
+    if (!parseJson(line, doc, error))
+        return false;
+    const JsonValue *k = doc.find("key");
+    const JsonValue *r = doc.find("result");
+    if (!k || !k->isString() || k->asString().empty() || !r) {
+        error = "missing key or result";
+        return false;
+    }
+    key = k->asString();
+    if (!readRunResult(*r, result)) {
+        error = "unreadable result";
+        return false;
+    }
+    return true;
 }
 
 std::vector<CampaignJob>

@@ -434,6 +434,16 @@ class CampaignRunner
 std::string campaignJournalLine(const CampaignJob &job,
                                 const RunResult &result);
 
+/**
+ * Read one campaignJournalLine() back: the grid key into @p key and the
+ * exact result into @p result. The journal and the worker-side result
+ * cache both store runs this way.
+ * @return false with @p error set when the line does not parse, lacks a
+ * non-empty string key or a result, or the result is unreadable.
+ */
+bool readJournalLine(const std::string &line, std::string &key,
+                     RunResult &result, std::string &error);
+
 /** The one report schema: written by campaignReportJson, and the only
  *  one readCampaignReport accepts. */
 inline constexpr const char *kCampaignReportSchema = "mondrian-campaign-v4";

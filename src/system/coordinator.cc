@@ -116,8 +116,8 @@ selfExecutable()
 
 /** Find a fault for @p index that has not fired yet (or is sticky). */
 const FaultInjection *
-pickFault(std::vector<FaultInjection> &faults, std::vector<bool> &fired,
-          std::size_t index)
+pickFault(const std::vector<FaultInjection> &faults,
+          std::vector<bool> &fired, std::size_t index)
 {
     for (std::size_t i = 0; i < faults.size(); ++i) {
         if (faults[i].index != index)
@@ -205,15 +205,14 @@ ensureWorkerCacheDir(const std::string &dir)
 }
 
 /**
- * Look @p key up in the cache at @p dir. On a hit, @p raw_result gets
- * the stored result subtree VERBATIM — exact-double JSON written by
- * workerCacheStore — so forwarding it upstream is byte-equivalent to
- * re-running the simulation. Unreadable, corrupt, or mismatched entries
- * are misses.
+ * Look @p key up in the cache at @p dir. An entry is a journal line and
+ * reads back through the journal's reader, at exact doubles, so replying
+ * with @p result is byte-equivalent to re-running the simulation.
+ * Unreadable, corrupt, or mismatched entries are misses.
  */
 bool
 workerCacheLookup(const std::string &dir, const std::string &key,
-                  std::string &raw_result)
+                  RunResult &result)
 {
     const std::string path = workerCachePath(dir, key);
     std::ifstream in(path, std::ios::binary);
@@ -221,28 +220,13 @@ workerCacheLookup(const std::string &dir, const std::string &key,
         return false;
     std::stringstream ss;
     ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    JsonValue root;
-    std::string parse_error;
-    if (!parseJson(text, root, parse_error)) {
-        std::fprintf(stderr, "worker: ignoring corrupt cache entry %s\n",
-                     path.c_str());
+    std::string stored_key, error;
+    if (!readJournalLine(ss.str(), stored_key, result, error)) {
+        std::fprintf(stderr, "worker: ignoring unreadable cache entry %s "
+                     "(%s)\n", path.c_str(), error.c_str());
         return false;
     }
-    const JsonValue *stored_key = root.find("key");
-    if (!stored_key || !stored_key->isString() ||
-        stored_key->asString() != key)
-        return false; // filename-hash collision or stale entry: a miss
-    const JsonValue *result = root.find("result");
-    RunResult parsed;
-    if (!result || !readRunResult(*result, parsed)) {
-        std::fprintf(stderr, "worker: ignoring unreadable cache entry %s\n",
-                     path.c_str());
-        return false;
-    }
-    raw_result = text.substr(result->begin, result->end - result->begin);
-    return true;
+    return stored_key == key; // else a filename-hash collision: a miss
 }
 
 /** Persist one finished job (atomically: tmp file + rename). The entry
@@ -270,6 +254,9 @@ workerCacheStore(const std::string &dir, const CampaignJob &job,
 
 namespace {
 
+/** Backoff before a remote worker's next dial, per consecutive failure. */
+constexpr double kReconnectBackoffSec = 0.5;
+
 /** How joinAndServe() ended. */
 enum class ServeStatus
 {
@@ -280,6 +267,27 @@ enum class ServeStatus
     kRefused          ///< handshake refused for good: a reject, or a
                       ///< spec this worker cannot use
 };
+
+/**
+ * The result frame for job @p index. Exact doubles: the coordinator
+ * re-parses it into a bit-identical RunResult, so the merged report
+ * matches an in-process run byte for byte.
+ */
+std::string
+resultFrame(std::size_t index, const RunResult &result, bool cached)
+{
+    JsonWriter w;
+    w.setPreciseDoubles(true);
+    w.beginObject();
+    w.member("type", "result");
+    w.member("index", std::uint64_t{index});
+    if (cached)
+        w.member("cached", true);
+    w.key("result");
+    writeRunResult(w, result);
+    w.endObject();
+    return JsonWriter::compact(w.str());
+}
 
 /**
  * The worker serve loop: answer job messages with result frames, beat a
@@ -371,47 +379,24 @@ serveCampaignJobs(Channel &t, const std::vector<CampaignJob> &jobs,
         if (fault == "corrupt") {
             // A well-formed frame whose result subtree fails
             // readRunResult validation.
-            JsonWriter w;
-            w.beginObject();
-            w.member("type", "result");
-            w.member("index", std::uint64_t{index});
-            w.key("result").beginObject();
-            w.member("corrupt", true);
-            w.endObject();
-            w.endObject();
-            t.send(JsonWriter::compact(w.str()));
+            t.send("{\"type\": \"result\", \"index\": " +
+                   std::to_string(index) +
+                   ", \"result\": {\"corrupt\": true}}");
             continue;
         }
 
-        if (cache_ok) {
-            std::string raw;
-            if (workerCacheLookup(cache_dir, campaignJobKey(jobs[index]),
-                                  raw)) {
-                // The stored subtree carries exact doubles, so splicing
-                // it verbatim is byte-equivalent to re-simulating.
-                std::fprintf(stderr, "worker: cache hit for job %zu\n",
-                             index);
-                t.send("{\"type\": \"result\", \"index\": " +
-                       std::to_string(index) +
-                       ", \"cached\": true, \"result\": " + raw + "}");
-                continue;
-            }
+        RunResult cached;
+        if (cache_ok && workerCacheLookup(cache_dir,
+                                          campaignJobKey(jobs[index]),
+                                          cached)) {
+            std::fprintf(stderr, "worker: cache hit for job %zu\n", index);
+            t.send(resultFrame(index, cached, true));
+            continue;
         }
 
         try {
             const RunResult result = executeCampaignJob(jobs[index]);
-            JsonWriter w;
-            // Exact doubles: the coordinator re-parses this into a
-            // bit-identical RunResult, so the merged report matches an
-            // in-process run byte-for-byte.
-            w.setPreciseDoubles(true);
-            w.beginObject();
-            w.member("type", "result");
-            w.member("index", std::uint64_t{index});
-            w.key("result");
-            writeRunResult(w, result);
-            w.endObject();
-            t.send(JsonWriter::compact(w.str()));
+            t.send(resultFrame(index, result, false));
             if (cache_ok)
                 workerCacheStore(cache_dir, jobs[index], result);
         } catch (const std::exception &e) {
@@ -545,7 +530,7 @@ runConnectWorker(const std::string &endpoint_spec,
                          "consecutive failures\n", why.c_str(), failures);
             return false;
         }
-        const double backoff = failures * options.reconnectBackoffSec;
+        const double backoff = failures * kReconnectBackoffSec;
         std::fprintf(stderr, "worker: %s; retrying in %.1fs (%u/%u)\n",
                      why.c_str(), backoff, failures,
                      options.reconnectAttempts);
@@ -585,21 +570,440 @@ runConnectWorker(const std::string &endpoint_spec,
 
 namespace {
 
+/** Backoff before a failed job's next attempt, per attempt so far. */
+constexpr double kRetryBackoffSec = 0.1;
+
+/** How far a worker is through the hello -> spec -> ready handshake. */
+enum class Handshake
+{
+    kJoining, ///< spawned or dialed in, no hello yet
+    kJoined,  ///< said hello and was sent the spec
+    kReady,   ///< expanded the spec: assignable
+};
+
 /** One worker channel — a local subprocess over pipes or a remote TCP
- *  connection; the event loop treats them uniformly. */
+ *  connection; the event loop treats them uniformly. A dropped worker
+ *  has no channel and leaves the list at the next loop iteration. */
 struct WorkerChan
 {
     unsigned id = 0;
     std::unique_ptr<Channel> chan;
     pid_t pid = -1; ///< local subprocess pid; -1 for remote workers
     bool remote = false;
-    bool alive = false;
-    bool hello = false;
-    /** Assignable: the hello/spec/ready handshake completed. */
-    bool ready = false;
+    Handshake state = Handshake::kJoining;
     double lastSeen = 0.0;
     double jobStart = 0.0;
     std::ptrdiff_t job = -1; ///< assigned grid index, -1 when idle
+};
+
+/** The handshake's reply to every hello, spawned or dialed in: the
+ *  grid block at exact doubles and the heartbeat period. */
+std::string
+specMessage(const CampaignGrid &grid, double heartbeat_timeout_sec)
+{
+    JsonWriter w;
+    w.setPreciseDoubles(true);
+    w.beginObject();
+    w.member("type", "spec");
+    w.member("schema", kCampaignSpecSchema);
+    w.key("grid");
+    writeCampaignGrid(w, grid);
+    w.member("heartbeat_interval",
+             std::min(1.0, std::max(0.02, heartbeat_timeout_sec / 4.0)));
+    w.endObject();
+    return JsonWriter::compact(w.str());
+}
+
+/**
+ * The state of one CampaignCoordinator::dispatch() call. Each step of
+ * its event loop is a method; dispatch() runs them in order until every
+ * job is resolved (completed or failed for good).
+ */
+struct DispatchLoop
+{
+    const CoordinatorConfig &config;
+    const Socket &listener;
+    const std::function<void(const CampaignRun &)> &progress;
+    CampaignReport &report;
+    std::string specMsg;
+    std::vector<std::string> argv; ///< local worker command line
+    std::deque<std::pair<std::size_t, double>> pending; // (index, readyAt)
+    std::size_t remaining = pending.size(); ///< jobs not yet resolved
+    std::vector<bool> resolved = std::vector<bool>(report.runs.size());
+    std::vector<unsigned> attempts =
+        std::vector<unsigned>(report.runs.size());
+    std::vector<bool> faultFired = std::vector<bool>(config.faults.size());
+    std::vector<WorkerChan> workers{};
+    unsigned nextWorkerId = 0;
+    bool anyHello = false;
+    unsigned noHelloDeaths = 0;       ///< local losses before a hello
+    unsigned consecutiveFailures = 0; ///< local losses since a result
+
+    /** Step 1: kill wedged or overrunning workers. */
+    void
+    expireTimeouts(double now)
+    {
+        for (WorkerChan &w : workers) {
+            if (w.job >= 0 && now - w.jobStart > config.jobTimeoutSec) {
+                warn("coordinator: worker %u exceeded the %.1fs job "
+                     "timeout on job %td; killing it", w.id,
+                     config.jobTimeoutSec, w.job);
+                workerLost(w, "hit the job timeout");
+            } else if (now - w.lastSeen > config.heartbeatTimeoutSec) {
+                warn("coordinator: worker %u silent for %.1fs (heartbeat "
+                     "timeout); killing it", w.id, now - w.lastSeen);
+                workerLost(w, "stopped heartbeating");
+            }
+        }
+    }
+
+    /**
+     * Step 2: keep the LOCAL population at min(workers, unresolved jobs)
+     * and accept every pending remote dial (each must still pass the
+     * hello handshake); remote workers add capacity beyond that.
+     * @return false when the local population is unusable and the
+     * unresolved jobs must run in-process. Never while listening: with
+     * remote workers expected, the right behavior is to keep waiting
+     * for them, not to silently run the campaign on this host.
+     */
+    bool
+    keepPopulation()
+    {
+        const bool listening = listener.valid();
+        if (!listening && !anyHello && config.workers > 0 &&
+            noHelloDeaths >= config.workers) {
+            warn("coordinator: workers cannot spawn (%u died before "
+                 "hello); degrading to in-process execution",
+                 noHelloDeaths);
+            return false;
+        }
+        if (!listening && consecutiveFailures >
+                              config.workers * (config.maxRetries + 1) + 4) {
+            warn("coordinator: %u consecutive worker failures; degrading "
+                 "to in-process execution", consecutiveFailures);
+            return false;
+        }
+        std::size_t local = 0;
+        for (const WorkerChan &w : workers)
+            local += w.chan && !w.remote ? 1 : 0;
+        for (; local < std::min<std::size_t>(config.workers, remaining);
+             ++local) {
+            if (spawnWorker())
+                continue;
+            if (!listening) {
+                warn("coordinator: cannot spawn worker (%s); degrading "
+                     "to in-process execution", std::strerror(errno));
+                return false;
+            }
+            warn("coordinator: cannot spawn local worker (%s); relying "
+                 "on remote workers", std::strerror(errno));
+            break;
+        }
+        while (listening) {
+            std::string error;
+            Socket conn = listener.accept(error);
+            if (!conn.valid()) {
+                if (!error.empty())
+                    warn("coordinator: %s", error.c_str());
+                break;
+            }
+            if (!conn.setNonBlocking(error)) {
+                warn("coordinator: dropping connection: %s", error.c_str());
+                continue;
+            }
+            WorkerChan &w = workers.emplace_back();
+            w.id = nextWorkerId++;
+            w.remote = true;
+            w.chan = std::make_unique<Channel>(std::move(conn));
+            w.lastSeen = monotonicSeconds();
+            inform("coordinator: remote worker %u connected", w.id);
+        }
+        return true;
+    }
+
+    /** Step 3: hand ready pending jobs to idle ready workers. */
+    void
+    assignJobs(double now)
+    {
+        for (WorkerChan &w : workers) {
+            if (!w.chan || w.state != Handshake::kReady || w.job >= 0)
+                continue;
+            // Jobs in backoff stay queued until their readyAt passes.
+            const auto next = std::find_if(
+                pending.begin(), pending.end(),
+                [now](const auto &p) { return p.second <= now; });
+            if (next == pending.end())
+                return;
+            const std::size_t index = next->first;
+            pending.erase(next);
+
+            JsonWriter msg;
+            msg.beginObject();
+            msg.member("type", "job");
+            msg.member("index", std::uint64_t{index});
+            if (const FaultInjection *f =
+                    pickFault(config.faults, faultFired, index))
+                msg.member("fault", faultKindName(f->kind));
+            msg.endObject();
+            if (!w.chan->send(JsonWriter::compact(msg.str()))) {
+                // Dead before the assignment landed: requeue with no
+                // attempt penalty, recycle the worker.
+                pending.push_front({index, now});
+                workerLost(w, "rejected a job assignment");
+                continue;
+            }
+            w.job = static_cast<std::ptrdiff_t>(index);
+            w.jobStart = now;
+        }
+    }
+
+    /** Step 4: wait for worker traffic (bounded, so timeouts and abort
+     *  stay live) and handle it. */
+    void
+    readWorkers()
+    {
+        std::vector<pollfd> fds;
+        std::vector<std::size_t> owner; // index into workers of fds[i]
+        for (std::size_t i = 0; i < workers.size(); ++i) {
+            if (!workers[i].chan)
+                continue; // dropped earlier in this pass
+            fds.push_back({workers[i].chan->fd(), POLLIN, 0});
+            owner.push_back(i);
+        }
+        // The listener only wakes the loop; step 2 accepts its dials.
+        if (listener.valid())
+            fds.push_back({listener.fd(), POLLIN, 0});
+        if (fds.empty())
+            return;
+        ::poll(fds.data(), fds.size(), 100);
+
+        for (std::size_t i = 0; i < owner.size(); ++i) {
+            if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR)))
+                continue;
+            WorkerChan &w = workers[owner[i]];
+            const std::string why = handleMessages(w);
+            if (!why.empty())
+                workerLost(w, why);
+        }
+    }
+
+    /** Tell every worker to exit, give local ones two seconds to do so,
+     *  then kill and close whatever is left. */
+    void
+    shutdown()
+    {
+        for (WorkerChan &w : workers) {
+            if (!w.chan)
+                continue;
+            w.chan->send("{\"type\": \"exit\"}");
+            w.chan->shutdownSend();
+        }
+        const double deadline = monotonicSeconds() + 2.0;
+        for (WorkerChan &w : workers) {
+            while (w.pid > 0 && monotonicSeconds() < deadline) {
+                const pid_t r = ::waitpid(w.pid, nullptr, WNOHANG);
+                if (r == w.pid || (r < 0 && errno == ECHILD))
+                    w.pid = -1; // exited on its own: nothing to kill
+                else
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(10));
+            }
+            reap(w);
+        }
+    }
+
+    bool
+    spawnWorker()
+    {
+        std::vector<char *> args;
+        for (std::string &a : argv)
+            args.push_back(a.data());
+        args.push_back(nullptr);
+
+        int to_child[2] = {-1, -1}, from_child[2] = {-1, -1};
+        const pid_t pid = ::pipe(to_child) == 0 && ::pipe(from_child) == 0
+                              ? ::fork()
+                              : -1;
+        if (pid == 0) {
+            ::dup2(to_child[0], STDIN_FILENO);
+            ::dup2(from_child[1], STDOUT_FILENO);
+        }
+        // One cleanup path: the child's pipe ends close on both sides
+        // (the child holds them as stdin/stdout now); the coordinator's
+        // ends close in the child and when the spawn failed.
+        for (const int fd : {to_child[0], from_child[1]})
+            if (fd >= 0)
+                ::close(fd);
+        if (pid <= 0)
+            for (const int fd : {to_child[1], from_child[0]})
+                if (fd >= 0)
+                    ::close(fd);
+        if (pid == 0) {
+            ::execv(args[0], args.data());
+            std::_Exit(127);
+        }
+        if (pid < 0)
+            return false;
+        ::fcntl(from_child[0], F_SETFL, O_NONBLOCK);
+        WorkerChan &w = workers.emplace_back();
+        w.id = nextWorkerId++;
+        w.pid = pid;
+        w.chan = std::make_unique<Channel>(from_child[0], to_child[1]);
+        w.lastSeen = monotonicSeconds();
+        return true;
+    }
+
+    /** Pump @p w's channel and act on every complete message.
+     *  @return why the worker must be dropped; empty to keep it. */
+    std::string
+    handleMessages(WorkerChan &w)
+    {
+        const Channel::Pump pumped = w.chan->pump();
+        std::string payload;
+        int st;
+        while ((st = w.chan->next(payload)) == 1) {
+            std::string why = handleMessage(w, payload);
+            if (!why.empty())
+                return why;
+        }
+        if (st < 0)
+            return protocolBreak(w);
+        if (pumped == Channel::Pump::kEof || pumped == Channel::Pump::kError)
+            return w.remote ? "disconnected" : "exited unexpectedly";
+        return {};
+    }
+
+    std::string
+    handleMessage(WorkerChan &w, const std::string &payload)
+    {
+        JsonValue msg;
+        std::string parse_error;
+        if (!parseJson(payload, msg, parse_error))
+            return protocolBreak(w);
+        const JsonValue *type = msg.find("type");
+        const std::string kind = type ? type->asString() : "";
+        w.lastSeen = monotonicSeconds();
+        if (kind == "heartbeat")
+            return {}; // the lastSeen refresh is the whole point
+        if (kind == "hello") {
+            // Local workers are our own children; only a worker that
+            // dialed in must present the shared secret.
+            const JsonValue *tok = msg.find("token");
+            const std::string token =
+                tok && tok->isString() ? tok->asString() : "";
+            if (w.remote && token != config.helloToken) {
+                warn("coordinator: remote worker %u sent a bad hello "
+                     "token; rejecting it", w.id);
+                w.chan->send("{\"type\": \"reject\", \"reason\": "
+                             "\"bad hello token\"}");
+                return "sent a bad hello token";
+            }
+            w.state = Handshake::kJoined;
+            anyHello = true;
+            return w.chan->send(specMsg) ? std::string() : protocolBreak(w);
+        }
+        if (kind == "ready") {
+            // The worker expanded the spec we shipped; a job count
+            // mismatch means we would be assigning indices into a
+            // DIFFERENT grid — never assign to it.
+            const JsonValue *count = msg.find("jobs");
+            if (w.state == Handshake::kJoining || !count ||
+                count->asU64() != report.runs.size())
+                return protocolBreak(w);
+            w.state = Handshake::kReady;
+            if (w.remote)
+                inform("coordinator: remote worker %u ready", w.id);
+            return {};
+        }
+        const JsonValue *idx = msg.find("index");
+        if ((kind != "result" && kind != "error") || !idx || w.job < 0 ||
+            idx->asU64() != static_cast<std::uint64_t>(w.job))
+            return protocolBreak(w);
+        const std::size_t index = static_cast<std::size_t>(w.job);
+        w.job = -1;
+        const JsonValue *result = msg.find("result");
+        const JsonValue *cached = msg.find("cached");
+        RunResult parsed;
+        if (kind == "error") {
+            const JsonValue *m = msg.find("message");
+            attemptFailed(index, m ? m->asString() : "worker error");
+        } else if (!result || !readRunResult(*result, parsed)) {
+            attemptFailed(index, "corrupt result frame");
+        } else {
+            if (cached && cached->kind == JsonValue::Kind::kBool &&
+                cached->boolean)
+                ++report.workerCacheHits;
+            report.runs[index].result = std::move(parsed);
+            consecutiveFailures = 0;
+            resolve(index);
+            if (progress)
+                progress(report.runs[index]);
+        }
+        return {};
+    }
+
+    std::string
+    protocolBreak(const WorkerChan &w)
+    {
+        warn("coordinator: worker %u broke the frame protocol; dropping "
+             "it", w.id);
+        return "broke the frame protocol";
+    }
+
+    void
+    resolve(std::size_t index)
+    {
+        resolved[index] = true;
+        --remaining;
+    }
+
+    void
+    attemptFailed(std::size_t index, const std::string &why)
+    {
+        const unsigned n = ++attempts[index];
+        if (n > config.maxRetries) {
+            report.runs[index].failed = true;
+            report.failedRuns.push_back({index, n, why});
+            resolve(index);
+            warn("coordinator: job %zu failed permanently after %u "
+                 "attempts: %s", index, n, why.c_str());
+            return;
+        }
+        const double backoff = n * kRetryBackoffSec;
+        pending.push_back({index, monotonicSeconds() + backoff});
+        inform("coordinator: job %zu attempt %u failed (%s); retrying in "
+               "%.1fs", index, n, why.c_str(), backoff);
+    }
+
+    /** The one way a worker leaves: reap it and requeue its job. */
+    void
+    workerLost(WorkerChan &w, const std::string &why)
+    {
+        // Only local subprocess deaths feed the degradation counters: a
+        // remote worker dropping off the network says nothing about
+        // whether THIS host can run workers.
+        if (!w.remote) {
+            ++consecutiveFailures;
+            noHelloDeaths += w.state == Handshake::kJoining ? 1 : 0;
+        }
+        reap(w);
+        if (w.job >= 0)
+            attemptFailed(static_cast<std::size_t>(w.job),
+                          "worker " + std::to_string(w.id) + " " + why);
+    }
+
+    /** Kill a local worker that still runs and close the channel: the
+     *  worker counts as dropped from here on. */
+    static void
+    reap(WorkerChan &w)
+    {
+        if (w.pid > 0) {
+            ::kill(w.pid, SIGKILL);
+            ::waitpid(w.pid, nullptr, 0);
+            w.pid = -1;
+        }
+        w.chan.reset();
+    }
 };
 
 } // namespace
@@ -655,472 +1059,49 @@ std::vector<CampaignJob>
 CampaignCoordinator::dispatch(const std::vector<CampaignJob> &todo,
                               CampaignReport &report)
 {
-    const bool listening = listenSocket_.valid();
-    const std::size_t grid_jobs = report.runs.size();
-
-    std::deque<std::pair<std::size_t, double>> pending; // (index, readyAt)
+    std::deque<std::pair<std::size_t, double>> pending;
     for (const CampaignJob &job : todo)
         pending.push_back({job.index, 0.0});
-
-    const std::size_t target = todo.size();
-    std::size_t completed = 0, failed = 0;
-    std::vector<unsigned> attempts(grid_jobs, 0);
-    std::vector<FaultInjection> faults = config_.faults;
-    std::vector<bool> fault_fired(faults.size(), false);
-
-    // Every worker, spawned or dialed in, gets the spec and the beat
-    // period in reply to its hello.
-    const double hb_interval =
-        std::min(1.0, std::max(0.02, config_.heartbeatTimeoutSec / 4.0));
-    std::string spec_msg;
-    {
-        JsonWriter sm;
-        sm.setPreciseDoubles(true);
-        sm.beginObject();
-        sm.member("type", "spec");
-        sm.member("schema", kCampaignSpecSchema);
-        sm.key("grid");
-        writeCampaignGrid(sm, grid_);
-        sm.member("heartbeat_interval", hb_interval);
-        sm.endObject();
-        spec_msg = JsonWriter::compact(sm.str());
-    }
-
-    // --------------------------------------------------- spawn machinery
-    std::vector<std::string> argv_prefix = config_.workerCommand;
-    if (argv_prefix.empty())
-        argv_prefix = {selfExecutable()};
-    std::vector<std::string> argv_tail = {"--worker"};
-    if (!config_.workerCacheDir.empty()) {
-        argv_tail.push_back("--worker-cache");
-        argv_tail.push_back(config_.workerCacheDir);
-    }
+    std::vector<std::string> argv = config_.workerCommand;
+    if (argv.empty())
+        argv = {selfExecutable()};
+    argv.push_back("--worker");
+    if (!config_.workerCacheDir.empty())
+        argv.insert(argv.end(), {"--worker-cache", config_.workerCacheDir});
+    DispatchLoop loop{config_, listenSocket_, progress_, report,
+                      specMessage(grid_, config_.heartbeatTimeoutSec),
+                      std::move(argv), std::move(pending)};
 
     // A write to a freshly dead worker must fail with EPIPE, not kill
     // the coordinator.
     struct sigaction ignore_pipe{}, old_pipe{};
     ignore_pipe.sa_handler = SIG_IGN;
     ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
-
-    std::vector<WorkerChan> workers;
-    unsigned next_worker_id = 0;
-    bool any_hello_ever = false;
-    unsigned no_hello_deaths = 0;
-    unsigned consecutive_failures = 0;
     bool degraded = false;
-
-    auto spawn_worker = [&]() -> bool {
-        int to_child[2], from_child[2];
-        if (::pipe(to_child) < 0)
-            return false;
-        if (::pipe(from_child) < 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            return false;
-        }
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            ::close(from_child[0]);
-            ::close(from_child[1]);
-            return false;
-        }
-        if (pid == 0) {
-            ::dup2(to_child[0], STDIN_FILENO);
-            ::dup2(from_child[1], STDOUT_FILENO);
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            ::close(from_child[0]);
-            ::close(from_child[1]);
-            std::vector<std::string> args = argv_prefix;
-            args.insert(args.end(), argv_tail.begin(), argv_tail.end());
-            std::vector<char *> argv;
-            for (std::string &a : args)
-                argv.push_back(a.data());
-            argv.push_back(nullptr);
-            ::execv(argv[0], argv.data());
-            std::_Exit(127);
-        }
-        ::close(to_child[0]);
-        ::close(from_child[1]);
-        ::fcntl(from_child[0], F_SETFL, O_NONBLOCK);
-        WorkerChan w;
-        w.id = next_worker_id++;
-        w.pid = pid;
-        w.chan = std::make_unique<Channel>(from_child[0], to_child[1]);
-        w.alive = true;
-        w.lastSeen = monotonicSeconds();
-        workers.push_back(std::move(w));
-        return true;
-    };
-
-    auto reap_worker = [&](WorkerChan &w) {
-        if (w.pid > 0) {
-            ::kill(w.pid, SIGKILL);
-            ::waitpid(w.pid, nullptr, 0);
-            w.pid = -1;
-        }
-        if (w.chan)
-            w.chan->close();
-        w.alive = false;
-        w.ready = false;
-    };
-
-    auto attempt_failed = [&](std::size_t index, const std::string &why) {
-        ++attempts[index];
-        if (attempts[index] > config_.maxRetries) {
-            report.runs[index].failed = true;
-            report.failedRuns.push_back({index, attempts[index], why});
-            ++failed;
-            warn("coordinator: job %zu failed permanently after %u "
-                 "attempts: %s", index, attempts[index], why.c_str());
-        } else {
-            const double backoff =
-                attempts[index] * config_.retryBackoffSec;
-            pending.push_back({index, monotonicSeconds() + backoff});
-            inform("coordinator: job %zu attempt %u failed (%s); "
-                   "retrying in %.1fs", index, attempts[index],
-                   why.c_str(), backoff);
-        }
-    };
-
-    auto worker_lost = [&](WorkerChan &w, const std::string &why) {
-        // Only local subprocess deaths feed the degradation counters: a
-        // remote worker dropping off the network says nothing about
-        // whether THIS host can run workers.
-        const bool local = !w.remote;
-        const bool had_hello = w.hello;
-        reap_worker(w);
-        if (local) {
-            ++consecutive_failures;
-            if (!had_hello)
-                ++no_hello_deaths;
-        }
-        if (w.job >= 0) {
-            attempt_failed(static_cast<std::size_t>(w.job),
-                           "worker " + std::to_string(w.id) + " " + why);
-            w.job = -1;
-        }
-    };
-
-    // ------------------------------------------------------- event loop
-    while (completed + failed < target) {
+    while (loop.remaining > 0) {
         if (abort_ && abort_->load()) {
             report.aborted = true;
             break;
         }
-        const double t = monotonicSeconds();
-
-        // Kill wedged or overrunning workers.
-        for (WorkerChan &w : workers) {
-            if (!w.alive)
-                continue;
-            if (w.job >= 0 && t - w.jobStart > config_.jobTimeoutSec) {
-                warn("coordinator: worker %u exceeded the %.1fs job "
-                     "timeout on job %td; killing it", w.id,
-                     config_.jobTimeoutSec, w.job);
-                worker_lost(w, "hit the job timeout");
-            } else if (t - w.lastSeen > config_.heartbeatTimeoutSec) {
-                warn("coordinator: worker %u silent for %.1fs "
-                     "(heartbeat timeout); killing it", w.id,
-                     t - w.lastSeen);
-                worker_lost(w, "stopped heartbeating");
-            }
-        }
-
-        // Unusable-population safety nets -> degrade to in-process.
-        // Disabled while listening: with remote workers expected, the
-        // right behavior is to keep waiting for them, not to silently
-        // run the campaign on the coordinator host.
-        if (!listening) {
-            if (!any_hello_ever && config_.workers > 0 &&
-                no_hello_deaths >= config_.workers) {
-                warn("coordinator: workers cannot spawn (%u died before "
-                     "hello); degrading to in-process execution",
-                     no_hello_deaths);
-                degraded = true;
-            }
-            if (consecutive_failures >
-                config_.workers * (config_.maxRetries + 1) + 4) {
-                warn("coordinator: %u consecutive worker failures; "
-                     "degrading to in-process execution",
-                     consecutive_failures);
-                degraded = true;
-            }
-            if (degraded)
-                break;
-        }
-
-        // Keep the LOCAL population at min(workers, outstanding jobs);
-        // remote workers add capacity beyond that.
-        const std::size_t outstanding = target - completed - failed;
-        std::size_t local_alive = 0;
-        for (const WorkerChan &w : workers)
-            local_alive += (w.alive && !w.remote) ? 1 : 0;
-        while (local_alive <
-               std::min<std::size_t>(config_.workers, outstanding)) {
-            if (!spawn_worker()) {
-                if (listening) {
-                    warn("coordinator: cannot spawn local worker (%s); "
-                         "relying on remote workers",
-                         std::strerror(errno));
-                    break;
-                }
-                warn("coordinator: cannot spawn worker (%s); degrading "
-                     "to in-process execution", std::strerror(errno));
-                degraded = true;
-                break;
-            }
-            ++local_alive;
-        }
+        std::erase_if(loop.workers,
+                      [](const WorkerChan &w) { return !w.chan; });
+        const double now = monotonicSeconds();
+        loop.expireTimeouts(now);
+        degraded = !loop.keepPopulation();
         if (degraded)
             break;
-
-        // Assign ready pending jobs to idle workers.
-        for (WorkerChan &w : workers) {
-            if (!w.alive || !w.ready || w.job >= 0 || pending.empty())
-                continue;
-            // Jobs in backoff stay queued until their readyAt passes.
-            auto ready = pending.end();
-            for (auto it = pending.begin(); it != pending.end(); ++it) {
-                if (it->second <= t) {
-                    ready = it;
-                    break;
-                }
-            }
-            if (ready == pending.end())
-                continue;
-            const std::size_t index = ready->first;
-            pending.erase(ready);
-
-            JsonWriter msg;
-            msg.beginObject();
-            msg.member("type", "job");
-            msg.member("index", std::uint64_t{index});
-            if (const FaultInjection *f =
-                    pickFault(faults, fault_fired, index))
-                msg.member("fault", faultKindName(f->kind));
-            msg.endObject();
-            w.job = static_cast<std::ptrdiff_t>(index);
-            w.jobStart = t;
-            if (!w.chan->send(JsonWriter::compact(msg.str()))) {
-                // Dead before the assignment landed: requeue with no
-                // attempt penalty, recycle the worker.
-                w.job = -1;
-                pending.push_front({index, t});
-                worker_lost(w, "rejected a job assignment");
-            }
-        }
-
-        // Wait for worker traffic (bounded so timeouts/abort stay live).
-        std::vector<pollfd> fds;
-        std::vector<std::size_t> fd_worker; // SIZE_MAX = the listener
-        if (listening) {
-            fds.push_back({listenSocket_.fd(), POLLIN, 0});
-            fd_worker.push_back(SIZE_MAX);
-        }
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            if (!workers[i].alive)
-                continue;
-            fds.push_back({workers[i].chan->fd(), POLLIN, 0});
-            fd_worker.push_back(i);
-        }
-        if (fds.empty())
-            continue;
-        ::poll(fds.data(), fds.size(), 100);
-
-        for (std::size_t i = 0; i < fds.size(); ++i) {
-            if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            if (fd_worker[i] == SIZE_MAX) {
-                // Accept every pending remote connection; each is a new
-                // worker that must still pass the hello handshake.
-                for (;;) {
-                    std::string accept_error;
-                    Socket conn = listenSocket_.accept(accept_error);
-                    if (!conn.valid()) {
-                        if (!accept_error.empty())
-                            warn("coordinator: %s", accept_error.c_str());
-                        break;
-                    }
-                    std::string nb_error;
-                    if (!conn.setNonBlocking(nb_error)) {
-                        warn("coordinator: dropping connection: %s",
-                             nb_error.c_str());
-                        continue;
-                    }
-                    WorkerChan w;
-                    w.id = next_worker_id++;
-                    w.remote = true;
-                    w.alive = true;
-                    w.chan = std::make_unique<Channel>(std::move(conn));
-                    w.lastSeen = monotonicSeconds();
-                    inform("coordinator: remote worker %u connected",
-                           w.id);
-                    workers.push_back(std::move(w));
-                }
-                continue;
-            }
-            WorkerChan &w = workers[fd_worker[i]];
-            const Channel::Pump pumped = w.chan->pump();
-            const bool gone = pumped == Channel::Pump::kEof ||
-                              pumped == Channel::Pump::kError;
-
-            // Parse every complete message.
-            bool desync = false, rejected = false;
-            std::string payload;
-            int st;
-            while ((st = w.chan->next(payload)) == 1) {
-                JsonValue msg;
-                std::string parse_error;
-                if (!parseJson(payload, msg, parse_error)) {
-                    desync = true;
-                    break;
-                }
-                const JsonValue *type = msg.find("type");
-                const std::string kind = type ? type->asString() : "";
-                w.lastSeen = monotonicSeconds();
-                if (kind == "hello") {
-                    // Local workers are our own children; only a worker
-                    // that dialed in must present the shared secret.
-                    const JsonValue *tok = msg.find("token");
-                    const std::string token =
-                        tok && tok->isString() ? tok->asString() : "";
-                    if (w.remote && token != config_.helloToken) {
-                        warn("coordinator: remote worker %u sent a bad "
-                             "hello token; rejecting it", w.id);
-                        w.chan->send("{\"type\": \"reject\", \"reason\": "
-                                     "\"bad hello token\"}");
-                        rejected = true;
-                        break;
-                    }
-                    w.hello = true;
-                    any_hello_ever = true;
-                    if (!w.chan->send(spec_msg)) {
-                        desync = true;
-                        break;
-                    }
-                } else if (kind == "ready") {
-                    // The worker expanded the spec we shipped; a job
-                    // count mismatch means we would be assigning indices
-                    // into a DIFFERENT grid — never assign to it.
-                    const JsonValue *count = msg.find("jobs");
-                    if (!w.hello || !count || count->asU64() != grid_jobs) {
-                        desync = true;
-                        break;
-                    }
-                    w.ready = true;
-                    if (w.remote)
-                        inform("coordinator: remote worker %u ready", w.id);
-                } else if (kind == "heartbeat") {
-                    // lastSeen refresh above is the whole point
-                } else if (kind == "result" || kind == "error") {
-                    const JsonValue *idx = msg.find("index");
-                    if (!idx || idx->asU64() >= grid_jobs ||
-                        w.job !=
-                            static_cast<std::ptrdiff_t>(idx->asU64())) {
-                        desync = true;
-                        break;
-                    }
-                    const std::size_t index =
-                        static_cast<std::size_t>(idx->asU64());
-                    w.job = -1;
-                    if (kind == "error") {
-                        const JsonValue *m = msg.find("message");
-                        attempt_failed(index,
-                                       m ? m->asString()
-                                         : "worker error");
-                        continue;
-                    }
-                    const JsonValue *result = msg.find("result");
-                    RunResult parsed;
-                    if (!result || !readRunResult(*result, parsed)) {
-                        attempt_failed(index, "corrupt result frame");
-                        continue;
-                    }
-                    const JsonValue *cached = msg.find("cached");
-                    if (cached && cached->kind == JsonValue::Kind::kBool &&
-                        cached->boolean)
-                        ++report.workerCacheHits;
-                    report.runs[index].result = std::move(parsed);
-                    consecutive_failures = 0;
-                    ++completed;
-                    if (progress_)
-                        progress_(report.runs[index]);
-                } else {
-                    desync = true;
-                    break;
-                }
-            }
-            if (st < 0)
-                desync = true;
-            if (rejected) {
-                // Not a worker failure: it never held a job, and its
-                // death must not feed the degradation counters.
-                reap_worker(w);
-                continue;
-            }
-            if (desync) {
-                warn("coordinator: worker %u broke the frame protocol; "
-                     "dropping it", w.id);
-                worker_lost(w, "broke the frame protocol");
-                continue;
-            }
-            if (gone)
-                worker_lost(w, w.remote ? "disconnected"
-                                        : "exited unexpectedly");
-        }
+        loop.assignJobs(now);
+        loop.readWorkers();
     }
-
-    // ------------------------------------------------------- shutdown
-    for (WorkerChan &w : workers) {
-        if (!w.alive || !w.chan)
-            continue;
-        w.chan->send("{\"type\": \"exit\"}");
-        w.chan->shutdownSend();
-    }
-    const double shutdown_start = monotonicSeconds();
-    for (WorkerChan &w : workers) {
-        if (w.remote) {
-            if (w.alive) {
-                w.chan->close();
-                w.alive = false;
-            }
-            continue;
-        }
-        while (w.alive && w.pid > 0) {
-            const pid_t r = ::waitpid(w.pid, nullptr, WNOHANG);
-            if (r == w.pid || (r < 0 && errno == ECHILD)) {
-                w.pid = -1;
-                w.chan->close();
-                w.alive = false;
-                break;
-            }
-            if (monotonicSeconds() - shutdown_start > 2.0) {
-                reap_worker(w);
-                break;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-    }
+    loop.shutdown();
     ::sigaction(SIGPIPE, &old_pipe, nullptr);
 
-    // A degraded population leaves its queued and in-flight jobs to the
-    // in-process executor.
+    // A degraded population leaves every unresolved job, queued or in
+    // flight, to the in-process executor, in grid order.
     std::vector<CampaignJob> rest;
-    if (degraded) {
-        for (const auto &[index, ready_at] : pending)
-            rest.push_back(report.runs[index].job);
-        for (const WorkerChan &w : workers)
-            if (w.job >= 0)
-                rest.push_back(
-                    report.runs[static_cast<std::size_t>(w.job)].job);
-        std::sort(rest.begin(), rest.end(),
-                  [](const CampaignJob &a, const CampaignJob &b) {
-                      return a.index < b.index;
-                  });
-    }
+    for (const CampaignJob &job : todo)
+        if (degraded && !loop.resolved[job.index])
+            rest.push_back(job);
     return rest;
 }
 

@@ -45,8 +45,8 @@
  * 12-digit form — so a campaign that crashed, hung, retried and
  * reassigned still produces the byte-identical report, which is the
  * chaos oracle CI enforces. Worker-side result caching (`--worker-cache
- * DIR`) rides on the same property: a cached result is the stored
- * exact-double JSON, so a warm re-dispatch splices byte-identically.
+ * DIR`) rides on the same property: a cache entry is a journal line at
+ * exact doubles, so a warm re-dispatch reproduces the run's bytes.
  */
 
 #ifndef MONDRIAN_SYSTEM_COORDINATOR_HH
@@ -125,7 +125,6 @@ struct CoordinatorConfig
     double jobTimeoutSec = 600.0;    ///< per-attempt wall-clock budget
     double heartbeatTimeoutSec = 30.0; ///< silence before a kill
     unsigned maxRetries = 2;         ///< attempts per job = 1 + maxRetries
-    double retryBackoffSec = 0.1;    ///< backoff = attempt * this
     /**
      * HOST:PORT to accept remote `--worker-connect` workers on; empty =
      * local subprocess workers only. With a listen endpoint and
@@ -204,7 +203,7 @@ class CampaignCoordinator
 
   private:
     /** Run @p todo on workers; returns the jobs a degraded worker
-     *  population left unresolved (empty otherwise). */
+     *  population left unresolved, in grid order (empty otherwise). */
     std::vector<CampaignJob> dispatch(const std::vector<CampaignJob> &todo,
                                       CampaignReport &report);
 
@@ -236,7 +235,6 @@ struct ConnectWorkerOptions
      *  count, so a long campaign survives any number of isolated
      *  disconnects. */
     unsigned reconnectAttempts = 3;
-    double reconnectBackoffSec = 0.5; ///< backoff = attempt * this
 };
 
 /**

@@ -72,7 +72,6 @@ testConfig()
 {
     CoordinatorConfig config;
     config.workers = 2;
-    config.retryBackoffSec = 0.01; // keep retry tests fast
     config.workerCommand = {kWorkerBinary};
     return config;
 }
@@ -265,6 +264,28 @@ TEST(Coordinator, HungWorkerIsKilledAndJobReassigned)
     const CampaignReport report = coordinator.run();
     EXPECT_TRUE(report.failedRuns.empty());
     EXPECT_EQ(campaignReportJson(report), expected);
+}
+
+TEST(Coordinator, JobTimeoutKillsAHungWorker)
+{
+    // The heartbeat timeout stays at its 30 s default, so only the 1 s
+    // job timeout can catch the wedged worker; with no retries the job
+    // fails for good and names that timeout.
+    CoordinatorConfig config = testConfig();
+    config.maxRetries = 0;
+    config.jobTimeoutSec = 1.0;
+    std::string error;
+    ASSERT_TRUE(parseFaultInject("hang@1!", config.faults, error));
+    CampaignCoordinator coordinator(smallGrid(), config);
+    const CampaignReport report = coordinator.run();
+
+    ASSERT_EQ(report.failedRuns.size(), 1u);
+    EXPECT_EQ(report.failedRuns[0].index, 1u);
+    EXPECT_NE(report.failedRuns[0].error.find("job timeout"),
+              std::string::npos)
+        << report.failedRuns[0].error;
+    for (std::size_t i = 0; i < report.runs.size(); ++i)
+        EXPECT_EQ(report.runs[i].failed, i == 1) << "run " << i;
 }
 
 TEST(Coordinator, CorruptResultIsRejectedAndRetried)
@@ -484,7 +505,6 @@ tcpConfig()
     CoordinatorConfig config;
     config.workers = 0;
     config.listenEndpoint = "127.0.0.1:0";
-    config.retryBackoffSec = 0.01;
     return config;
 }
 

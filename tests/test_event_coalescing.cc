@@ -23,6 +23,7 @@
 #include "core/cache.hh"
 #include "engine/ops.hh"
 #include "engine/workload.hh"
+#include "noc/network.hh"
 #include "sim/event_queue.hh"
 #include "system/campaign.hh"
 #include "system/machine.hh"
@@ -483,6 +484,76 @@ TEST(MachineTransforms, EachToggleIsOutputNeutral)
             expectIdenticalTiming(base, run, names[which]);
         }
     }
+}
+
+namespace {
+
+/** One phase on nmp over tinyGeo(), where unit u is homed on vault u:
+ *  each (unit, op) pair appends the op to that unit's trace. */
+MachineRun
+runNmpPhase(const std::vector<std::pair<unsigned, TraceOp>> &ops,
+            bool eager)
+{
+    SystemConfig cfg = makeSystem(SystemKind::kNmp, tinyGeo());
+    cfg.exec.eagerLocalIssue = eager;
+    MemoryPool pool(cfg.geo);
+    PhaseExec phase;
+    phase.name = "crafted";
+    phase.traces.resize(cfg.exec.numUnits);
+    for (const auto &[unit, op] : ops)
+        phase.traces[unit].add(op);
+    Machine m(cfg, pool);
+    MachineRun out;
+    out.phases.push_back(m.runPhase(phase));
+    out.simEvents = m.simEvents();
+    out.executed = m.eventsExecuted();
+    out.coalesced = m.eventsCoalesced();
+    out.elided = m.eventsElided();
+    return out;
+}
+
+} // namespace
+
+TEST(MachineTransforms, EagerIssueYieldsToAPendingRemoteArrival)
+{
+    // Unit 0 reads row 3 of bank 0 in its own vault 0, then, from inside
+    // that read's completion, row 1: a local request to an idle vault,
+    // which issues eagerly unless an arrival is pending there. Unit 1
+    // computes, then stores to row 2 of the same bank from afar. Sweep
+    // the store's start and size until it arrives on the tick the second
+    // read issues at. The store's arrival event was scheduled first, so
+    // it must reach the bank first with the shortcut on too; an eager
+    // issue that skipped the pending-arrivals check would overtake it.
+    const SystemConfig cfg = makeSystem(SystemKind::kNmp, tinyGeo());
+    const AddressMap map(cfg.geo);
+    auto row = [&map](std::uint64_t r) {
+        return map.encode(DecodedAddr{0, 0, 0, 0, r, 0});
+    };
+    const TraceOp first = TraceOp::loadBlocking(row(3), 64);
+    const Tick second_issue = runNmpPhase({{0, first}}, true).phases[0].time;
+    std::size_t races = 0;
+    for (std::uint32_t bytes = 8; bytes <= 256; bytes += 8) {
+        for (std::uint32_t cycles = 0; cycles < 60; ++cycles) {
+            // The store is the only packet on the network, so a fresh
+            // twin of it times the store's arrival.
+            const Tick arrival = Network(cfg.geo, cfg.topo)
+                                     .delay(1, 0, bytes,
+                                            Tick{cycles} * cfg.core.period);
+            races += arrival == second_issue ? 1 : 0;
+            const std::vector<std::pair<unsigned, TraceOp>> ops = {
+                {0, first},
+                {0, TraceOp::loadBlocking(row(1), 64)},
+                {1, TraceOp::compute(cycles)},
+                {1, TraceOp::store(row(2), bytes)}};
+            SCOPED_TRACE("store of " + std::to_string(bytes) +
+                         " bytes after " + std::to_string(cycles) +
+                         " cycles");
+            expectIdenticalTiming(runNmpPhase(ops, false),
+                                  runNmpPhase(ops, true), "eager");
+        }
+    }
+    EXPECT_GT(races, 0u) << "no sweep point lands the store on the tick "
+                         << second_issue << " of the second read";
 }
 
 TEST(MachineTransforms, ScanRleNeutralUnderPrefetchWarmup)

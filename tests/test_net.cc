@@ -278,7 +278,6 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
     config.workers = 0; // remote-only
     config.listenEndpoint = "127.0.0.1:0";
     config.helloToken = "s3cret";
-    config.retryBackoffSec = 0.01;
     CampaignCoordinator coordinator(grid, config);
     std::string error;
     ASSERT_TRUE(coordinator.listen(error)) << error;
