@@ -19,7 +19,9 @@
 #ifndef MONDRIAN_COMMON_JSON_PARSE_HH
 #define MONDRIAN_COMMON_JSON_PARSE_HH
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +64,90 @@ struct JsonValue
     double asDouble() const;
     /** String value ("" when not a string). */
     const std::string &asString() const;
+};
+
+// Typed reads: asU64()/asDouble() alone would read a wrong-typed member
+// (a string seed) as 0, which is another grid point. Each is false when
+// @p v is absent or of the wrong type.
+
+inline bool
+readString(const JsonValue *v, std::string &dst)
+{
+    if (!v || !v->isString())
+        return false;
+    dst = v->asString();
+    return true;
+}
+
+/** A non-negative integer literal that fits @p dst's type: no sign, no
+ *  fraction or exponent, no overflow. */
+template <typename T>
+bool
+readUint(const JsonValue *v, T &dst)
+{
+    std::uint64_t u = 0;
+    if (!v || !v->isNumber() || v->text.empty() ||
+        v->text.find_first_not_of("0123456789") != std::string::npos ||
+        std::from_chars(v->text.data(), v->text.data() + v->text.size(), u)
+                .ec != std::errc{} ||
+        u > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+        return false;
+    dst = static_cast<T>(u);
+    return true;
+}
+
+inline bool
+readNumber(const JsonValue *v, double &dst)
+{
+    if (!v || !v->isNumber())
+        return false;
+    dst = v->asDouble();
+    return true;
+}
+
+/** Typed member reads of one object; a failure names its member. */
+struct MemberReader
+{
+    const JsonValue &obj;
+    std::string &error;
+    std::string prefix = ""; ///< names the object inside its parent
+
+    bool
+    fail(const std::string &member)
+    {
+        error = "missing or wrong-typed \"" + prefix + member + "\"";
+        return false;
+    }
+    bool
+    str(const char *member, std::string &dst)
+    {
+        return readString(obj.find(member), dst) || fail(member);
+    }
+    template <typename T>
+    bool
+    uint(const char *member, T &dst)
+    {
+        return readUint(obj.find(member), dst) || fail(member);
+    }
+    /** An optional unsigned member: absent leaves @p dst as it is. */
+    template <typename T>
+    bool
+    optUint(const char *member, T &dst)
+    {
+        return !obj.find(member) || uint(member, dst);
+    }
+    /** With @p null_ok, also the writer's null marker for a non-finite
+     *  value, read back as NaN (so it is written as null again). */
+    bool
+    number(const char *member, double &dst, bool null_ok = false)
+    {
+        const JsonValue *v = obj.find(member);
+        if (null_ok && v && v->kind == JsonValue::Kind::kNull)
+            dst = std::numeric_limits<double>::quiet_NaN();
+        else if (!readNumber(v, dst))
+            return fail(member);
+        return true;
+    }
 };
 
 /**

@@ -7,6 +7,7 @@
 
 #include "common/json.hh"
 #include "system/report.hh"
+#include "system/result_fields.hh"
 
 namespace mondrian {
 
@@ -37,213 +38,125 @@ coordinateColumns(const CampaignJob &j)
     return out;
 }
 
-/** |a-b| / max(|a|,|b|); 0 when both sides are exactly 0. */
+/** |a-b| / max(|a|,|b|); 0 when both sides are exactly 0 or both NaN
+ *  (the writer's null), infinite when only one is NaN. */
 double
 relErr(double a, double b)
 {
+    if (std::isnan(a) != std::isnan(b))
+        return HUGE_VAL;
     double d = std::fabs(a - b);
-    if (d == 0.0)
+    if (!(d > 0.0))
         return 0.0;
     double m = std::max(std::fabs(a), std::fabs(b));
     return d / m;
 }
 
-/** Diff accumulation helpers bound to one (where, rtol, out) context. */
-struct FieldDiffer
+/** Record @p field as a numeric mismatch when @p apart. */
+void
+noteIf(bool apart, ReportDiff &out, const std::string &where,
+       const std::string &field, double a, double b)
 {
+    if (apart)
+        out.numeric.push_back({where, field, a, b, relErr(a, b)});
+}
+
+/** How the diff names a list element whose labels disagree. */
+std::string
+elementLabel(const PhaseResult &p)
+{
+    return p.name;
+}
+
+std::string
+elementLabel(const StageResult &s)
+{
+    return s.stage + "(" + s.op + ", input " + s.input + ")";
+}
+
+/**
+ * The per-run diff, a visitor over result_fields.hh naming each mismatch
+ * by its JSON path. A list element whose labels differ is one structural
+ * entry, not a field-by-field diff.
+ */
+template <typename S>
+struct ResultDiffer
+{
+    const S &a;
+    const S &b;
     const std::string &where;
+    std::string path; ///< JSON path prefix of @c a and @c b
     double rtol;
     ReportDiff &out;
+    bool labelsDiffer = false;
 
+    template <typename M>
+    void label(const char *, M S::*m) { labelsDiffer |= a.*m != b.*m; }
+    template <typename M>
     void
-    approx(const char *field, double a, double b) const
+    exact(const char *name, M S::*m)
     {
-        double e = relErr(a, b);
-        if (e > rtol)
-            out.numeric.push_back({where, field, a, b, e});
+        noteIf(a.*m != b.*m, out, where, path + name,
+               static_cast<double>(a.*m), static_cast<double>(b.*m));
     }
-
-    /** Exact-integer fields (functional outputs, run counts): any
-     *  difference is a mismatch regardless of magnitude. */
+    template <typename M>
     void
-    exact(const char *field, std::uint64_t a, std::uint64_t b) const
+    approx(const char *name, M S::*m)
     {
-        if (a != b) {
-            out.numeric.push_back({where, field, static_cast<double>(a),
-                                   static_cast<double>(b),
-                                   relErr(static_cast<double>(a),
-                                          static_cast<double>(b))});
+        const double x = static_cast<double>(a.*m);
+        const double y = static_cast<double>(b.*m);
+        noteIf(relErr(x, y) > rtol, out, where, path + name, x, y);
+    }
+    void derived(const char *, double (S::*)() const) {}
+    template <typename Fn>
+    void
+    group(const char *name, Fn fn)
+    {
+        ResultDiffer g{a, b, where, path + name + ".", rtol, out};
+        fn(g);
+    }
+    template <typename T>
+    void
+    object(const char *name, T S::*m, bool T::*valid = nullptr)
+    {
+        if (valid && (a.*m).*valid != (b.*m).*valid) {
+            out.structural.push_back(where + ": " + path + name +
+                                     " metrics only in " +
+                                     ((a.*m).*valid ? "first" : "second"));
+        } else if (!valid || (a.*m).*valid) {
+            ResultDiffer<T> d{a.*m, b.*m, where, path + name + ".", rtol,
+                              out};
+            resultFields(d, std::type_identity<T>{});
+        }
+    }
+    template <typename T>
+    void
+    list(const char *name, std::vector<T> S::*m, Presence)
+    {
+        const std::vector<T> &la = a.*m, &lb = b.*m;
+        const std::string at = path + name;
+        if (la.size() != lb.size()) {
+            out.structural.push_back(where + ": " +
+                                     std::to_string(la.size()) + " " + at +
+                                     " vs " + std::to_string(lb.size()));
+            return;
+        }
+        for (std::size_t i = 0; i < la.size(); ++i) {
+            const std::string tag = at + "[" + std::to_string(i) + "]";
+            const std::size_t numeric = out.numeric.size();
+            const std::size_t structural = out.structural.size();
+            ResultDiffer<T> d{la[i], lb[i], where, tag + ".", rtol, out};
+            resultFields(d, std::type_identity<T>{});
+            if (d.labelsDiffer) {
+                out.numeric.resize(numeric);
+                out.structural.resize(structural);
+                out.structural.push_back(where + ": " + tag + " is " +
+                                         elementLabel(la[i]) + " vs " +
+                                         elementLabel(lb[i]));
+            }
         }
     }
 };
-
-void
-diffPhaseList(const std::string &where, const std::string &prefix,
-              const std::vector<PhaseResult> &a,
-              const std::vector<PhaseResult> &b, double rtol,
-              ReportDiff &out)
-{
-    if (a.size() != b.size()) {
-        out.structural.push_back(where + ": " + std::to_string(a.size()) +
-                                 " " + prefix + " vs " +
-                                 std::to_string(b.size()));
-        return;
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const PhaseResult &pa = a[i];
-        const PhaseResult &pb = b[i];
-        const std::string tag = prefix + "[" + std::to_string(i) + "]";
-        if (pa.name != pb.name || pa.kind != pb.kind) {
-            out.structural.push_back(where + ": " + tag + " is " + pa.name +
-                                     " vs " + pb.name);
-            continue;
-        }
-        FieldDiffer pd{where, rtol, out};
-        pd.approx((tag + ".time_ps").c_str(), static_cast<double>(pa.time),
-                  static_cast<double>(pb.time));
-        pd.approx((tag + ".dram_bytes").c_str(),
-                  static_cast<double>(pa.dramBytes),
-                  static_cast<double>(pb.dramBytes));
-        pd.approx((tag + ".activations").c_str(),
-                  static_cast<double>(pa.activations),
-                  static_cast<double>(pb.activations));
-        pd.approx((tag + ".avg_vault_bw_gbps").c_str(), pa.avgVaultBWGBps,
-                  pb.avgVaultBWGBps);
-        pd.approx((tag + ".core_utilization").c_str(), pa.coreUtilization,
-                  pb.coreUtilization);
-        pd.approx((tag + ".stalls.store").c_str(), pa.stallStore,
-                  pb.stallStore);
-        pd.approx((tag + ".stalls.stream").c_str(), pa.stallStream,
-                  pb.stallStream);
-        pd.approx((tag + ".stalls.load").c_str(), pa.stallLoad,
-                  pb.stallLoad);
-        pd.approx((tag + ".stalls.fence").c_str(), pa.stallFence,
-                  pb.stallFence);
-    }
-}
-
-void
-diffEnergy(const FieldDiffer &d, const std::string &tag,
-           const EnergyBreakdown &a, const EnergyBreakdown &b)
-{
-    d.approx((tag + ".dram_dynamic").c_str(), a.dramDynamic,
-             b.dramDynamic);
-    d.approx((tag + ".dram_static").c_str(), a.dramStatic, b.dramStatic);
-    d.approx((tag + ".cores").c_str(), a.cores, b.cores);
-    d.approx((tag + ".network").c_str(), a.network, b.network);
-}
-
-void
-diffRunResult(const std::string &where, const RunResult &a,
-              const RunResult &b, double rtol, ReportDiff &out)
-{
-    FieldDiffer d{where, rtol, out};
-    d.approx("total_time_ps", static_cast<double>(a.totalTime),
-             static_cast<double>(b.totalTime));
-    d.approx("partition_time_ps", static_cast<double>(a.partitionTime),
-             static_cast<double>(b.partitionTime));
-    d.approx("probe_time_ps", static_cast<double>(a.probeTime),
-             static_cast<double>(b.probeTime));
-    d.approx("partition_vault_bw_gbps", a.partitionVaultBWGBps,
-             b.partitionVaultBWGBps);
-    d.approx("probe_vault_bw_gbps", a.probeVaultBWGBps, b.probeVaultBWGBps);
-    // Exact by the output-identity contract: the perf transforms must
-    // not move a single event, so any drift here is a real bug.
-    d.exact("sim_events", a.simEvents, b.simEvents);
-    diffEnergy(d, "energy_j", a.energy, b.energy);
-    d.exact("functional.scan_matches", a.scanMatches, b.scanMatches);
-    d.exact("functional.join_matches", a.joinMatches, b.joinMatches);
-    d.exact("functional.group_count", a.groupCount, b.groupCount);
-    d.exact("functional.agg_checksum", a.aggChecksum, b.aggChecksum);
-
-    if (a.served.valid != b.served.valid) {
-        out.structural.push_back(
-            where + ": served metrics " +
-            (a.served.valid ? "only in first" : "only in second"));
-    } else if (a.served.valid) {
-        // Admission accounting is deterministic — any difference is a
-        // mismatch; rates, latencies and energy compare at tolerance.
-        d.exact("served.offered", a.served.offered, b.served.offered);
-        d.exact("served.admitted", a.served.admitted, b.served.admitted);
-        d.exact("served.rejected", a.served.rejected, b.served.rejected);
-        d.exact("served.completed", a.served.completed,
-                b.served.completed);
-        d.exact("served.measured_completed", a.served.measuredCompleted,
-                b.served.measuredCompleted);
-        d.approx("served.window_ps", static_cast<double>(a.served.window),
-                 static_cast<double>(b.served.window));
-        d.approx("served.sustained_qps", a.served.sustainedQps,
-                 b.served.sustainedQps);
-        d.approx("served.latency_p50_ps",
-                 static_cast<double>(a.served.latencyP50),
-                 static_cast<double>(b.served.latencyP50));
-        d.approx("served.latency_p95_ps",
-                 static_cast<double>(a.served.latencyP95),
-                 static_cast<double>(b.served.latencyP95));
-        d.approx("served.latency_p99_ps",
-                 static_cast<double>(a.served.latencyP99),
-                 static_cast<double>(b.served.latencyP99));
-        d.approx("served.latency_max_ps",
-                 static_cast<double>(a.served.latencyMax),
-                 static_cast<double>(b.served.latencyMax));
-        d.approx("served.latency_mean_ps", a.served.latencyMeanPs,
-                 b.served.latencyMeanPs);
-        d.approx("served.energy_per_query_j", a.served.energyPerQueryJ,
-                 b.served.energyPerQueryJ);
-    }
-
-    if (a.stages.size() != b.stages.size()) {
-        out.structural.push_back(where + ": " +
-                                 std::to_string(a.stages.size()) +
-                                 " stages vs " +
-                                 std::to_string(b.stages.size()));
-    } else {
-        for (std::size_t i = 0; i < a.stages.size(); ++i) {
-            const StageResult &sa = a.stages[i];
-            const StageResult &sb = b.stages[i];
-            const std::string tag = "stages[" + std::to_string(i) + "]";
-            if (sa.stage != sb.stage || sa.op != sb.op ||
-                sa.input != sb.input) {
-                out.structural.push_back(
-                    where + ": " + tag + " is " + sa.stage + "(" + sa.op +
-                    ", input " + sa.input + ") vs " + sb.stage + "(" +
-                    sb.op + ", input " + sb.input + ")");
-                continue;
-            }
-            FieldDiffer sd{where, rtol, out};
-            sd.approx((tag + ".total_time_ps").c_str(),
-                      static_cast<double>(sa.totalTime),
-                      static_cast<double>(sb.totalTime));
-            sd.approx((tag + ".partition_time_ps").c_str(),
-                      static_cast<double>(sa.partitionTime),
-                      static_cast<double>(sb.partitionTime));
-            sd.approx((tag + ".probe_time_ps").c_str(),
-                      static_cast<double>(sa.probeTime),
-                      static_cast<double>(sb.probeTime));
-            sd.approx((tag + ".partition_vault_bw_gbps").c_str(),
-                      sa.partitionVaultBWGBps, sb.partitionVaultBWGBps);
-            sd.approx((tag + ".probe_vault_bw_gbps").c_str(),
-                      sa.probeVaultBWGBps, sb.probeVaultBWGBps);
-            diffEnergy(sd, tag + ".energy_j", sa.energy, sb.energy);
-            sd.exact((tag + ".input_tuples").c_str(), sa.inputTuples,
-                     sb.inputTuples);
-            sd.exact((tag + ".output_tuples").c_str(), sa.outputTuples,
-                     sb.outputTuples);
-            sd.exact((tag + ".scan_matches").c_str(), sa.scanMatches,
-                     sb.scanMatches);
-            sd.exact((tag + ".join_matches").c_str(), sa.joinMatches,
-                     sb.joinMatches);
-            sd.exact((tag + ".group_count").c_str(), sa.groupCount,
-                     sb.groupCount);
-            sd.exact((tag + ".agg_checksum").c_str(), sa.aggChecksum,
-                     sb.aggChecksum);
-            diffPhaseList(where, tag + ".phases", sa.phases, sb.phases,
-                          rtol, out);
-        }
-    }
-
-    diffPhaseList(where, "phases", a.phases, b.phases, rtol, out);
-}
 
 } // namespace
 
@@ -417,8 +330,11 @@ diffReports(const CampaignReport &a, const CampaignReport &b, double rtol)
                                      " only in first report");
             continue;
         }
-        diffRunResult("run " + runLabel(r), r.result, it->second->result,
-                      rtol, out);
+        // Runs pair by grid point, so their own labels are not compared.
+        const std::string where = "run " + runLabel(r);
+        ResultDiffer<RunResult> d{r.result, it->second->result, where, "",
+                                  rtol, out};
+        resultFields(d, std::type_identity<RunResult>{});
     }
     for (const CampaignRun &r : b.runs) {
         if (!r.failed && !a_runs.count({r.job.system, gridGroupKey(r)})) {
@@ -440,12 +356,15 @@ diffReports(const CampaignReport &a, const CampaignReport &b, double rtol)
         }
         summary_matched.insert(row.system);
         const std::string where = "summary " + row.system;
-        FieldDiffer d{where, rtol, out};
-        d.exact("runs", row.runs, it->second->runs);
-        d.approx("geomean_speedup", row.geomeanSpeedup,
-                 it->second->geomeanSpeedup);
-        d.approx("geomean_perf_per_watt", row.geomeanPerfPerWatt,
-                 it->second->geomeanPerfPerWatt);
+        const SystemSummary &o = *it->second;
+        noteIf(row.runs != o.runs, out, where, "runs",
+               static_cast<double>(row.runs), static_cast<double>(o.runs));
+        noteIf(relErr(row.geomeanSpeedup, o.geomeanSpeedup) > rtol, out,
+               where, "geomean_speedup", row.geomeanSpeedup,
+               o.geomeanSpeedup);
+        noteIf(relErr(row.geomeanPerfPerWatt, o.geomeanPerfPerWatt) > rtol,
+               out, where, "geomean_perf_per_watt", row.geomeanPerfPerWatt,
+               o.geomeanPerfPerWatt);
     }
     for (const SystemSummary &row : b.summaries) {
         if (summary_matched.find(row.system) == summary_matched.end()) {

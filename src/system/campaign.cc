@@ -1,9 +1,7 @@
 #include "system/campaign.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -34,42 +32,6 @@ appendDouble(std::string &key, double v)
     JsonWriter::appendDouble(key, v);
 }
 
-// Typed reads for the report readers: asU64()/asDouble() alone would read
-// a wrong-typed member (a string seed) as 0, which is another grid point.
-// Each is false when @p v is absent or of the wrong type.
-
-bool
-readString(const JsonValue *v, std::string &dst)
-{
-    if (!v || !v->isString())
-        return false;
-    dst = v->asString();
-    return true;
-}
-
-/** A non-negative integer literal that fits @p dst's type. */
-template <typename T>
-bool
-readUint(const JsonValue *v, T &dst)
-{
-    if (!v || !v->isNumber() || v->text.empty() ||
-        v->text.find_first_not_of("0123456789") != std::string::npos ||
-        v->asU64() > static_cast<std::uint64_t>(
-                         std::numeric_limits<T>::max()))
-        return false;
-    dst = static_cast<T>(v->asU64());
-    return true;
-}
-
-bool
-readNumber(const JsonValue *v, double &dst)
-{
-    if (!v || !v->isNumber())
-        return false;
-    dst = v->asDouble();
-    return true;
-}
-
 /** The first label @p label gives to two values of @p axis; nullopt when
  *  every label is distinct. */
 template <typename T, typename Label>
@@ -84,44 +46,6 @@ repeatedLabel(const std::vector<T> &axis, Label label)
     }
     return std::nullopt;
 }
-
-/** Typed member reads of one object; a failure names its member. */
-struct MemberReader
-{
-    const JsonValue &obj;
-    std::string &error;
-    std::string prefix = ""; ///< names the object inside its parent
-
-    bool
-    fail(const std::string &member)
-    {
-        error = "missing or wrong-typed \"" + prefix + member + "\"";
-        return false;
-    }
-    bool
-    str(const char *member, std::string &dst)
-    {
-        return readString(obj.find(member), dst) || fail(member);
-    }
-    template <typename T>
-    bool
-    uint(const char *member, T &dst)
-    {
-        return readUint(obj.find(member), dst) || fail(member);
-    }
-    /** An optional unsigned member: absent leaves @p dst as it is. */
-    template <typename T>
-    bool
-    optUint(const char *member, T &dst)
-    {
-        return !obj.find(member) || uint(member, dst);
-    }
-    bool
-    number(const char *member, double &dst)
-    {
-        return readNumber(obj.find(member), dst) || fail(member);
-    }
-};
 
 } // namespace
 
@@ -638,20 +562,11 @@ readJournalLine(const std::string &line, std::string &key,
                 RunResult &result, std::string &error)
 {
     JsonValue doc;
-    if (!parseJson(line, doc, error))
+    MemberReader m{doc, error};
+    if (!parseJson(line, doc, error) || !m.str("key", key))
         return false;
-    const JsonValue *k = doc.find("key");
     const JsonValue *r = doc.find("result");
-    if (!k || !k->isString() || k->asString().empty() || !r) {
-        error = "missing key or result";
-        return false;
-    }
-    key = k->asString();
-    if (!readRunResult(*r, result)) {
-        error = "unreadable result";
-        return false;
-    }
-    return true;
+    return r ? readRunResult(*r, result, error) : m.fail("result");
 }
 
 std::vector<CampaignJob>
@@ -1061,8 +976,9 @@ readCampaignReport(const std::string &json_text, CampaignReport &out,
             return false;
         }
         const JsonValue *result = entry.find("result");
-        if (!result || !readRunResult(*result, slot->result)) {
-            error = where + "malformed result object";
+        if (!result || !readRunResult(*result, slot->result, error)) {
+            error = where + "malformed result: " +
+                    (result ? error : "missing");
             return false;
         }
         slot->rawResultJson =

@@ -439,7 +439,8 @@ std::string campaignJournalLine(const CampaignJob &job,
  * exact result into @p result. The journal and the worker-side result
  * cache both store runs this way.
  * @return false with @p error set when the line does not parse, lacks a
- * non-empty string key or a result, or the result is unreadable.
+ * string key or a result, or readRunResult refuses the result (the
+ * error then names the bad member).
  */
 bool readJournalLine(const std::string &line, std::string &key,
                      RunResult &result, std::string &error);

@@ -396,9 +396,11 @@ serveCampaignJobs(Channel &t, const std::vector<CampaignJob> &jobs,
 
         try {
             const RunResult result = executeCampaignJob(jobs[index]);
-            t.send(resultFrame(index, result, false));
+            // Store first: once the coordinator holds every result,
+            // every cache entry is on disk.
             if (cache_ok)
                 workerCacheStore(cache_dir, jobs[index], result);
+            t.send(resultFrame(index, result, false));
         } catch (const std::exception &e) {
             JsonWriter w;
             w.beginObject();
@@ -924,11 +926,13 @@ struct DispatchLoop
         const JsonValue *result = msg.find("result");
         const JsonValue *cached = msg.find("cached");
         RunResult parsed;
+        std::string error;
         if (kind == "error") {
             const JsonValue *m = msg.find("message");
             attemptFailed(index, m ? m->asString() : "worker error");
-        } else if (!result || !readRunResult(*result, parsed)) {
-            attemptFailed(index, "corrupt result frame");
+        } else if (!result || !readRunResult(*result, parsed, error)) {
+            attemptFailed(index, "corrupt result frame: " +
+                                     (result ? error : "missing"));
         } else {
             if (cached && cached->kind == JsonValue::Kind::kBool &&
                 cached->boolean)

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "system/result_fields.hh"
+
 namespace mondrian {
 
 namespace {
@@ -130,254 +132,173 @@ phaseKindName(PhaseKind kind)
 
 namespace {
 
-void
-writeEnergy(JsonWriter &w, const EnergyBreakdown &e)
+/** writeRunResult's visitor: every member of @c obj, in list order. */
+template <typename S>
+struct ResultWriter
 {
-    w.key("energy_j").beginObject();
-    w.member("dram_dynamic", e.dramDynamic);
-    w.member("dram_static", e.dramStatic);
-    w.member("cores", e.cores);
-    w.member("network", e.network);
-    w.member("total", e.total());
-    w.endObject();
-}
+    JsonWriter &w;
+    const S &obj;
 
-void
-writePhases(JsonWriter &w, const std::vector<PhaseResult> &phases)
-{
-    w.key("phases").beginArray();
-    for (const auto &p : phases) {
+    template <typename T>
+    static void
+    write(JsonWriter &w, const T &o)
+    {
         w.beginObject();
-        w.member("name", p.name);
-        w.member("kind", phaseKindName(p.kind));
-        w.member("time_ps", p.time);
-        w.member("dram_bytes", p.dramBytes);
-        w.member("activations", p.activations);
-        w.member("avg_vault_bw_gbps", p.avgVaultBWGBps);
-        w.member("core_utilization", p.coreUtilization);
-        w.key("stalls").beginObject();
-        w.member("store", p.stallStore);
-        w.member("stream", p.stallStream);
-        w.member("load", p.stallLoad);
-        w.member("fence", p.stallFence);
-        w.endObject();
+        ResultWriter<T> v{w, o};
+        resultFields(v, std::type_identity<T>{});
         w.endObject();
     }
-    w.endArray();
-}
+
+    void label(const char *name, std::string S::*m) { w.member(name, obj.*m); }
+    void
+    label(const char *name, PhaseKind S::*m)
+    {
+        w.member(name, phaseKindName(obj.*m));
+    }
+    template <typename M>
+    void exact(const char *name, M S::*m) { w.member(name, obj.*m); }
+    template <typename M>
+    void approx(const char *name, M S::*m) { w.member(name, obj.*m); }
+    void
+    derived(const char *name, double (S::*f)() const)
+    {
+        w.member(name, (obj.*f)());
+    }
+    template <typename Fn>
+    void
+    group(const char *name, Fn fn)
+    {
+        w.key(name).beginObject();
+        fn(*this);
+        w.endObject();
+    }
+    template <typename T>
+    void
+    object(const char *name, T S::*m, bool T::*valid = nullptr)
+    {
+        if (!valid || (obj.*m).*valid)
+            write(w.key(name), obj.*m);
+    }
+    template <typename T>
+    void
+    list(const char *name, std::vector<T> S::*m, Presence presence)
+    {
+        if (presence == Presence::kNonEmpty && (obj.*m).empty())
+            return;
+        w.key(name).beginArray();
+        for (const T &e : obj.*m)
+            write(w, e);
+        w.endArray();
+    }
+};
+
+/**
+ * readRunResult's visitor: every listed member must be present and of
+ * its writer's type. The first failure names its path in the error; the
+ * rest of the visit is then a no-op.
+ */
+template <typename S>
+struct ResultReader
+{
+    MemberReader m; ///< the object being read, and its path prefix
+    S &obj;
+    bool ok = true;
+
+    void fail(const std::string &name) { ok = ok && m.fail(name); }
+    void
+    label(const char *name, std::string S::*f)
+    {
+        ok = ok && m.str(name, obj.*f) && (!(obj.*f).empty() || m.fail(name));
+    }
+    void
+    label(const char *name, PhaseKind S::*f)
+    {
+        std::string kind;
+        ok = ok && m.str(name, kind);
+        if (kind == phaseKindName(PhaseKind::kPartition))
+            obj.*f = PhaseKind::kPartition;
+        else if (kind != phaseKindName(PhaseKind::kProbe))
+            fail(name);
+    }
+    // A double may also be null, the writer's non-finite marker.
+    void scalar(const char *n, std::uint64_t &v) { ok = ok && m.uint(n, v); }
+    void scalar(const char *n, double &v) { ok = ok && m.number(n, v, true); }
+    template <typename M>
+    void exact(const char *name, M S::*f) { scalar(name, obj.*f); }
+    template <typename M>
+    void approx(const char *name, M S::*f) { scalar(name, obj.*f); }
+    void
+    derived(const char *name, double (S::*)() const)
+    {
+        double recomputed = 0.0;
+        scalar(name, recomputed);
+    }
+
+    /** Read the object @p sub, member @p at, into @p o via @p fields. */
+    template <typename T, typename Fields>
+    void
+    nested(const JsonValue *sub, const std::string &at, T &o, Fields fields)
+    {
+        if (!ok || !(sub && sub->isObject()))
+            return fail(at);
+        ResultReader<T> r{{*sub, m.error, m.prefix + at + "."}, o};
+        fields(r);
+        ok = r.ok;
+    }
+    template <typename T>
+    static void
+    allFields(ResultReader<T> &r)
+    {
+        resultFields(r, std::type_identity<T>{});
+    }
+    template <typename Fn>
+    void
+    group(const char *name, Fn fn)
+    {
+        nested(m.obj.find(name), name, obj, fn);
+    }
+    template <typename T>
+    void
+    object(const char *name, T S::*f, bool T::*valid = nullptr)
+    {
+        const JsonValue *sub = m.obj.find(name);
+        if (valid && sub)
+            (obj.*f).*valid = true;
+        if (!valid || sub)
+            nested(sub, name, obj.*f, allFields<T>);
+    }
+    template <typename T>
+    void
+    list(const char *name, std::vector<T> S::*f, Presence presence)
+    {
+        const JsonValue *arr = m.obj.find(name);
+        if (!arr && presence == Presence::kNonEmpty)
+            return;
+        if (ok && !(arr && arr->isArray() &&
+                    (!arr->items.empty() || presence == Presence::kAlways)))
+            fail(name);
+        for (std::size_t i = 0; ok && i < arr->items.size(); ++i)
+            nested(&arr->items[i],
+                   std::string(name) + "[" + std::to_string(i) + "]",
+                   (obj.*f).emplace_back(), allFields<T>);
+    }
+};
 
 } // namespace
 
 void
 writeRunResult(JsonWriter &w, const RunResult &run)
 {
-    w.beginObject();
-    w.member("system", run.system);
-    w.member("op", run.op);
-    w.member("total_time_ps", run.totalTime);
-    w.member("partition_time_ps", run.partitionTime);
-    w.member("probe_time_ps", run.probeTime);
-    w.member("seconds", run.seconds());
-    w.member("partition_vault_bw_gbps", run.partitionVaultBWGBps);
-    w.member("probe_vault_bw_gbps", run.probeVaultBWGBps);
-    w.member("sim_events", run.simEvents);
-
-    writeEnergy(w, run.energy);
-
-    w.key("functional").beginObject();
-    w.member("scan_matches", run.scanMatches);
-    w.member("join_matches", run.joinMatches);
-    w.member("group_count", run.groupCount);
-    w.member("agg_checksum", run.aggChecksum);
-    w.endObject();
-
-    // Served metrics appear only on non-degenerate traffic runs, so
-    // single-query run JSON is byte-identical to the pre-traffic writer.
-    if (run.served.valid) {
-        const ServedMetrics &s = run.served;
-        w.key("served").beginObject();
-        w.member("offered", s.offered);
-        w.member("admitted", s.admitted);
-        w.member("rejected", s.rejected);
-        w.member("completed", s.completed);
-        w.member("measured_completed", s.measuredCompleted);
-        w.member("window_ps", s.window);
-        w.member("sustained_qps", s.sustainedQps);
-        w.member("latency_p50_ps", s.latencyP50);
-        w.member("latency_p95_ps", s.latencyP95);
-        w.member("latency_p99_ps", s.latencyP99);
-        w.member("latency_max_ps", s.latencyMax);
-        w.member("latency_mean_ps", s.latencyMeanPs);
-        w.member("energy_per_query_j", s.energyPerQueryJ);
-        w.endObject();
-    }
-
-    // Per-stage sub-results appear only on multi-stage scenario runs, so
-    // classic single-op run JSON is byte-identical to the pre-scenario
-    // writer.
-    if (!run.stages.empty()) {
-        w.key("stages").beginArray();
-        for (const StageResult &s : run.stages) {
-            w.beginObject();
-            w.member("stage", s.stage);
-            w.member("op", s.op);
-            w.member("input", s.input);
-            w.member("total_time_ps", s.totalTime);
-            w.member("partition_time_ps", s.partitionTime);
-            w.member("probe_time_ps", s.probeTime);
-            w.member("partition_vault_bw_gbps", s.partitionVaultBWGBps);
-            w.member("probe_vault_bw_gbps", s.probeVaultBWGBps);
-            w.member("input_tuples", s.inputTuples);
-            w.member("output_tuples", s.outputTuples);
-            writeEnergy(w, s.energy);
-            w.key("functional").beginObject();
-            w.member("scan_matches", s.scanMatches);
-            w.member("join_matches", s.joinMatches);
-            w.member("group_count", s.groupCount);
-            w.member("agg_checksum", s.aggChecksum);
-            w.endObject();
-            writePhases(w, s.phases);
-            w.endObject();
-        }
-        w.endArray();
-    }
-
-    writePhases(w, run.phases);
-    w.endObject();
+    ResultWriter<RunResult>::write(w, run);
 }
-
-namespace {
-
-void
-readU64(const JsonValue &obj, const char *k, std::uint64_t &dst)
-{
-    if (const JsonValue *p = obj.find(k))
-        dst = p->asU64();
-}
-
-void
-readDbl(const JsonValue &obj, const char *k, double &dst)
-{
-    if (const JsonValue *p = obj.find(k))
-        dst = p->asDouble();
-}
-
-void
-readEnergy(const JsonValue &v, EnergyBreakdown &out)
-{
-    if (const JsonValue *e = v.find("energy_j")) {
-        readDbl(*e, "dram_dynamic", out.dramDynamic);
-        readDbl(*e, "dram_static", out.dramStatic);
-        readDbl(*e, "cores", out.cores);
-        readDbl(*e, "network", out.network);
-    }
-}
-
-void
-readPhases(const JsonValue &v, std::vector<PhaseResult> &out)
-{
-    const JsonValue *phases = v.find("phases");
-    if (!phases || !phases->isArray())
-        return;
-    for (const JsonValue &pv : phases->items) {
-        PhaseResult ph;
-        if (const JsonValue *p = pv.find("name"))
-            ph.name = p->asString();
-        if (const JsonValue *p = pv.find("kind")) {
-            ph.kind = p->asString() == "partition" ? PhaseKind::kPartition
-                                                   : PhaseKind::kProbe;
-        }
-        readU64(pv, "time_ps", ph.time);
-        readU64(pv, "dram_bytes", ph.dramBytes);
-        readU64(pv, "activations", ph.activations);
-        readDbl(pv, "avg_vault_bw_gbps", ph.avgVaultBWGBps);
-        readDbl(pv, "core_utilization", ph.coreUtilization);
-        if (const JsonValue *s = pv.find("stalls")) {
-            readDbl(*s, "store", ph.stallStore);
-            readDbl(*s, "stream", ph.stallStream);
-            readDbl(*s, "load", ph.stallLoad);
-            readDbl(*s, "fence", ph.stallFence);
-        }
-        out.push_back(std::move(ph));
-    }
-}
-
-} // namespace
 
 bool
-readRunResult(const JsonValue &v, RunResult &out)
+readRunResult(const JsonValue &v, RunResult &out, std::string &error)
 {
-    if (!v.isObject())
-        return false;
     out = RunResult{};
-
-    if (const JsonValue *p = v.find("system"))
-        out.system = p->asString();
-    if (const JsonValue *p = v.find("op"))
-        out.op = p->asString();
-    if (out.system.empty() || out.op.empty())
-        return false;
-    readU64(v, "total_time_ps", out.totalTime);
-    readU64(v, "partition_time_ps", out.partitionTime);
-    readU64(v, "probe_time_ps", out.probeTime);
-    readDbl(v, "partition_vault_bw_gbps", out.partitionVaultBWGBps);
-    readDbl(v, "probe_vault_bw_gbps", out.probeVaultBWGBps);
-    readU64(v, "sim_events", out.simEvents); // absent pre-PR-8: stays 0
-    readEnergy(v, out.energy);
-
-    if (const JsonValue *f = v.find("functional")) {
-        readU64(*f, "scan_matches", out.scanMatches);
-        readU64(*f, "join_matches", out.joinMatches);
-        readU64(*f, "group_count", out.groupCount);
-        readU64(*f, "agg_checksum", out.aggChecksum);
-    }
-    if (const JsonValue *sv = v.find("served")) {
-        ServedMetrics &s = out.served;
-        s.valid = true;
-        readU64(*sv, "offered", s.offered);
-        readU64(*sv, "admitted", s.admitted);
-        readU64(*sv, "rejected", s.rejected);
-        readU64(*sv, "completed", s.completed);
-        readU64(*sv, "measured_completed", s.measuredCompleted);
-        readU64(*sv, "window_ps", s.window);
-        readDbl(*sv, "sustained_qps", s.sustainedQps);
-        readU64(*sv, "latency_p50_ps", s.latencyP50);
-        readU64(*sv, "latency_p95_ps", s.latencyP95);
-        readU64(*sv, "latency_p99_ps", s.latencyP99);
-        readU64(*sv, "latency_max_ps", s.latencyMax);
-        readDbl(*sv, "latency_mean_ps", s.latencyMeanPs);
-        readDbl(*sv, "energy_per_query_j", s.energyPerQueryJ);
-    }
-    if (const JsonValue *stages = v.find("stages");
-        stages && stages->isArray()) {
-        for (const JsonValue &sv : stages->items) {
-            StageResult s;
-            if (const JsonValue *p = sv.find("stage"))
-                s.stage = p->asString();
-            if (const JsonValue *p = sv.find("op"))
-                s.op = p->asString();
-            if (const JsonValue *p = sv.find("input"))
-                s.input = p->asString();
-            readU64(sv, "total_time_ps", s.totalTime);
-            readU64(sv, "partition_time_ps", s.partitionTime);
-            readU64(sv, "probe_time_ps", s.probeTime);
-            readDbl(sv, "partition_vault_bw_gbps", s.partitionVaultBWGBps);
-            readDbl(sv, "probe_vault_bw_gbps", s.probeVaultBWGBps);
-            readU64(sv, "input_tuples", s.inputTuples);
-            readU64(sv, "output_tuples", s.outputTuples);
-            readEnergy(sv, s.energy);
-            if (const JsonValue *f = sv.find("functional")) {
-                readU64(*f, "scan_matches", s.scanMatches);
-                readU64(*f, "join_matches", s.joinMatches);
-                readU64(*f, "group_count", s.groupCount);
-                readU64(*f, "agg_checksum", s.aggChecksum);
-            }
-            readPhases(sv, s.phases);
-            out.stages.push_back(std::move(s));
-        }
-    }
-    readPhases(v, out.phases);
-    return true;
+    ResultReader<RunResult> r{{v, error}, out};
+    resultFields(r, std::type_identity<RunResult>{});
+    return r.ok;
 }
 
 std::string

@@ -49,7 +49,7 @@ const char *phaseKindName(PhaseKind kind);
 
 /**
  * Serialize one run as a JSON object into @p w (deterministic: same run,
- * same bytes). Shared by the campaign CLI and tests.
+ * same bytes). The members are system/result_fields.hh's field list.
  */
 void writeRunResult(JsonWriter &w, const RunResult &run);
 
@@ -57,12 +57,14 @@ void writeRunResult(JsonWriter &w, const RunResult &run);
 std::string runResultJson(const RunResult &run);
 
 /**
- * Inverse of writeRunResult: reconstruct a RunResult from its parsed JSON
- * object (campaign --resume). Timing fields are exact (integers);
- * double-valued fields round-trip through the writer's 12-significant-
- * digit encoding. @return false when @p v is not a run-result object.
+ * Inverse of writeRunResult, for reports, journal lines, worker-cache
+ * entries and result frames. Strict: every member the writer writes
+ * must be present and typed as written (integer literals, a number or
+ * null for doubles, "partition"/"probe" for a phase kind); "served" and
+ * "stages" are absent or complete. @return false with @p error naming
+ * the first bad member's path (e.g. "stages[0].phases[1].time_ps").
  */
-bool readRunResult(const JsonValue &v, RunResult &out);
+bool readRunResult(const JsonValue &v, RunResult &out, std::string &error);
 
 /** Geometric mean of @p values (ignores non-positive entries). */
 double geomean(const std::vector<double> &values);

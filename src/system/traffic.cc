@@ -1,5 +1,6 @@
 #include "system/traffic.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
@@ -70,19 +71,23 @@ splitOn(const std::string &s, char sep)
     return out;
 }
 
+/** Plain decimal digits in range: strtoull alone would wrap "-1",
+ *  saturate an overflow and skip leading blanks. */
 bool
 parseU64(const std::string &s, std::uint64_t &out)
 {
-    if (s.empty())
+    if (s.empty() || s[0] < '0' || s[0] > '9')
         return false;
     char *end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
+    if (end != s.c_str() + s.size() || errno == ERANGE)
         return false;
     out = v;
     return true;
 }
 
+/** A finite number: "nan" would slip past every range check. */
 bool
 parseF64(const std::string &s, double &out)
 {
@@ -90,7 +95,7 @@ parseF64(const std::string &s, double &out)
         return false;
     char *end = nullptr;
     double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size())
+    if (end != s.c_str() + s.size() || !std::isfinite(v))
         return false;
     out = v;
     return true;
@@ -203,7 +208,7 @@ validateTrafficSpec(const TrafficSpec &traffic)
         return "traffic needs queries >= 1";
     if (traffic.warmup >= traffic.queries)
         return "traffic warmup must leave at least one measured query";
-    if (traffic.mixZipfTheta < 0.0 || traffic.mixZipfTheta >= 2.0)
+    if (!(traffic.mixZipfTheta >= 0.0 && traffic.mixZipfTheta < 2.0))
         return "traffic mix-zipf must be in [0, 2)";
     // With one scenario type no arrival draws a type, so the skew would
     // change only the label and grid key of an otherwise identical point.

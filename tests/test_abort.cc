@@ -11,13 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -43,9 +46,11 @@ struct TempPath
     ~TempPath() { std::remove(path.c_str()); }
 };
 
-/** Spawn mondrian_campaign with @p args; returns the child pid. */
+/** Spawn mondrian_campaign with @p args and its stderr into @p log;
+ *  returns the child pid. */
 pid_t
-spawnCampaign(const std::vector<std::string> &args)
+spawnCampaign(const std::vector<std::string> &args,
+              const std::string &log = "/dev/null")
 {
     std::vector<char *> argv;
     argv.push_back(const_cast<char *>(kCampaignBinary));
@@ -55,8 +60,8 @@ spawnCampaign(const std::vector<std::string> &args)
 
     const pid_t pid = ::fork();
     if (pid == 0) {
-        // Quiet child: progress chatter is irrelevant to the contract.
-        ::freopen("/dev/null", "w", stderr);
+        // Quiet child unless a test reads its warnings.
+        ::freopen(log.c_str(), "w", stderr);
         ::execv(kCampaignBinary, argv.data());
         _exit(127);
     }
@@ -163,9 +168,10 @@ namespace {
 
 /** Run mondrian_campaign with @p args to completion; its exit code. */
 int
-campaignExitCode(const std::vector<std::string> &args)
+campaignExitCode(const std::vector<std::string> &args,
+                 const std::string &log = "/dev/null")
 {
-    const pid_t pid = spawnCampaign(args);
+    const pid_t pid = spawnCampaign(args, log);
     int status = 0;
     if (pid <= 0 || ::waitpid(pid, &status, 0) != pid)
         return -1;
@@ -188,7 +194,8 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
 
     // strtoull wraps "-1" and saturates an overflow to 2^64-1, and skips
     // leading whitespace; NaN passes a `<= 0` check and turns the
-    // coordinator's kill timers off.
+    // coordinator's kill timers off. The traffic grammar's numbers
+    // follow the same rules.
     const std::vector<std::vector<std::string>> bad = {
         {"--seeds", "-1"},
         {"--seeds", "99999999999999999999"},
@@ -200,6 +207,11 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
         {"--fault-inject", "crash@1"},
         {"--fault-inject", "crash@99999999999999999999"},
         {"--systems", "nmp-rand"},
+        {"--traffic", "lambda=1000,queries=-1"},
+        {"--traffic", "lambda=1000,queries=99999999999999999999999"},
+        {"--traffic", "lambda=1000,inflight=-1"},
+        {"--traffic", "lambda=1000,queries= 4"},
+        {"--traffic", "lambda=1000,mix=scan:1+join:1,mix-zipf=nan"},
     };
     for (const std::vector<std::string> &args : bad)
         EXPECT_EQ(campaignExitCode(with(args)), 2) << args[0] << " " << args[1];
@@ -207,4 +219,108 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
     EXPECT_EQ(campaignExitCode({"--worker-connect", "127.0.0.1:1",
                                 "--reconnect", "-1"}),
               2);
+}
+
+namespace {
+
+std::string
+fileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** @p line without its first "total_time_ps" member. */
+std::string
+withoutTotalTime(std::string line)
+{
+    const std::size_t at = line.find("\"total_time_ps\": ");
+    EXPECT_NE(at, std::string::npos) << line;
+    return line.erase(at, line.find(',', at) + 1 - at);
+}
+
+} // namespace
+
+TEST(CampaignCli, DamagedJournalLineIsSkippedAndRerunByteIdentically)
+{
+    TempPath journal("damaged-journal");
+    TempPath fresh("damaged-fresh");
+    TempPath resumed("damaged-resumed");
+    TempPath log("damaged-log");
+    const std::vector<std::string> smoke = {"--smoke", "--quiet",
+                                            "--journal", journal.path};
+    auto with = [&smoke](std::vector<std::string> args) {
+        args.insert(args.begin(), smoke.begin(), smoke.end());
+        return args;
+    };
+    ASSERT_EQ(campaignExitCode(with({"--out", fresh.path})), 0);
+
+    std::vector<std::string> lines = journalLines(journal.path);
+    ASSERT_EQ(lines.size(), 6u);
+    lines[1] = withoutTotalTime(lines[1]);
+    {
+        std::ofstream out(journal.path, std::ios::binary | std::ios::trunc);
+        for (const std::string &l : lines)
+            out << l << '\n';
+    }
+
+    // The damaged line is skipped naming its member, not read as a run
+    // of zero time; its grid point runs again.
+    ASSERT_EQ(campaignExitCode(with({"--out", resumed.path}), log.path), 0);
+    const std::string err = fileText(log.path);
+    EXPECT_NE(err.find("journal: skipping corrupt line 2 (grid key "),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("): missing or wrong-typed \"total_time_ps\""),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("resume: 5 of 6 grid points reused"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(fileText(resumed.path), fileText(fresh.path));
+}
+
+TEST(CampaignCli, DamagedWorkerCacheEntryIsAMissAndRerunByteIdentically)
+{
+    char tmpl[] = "/tmp/mondrian-damaged-cache-XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string cache = tmpl;
+    TempPath fresh("damaged-cache-fresh");
+    TempPath again("damaged-cache-again");
+    TempPath log("damaged-cache-log");
+    const std::vector<std::string> smoke = {
+        "--smoke", "--quiet", "--workers", "2", "--worker-cache", cache};
+    auto with = [&smoke](std::vector<std::string> args) {
+        args.insert(args.begin(), smoke.begin(), smoke.end());
+        return args;
+    };
+    ASSERT_EQ(campaignExitCode(with({"--out", fresh.path})), 0);
+
+    std::vector<std::string> entries;
+    if (DIR *dir = ::opendir(cache.c_str())) {
+        while (const dirent *e = ::readdir(dir)) {
+            if (std::string(e->d_name).ends_with(".json"))
+                entries.push_back(cache + "/" + e->d_name);
+        }
+        ::closedir(dir);
+    }
+    std::sort(entries.begin(), entries.end());
+    ASSERT_EQ(entries.size(), 6u);
+    const std::string damaged = withoutTotalTime(fileText(entries[0]));
+    std::ofstream(entries[0], std::ios::binary | std::ios::trunc) << damaged;
+
+    ASSERT_EQ(campaignExitCode(with({"--out", again.path}), log.path), 0);
+    const std::string err = fileText(log.path);
+    EXPECT_NE(err.find("worker: ignoring unreadable cache entry " +
+                       entries[0] +
+                       " (missing or wrong-typed \"total_time_ps\")"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("worker-cache: 5 results served"), std::string::npos)
+        << err;
+    EXPECT_EQ(fileText(again.path), fileText(fresh.path));
+    const std::string rm = "rm -rf '" + cache + "'";
+    EXPECT_EQ(std::system(rm.c_str()), 0);
 }

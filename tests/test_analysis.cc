@@ -306,6 +306,46 @@ TEST(Analysis, DiffComparesEveryPhaseFieldAndStageInput)
         << d.structural[0];
 }
 
+TEST(Analysis, DiffNamesEveryFieldByItsJsonPath)
+{
+    // The diff walks the report's field list, so a mismatch is named by
+    // the member's path in the result JSON, stage functionals included.
+    auto withStage = [] {
+        CampaignReport m = handReport();
+        StageResult stage;
+        stage.stage = "join";
+        stage.op = "join";
+        stage.input = "generated";
+        stage.scanMatches = 5;
+        stage.energy.cores = 1.0;
+        m.runs[1].result.stages = {stage};
+        m.runs[2].result.served.valid = true;
+        m.runs[2].result.served.offered = 4;
+        return m;
+    };
+    const CampaignReport a = withStage();
+    EXPECT_TRUE(diffReports(a, withStage(), 0.0).empty());
+
+    CampaignReport b = withStage();
+    b.runs[1].result.stages[0].scanMatches = 6;
+    b.runs[1].result.stages[0].energy.cores = 2.0;
+    b.runs[2].result.served.offered = 5;
+    const ReportDiff d = diffReports(a, b, 1e-6);
+    ASSERT_EQ(d.numeric.size(), 3u) << renderDiff(d);
+    EXPECT_EQ(d.numeric[0].field, "stages[0].energy_j.cores");
+    EXPECT_EQ(d.numeric[1].field, "stages[0].functional.scan_matches");
+    EXPECT_EQ(d.numeric[2].field, "served.offered");
+
+    // An optional block on one side only is structural.
+    CampaignReport c = withStage();
+    c.runs[2].result.served.valid = false;
+    const ReportDiff s = diffReports(a, c, 1e-6);
+    ASSERT_EQ(s.structural.size(), 1u);
+    EXPECT_NE(s.structural[0].find(": served metrics only in first"),
+              std::string::npos)
+        << s.structural[0];
+}
+
 TEST(Analysis, RunsCsvPairsAgainstBaseline)
 {
     const CampaignReport m = handReport();

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/file_io.hh"
+#include "common/json_parse.hh"
 #include "system/campaign.hh"
 #include "system/report.hh"
 #include "system/scenario.hh"
@@ -186,6 +190,185 @@ TEST(ReportLoader, RejectsMalformedDocumentsNamingTheFault)
 
     err = loadError(editRuns(json, "\"result\": {", "\"broken\": {"));
     EXPECT_NE(err.find("run 0: malformed result"), std::string::npos) << err;
+}
+
+namespace {
+
+/** @p v as compact JSON: numbers by their literal, strings re-quoted. */
+std::string
+toJson(const JsonValue &v)
+{
+    std::string out;
+    switch (v.kind) {
+      case JsonValue::Kind::kNull: return "null";
+      case JsonValue::Kind::kBool: return v.boolean ? "true" : "false";
+      case JsonValue::Kind::kNumber: return v.text;
+      case JsonValue::Kind::kString: return "\"" + v.text + "\"";
+      case JsonValue::Kind::kArray:
+        for (const JsonValue &item : v.items)
+            out += (out.empty() ? "" : ",") + toJson(item);
+        return "[" + out + "]";
+      case JsonValue::Kind::kObject:
+        for (const auto &[k, m] : v.members)
+            out += (out.empty() ? "\"" : ",\"") + k + "\":" + toJson(m);
+        return "{" + out + "}";
+    }
+    return out;
+}
+
+/** One object member of a parsed document: its JSON path and the
+ *  member/item indices that lead to it from the root. */
+struct MemberAt
+{
+    std::string path;
+    std::vector<std::size_t> route;
+};
+
+void
+collectMembers(const JsonValue &v, const std::string &path,
+               std::vector<std::size_t> &route, std::vector<MemberAt> &out)
+{
+    for (std::size_t i = 0; i < v.members.size(); ++i) {
+        route.push_back(i);
+        const std::string at =
+            (path.empty() ? "" : path + ".") + v.members[i].first;
+        out.push_back({at, route});
+        collectMembers(v.members[i].second, at, route, out);
+        route.pop_back();
+    }
+    for (std::size_t i = 0; i < v.items.size(); ++i) {
+        route.push_back(i);
+        collectMembers(v.items[i], path + "[" + std::to_string(i) + "]",
+                       route, out);
+        route.pop_back();
+    }
+}
+
+/** The object holding the member @p route ends at, and that member's
+ *  index in it. */
+std::pair<JsonValue *, std::size_t>
+memberOwner(JsonValue &root, const std::vector<std::size_t> &route)
+{
+    JsonValue *v = &root;
+    for (std::size_t k = 0; k + 1 < route.size(); ++k)
+        v = v->isObject() ? &v->members[route[k]].second
+                          : &v->items[route[k]];
+    return {v, route.back()};
+}
+
+/** The error readJournalLine gives @p doc (the read must fail). */
+std::string
+journalError(const JsonValue &doc)
+{
+    std::string key, error;
+    RunResult result;
+    EXPECT_FALSE(readJournalLine(toJson(doc), key, result, error));
+    return error;
+}
+
+} // namespace
+
+TEST(ResultReader, RejectsEveryDeletedOrRetypedMemberNamingItsPath)
+{
+    // A pipeline run (stages, phases) and a served run (served block).
+    Scenario sessions;
+    TrafficSpec served;
+    std::string err;
+    ASSERT_TRUE(scenarioFromSpec("sessions", sessions, err)) << err;
+    ASSERT_TRUE(parseTrafficSpec("poisson,lambda=2000,queries=4", served,
+                                 err))
+        << err;
+    CampaignGrid grid;
+    grid.systems = {SystemKind::kMondrian};
+    grid.scenarios = {sessions};
+    grid.log2Tuples = {8};
+    grid.seeds = {42};
+    grid.traffics = {TrafficSpec{}, served};
+    const CampaignReport report = CampaignRunner(grid).run(1);
+    ASSERT_EQ(report.runs.size(), 2u);
+    ASSERT_FALSE(report.runs[0].result.stages.empty());
+    ASSERT_TRUE(report.runs[1].result.served.valid);
+
+    for (const CampaignRun &run : report.runs) {
+        JsonValue doc;
+        ASSERT_TRUE(parseJson(campaignJournalLine(run.job, run.result), doc,
+                              err))
+            << err;
+        ASSERT_EQ(doc.members[2].first, "result");
+        std::vector<std::size_t> route = {2};
+        std::vector<MemberAt> members;
+        collectMembers(doc.members[2].second, "", route, members);
+        const std::string deepest = run.result.served.valid
+                                        ? "served.energy_per_query_j"
+                                        : "stages[1].phases[0].stalls.fence";
+        ASSERT_TRUE(std::any_of(members.begin(), members.end(),
+                                [&](const MemberAt &m) {
+                                    return m.path == deepest;
+                                }))
+            << deepest;
+        {
+            std::string key;
+            RunResult back;
+            ASSERT_TRUE(readJournalLine(toJson(doc), key, back, err)) << err;
+        }
+
+        for (const MemberAt &m : members) {
+            const std::string named = "\"" + m.path + "\"";
+            // Deleted. Only the optional blocks may be absent, and their
+            // absence reads as a run without them.
+            if (m.path != "served" && m.path != "stages") {
+                JsonValue cut = doc;
+                auto [owner, i] = memberOwner(cut, m.route);
+                owner->members.erase(owner->members.begin() +
+                                     static_cast<std::ptrdiff_t>(i));
+                EXPECT_NE(journalError(cut).find(named), std::string::npos)
+                    << "deleted " << m.path << ": " << journalError(cut);
+            }
+            // Retyped: a string becomes a number (a phase kind an
+            // unknown kind), anything else a string.
+            JsonValue retyped = doc;
+            auto [owner, i] = memberOwner(retyped, m.route);
+            JsonValue &value = owner->members[i].second;
+            const bool was_string = value.isString();
+            value = JsonValue{};
+            if (m.path.ends_with("kind")) {
+                value.kind = JsonValue::Kind::kString;
+                value.text = "bogus";
+            } else if (was_string) {
+                value.kind = JsonValue::Kind::kNumber;
+                value.text = "7";
+            } else {
+                value.kind = JsonValue::Kind::kString;
+                value.text = "x";
+            }
+            EXPECT_NE(journalError(retyped).find(named), std::string::npos)
+                << "retyped " << m.path << ": " << journalError(retyped);
+        }
+    }
+
+    // An integer member takes only a non-negative integer literal that
+    // fits; a double member also takes null, the non-finite marker.
+    const std::string line =
+        campaignJournalLine(report.runs[0].job, report.runs[0].result);
+    const std::string events =
+        "\"sim_events\": " + std::to_string(report.runs[0].result.simEvents);
+    ASSERT_NE(line.find(events), std::string::npos);
+    for (const char *bad : {"-1", "1.5", "1e3", "18446744073709551616"}) {
+        std::string edited = line;
+        edited.replace(edited.find(events), events.size(),
+                       std::string("\"sim_events\": ") + bad);
+        std::string key, error;
+        RunResult back;
+        EXPECT_FALSE(readJournalLine(edited, key, back, error)) << bad;
+        EXPECT_NE(error.find("\"sim_events\""), std::string::npos) << bad;
+    }
+    std::string edited = line;
+    const std::size_t bw = edited.find("\"probe_vault_bw_gbps\": ") + 23;
+    edited.replace(bw, edited.find(',', bw) - bw, "null");
+    std::string key;
+    RunResult back;
+    ASSERT_TRUE(readJournalLine(edited, key, back, err)) << err;
+    EXPECT_TRUE(std::isnan(back.probeVaultBWGBps));
 }
 
 TEST(ReportLoader, RejectsAnIndexGivenTwice)

@@ -192,7 +192,7 @@ TEST(ScenarioRun, StageResultsSerializeAndRoundTrip)
     std::string err;
     ASSERT_TRUE(parseJson(json, doc, err)) << err;
     RunResult back;
-    ASSERT_TRUE(readRunResult(doc, back));
+    ASSERT_TRUE(readRunResult(doc, back, err)) << err;
     ASSERT_EQ(back.stages.size(), res.stages.size());
     for (std::size_t i = 0; i < res.stages.size(); ++i) {
         EXPECT_EQ(back.stages[i].stage, res.stages[i].stage);

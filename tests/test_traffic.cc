@@ -10,6 +10,7 @@
 #include "system/runner.hh"
 #include "system/traffic.hh"
 
+#include <cmath>
 #include <string>
 
 using namespace mondrian;
@@ -125,6 +126,16 @@ TEST(TrafficSpec, RejectsMalformedSpecs)
     // A spec that smuggles served knobs next to lambda=0 would silently
     // ignore them — rejected rather than misread.
     EXPECT_FALSE(parseTrafficSpec("lambda=0,inflight=4", t, err));
+    // Integers are plain decimal digits in range: strtoull alone wraps
+    // "-1", saturates an overflow and skips a leading blank. Doubles are
+    // finite: NaN fails every comparison, so it passed the theta range.
+    for (const char *bad :
+         {"lambda=1000,queries=-1",
+          "lambda=1000,queries=99999999999999999999999",
+          "lambda=1000,inflight=-1", "lambda=1000,queries= 4",
+          "lambda=1000,mix=scan:1+join:1,mix-zipf=nan",
+          "lambda=nan", "lambda=1000,mix=scan:inf"})
+        EXPECT_FALSE(parseTrafficSpec(bad, t, err)) << bad;
 
     // validateTrafficSpec also works standalone on constructed specs.
     TrafficSpec bad;
@@ -136,6 +147,8 @@ TEST(TrafficSpec, RejectsMalformedSpecs)
     bad.lambdaQps = 1000.0;
     bad.mix = parseOrDie("lambda=1000,mix=scan:1+join:1").mix;
     bad.mixZipfTheta = 2.5;
+    EXPECT_EQ(validateTrafficSpec(bad), "traffic mix-zipf must be in [0, 2)");
+    bad.mixZipfTheta = std::nan("");
     EXPECT_EQ(validateTrafficSpec(bad), "traffic mix-zipf must be in [0, 2)");
 }
 
