@@ -17,29 +17,6 @@ JsonValue::find(const std::string &key) const
     return nullptr;
 }
 
-std::uint64_t
-JsonValue::asU64() const
-{
-    if (kind != Kind::kNumber)
-        return 0;
-    std::uint64_t v = 0;
-    std::from_chars(text.data(), text.data() + text.size(), v);
-    return v;
-}
-
-double
-JsonValue::asDouble() const
-{
-    return kind == Kind::kNumber ? number : 0.0;
-}
-
-const std::string &
-JsonValue::asString() const
-{
-    static const std::string empty;
-    return kind == Kind::kString ? text : empty;
-}
-
 namespace {
 
 /** Append one Unicode code point to @p out as UTF-8. */

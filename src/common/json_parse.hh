@@ -57,25 +57,19 @@ struct JsonValue
     bool isArray() const { return kind == Kind::kArray; }
     bool isNumber() const { return kind == Kind::kNumber; }
     bool isString() const { return kind == Kind::kString; }
-
-    /** Number as u64, parsed from the raw literal (exact for integers). */
-    std::uint64_t asU64() const;
-    /** Number as double (0.0 for null — the writer's non-finite marker). */
-    double asDouble() const;
-    /** String value ("" when not a string). */
-    const std::string &asString() const;
 };
 
-// Typed reads: asU64()/asDouble() alone would read a wrong-typed member
-// (a string seed) as 0, which is another grid point. Each is false when
-// @p v is absent or of the wrong type.
+// Typed reads, the only reads of a value: a lenient accessor would read
+// a wrong-typed member (a string seed, a string "index") as 0 or "",
+// which is another grid point or job. Each is false when @p v is absent
+// or of the wrong type.
 
 inline bool
 readString(const JsonValue *v, std::string &dst)
 {
     if (!v || !v->isString())
         return false;
-    dst = v->asString();
+    dst = v->text;
     return true;
 }
 
@@ -101,7 +95,7 @@ readNumber(const JsonValue *v, double &dst)
 {
     if (!v || !v->isNumber())
         return false;
-    dst = v->asDouble();
+    dst = v->number;
     return true;
 }
 
@@ -135,6 +129,16 @@ struct MemberReader
     optUint(const char *member, T &dst)
     {
         return !obj.find(member) || uint(member, dst);
+    }
+    /** An optional boolean member: absent leaves @p dst as it is. */
+    bool
+    optBool(const char *member, bool &dst)
+    {
+        const JsonValue *v = obj.find(member);
+        if (v && v->kind != JsonValue::Kind::kBool)
+            return fail(member);
+        dst = v ? v->boolean : dst;
+        return true;
     }
     /** With @p null_ok, also the writer's null marker for a non-finite
      *  value, read back as NaN (so it is written as null again). */

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "common/json.hh"
+#include "system/grid_axes.hh"
 #include "system/report.hh"
 #include "system/result_fields.hh"
 
@@ -17,24 +19,21 @@ namespace {
 std::string
 runLabel(const CampaignRun &r)
 {
-    const CampaignJob &j = r.job;
-    // Theta at the report's canonical 12-digit encoding (see json.hh).
-    return std::string(systemKindName(j.system)) + "|" + j.scenario.name +
-           "|" + std::to_string(j.log2Tuples) + "|" + std::to_string(j.seed) +
-           "|" + geometryName(j.geometry) + "|" + j.exec.name() + "|" +
-           JsonWriter::doubleString(j.zipfTheta) + "|" + j.traffic.name();
+    return std::string(systemKindName(r.job.system)) + "|" +
+           gridGroupKey(r);
 }
 
 /** The leading CSV columns of a run: index and coordinates up to theta. */
 std::string
 coordinateColumns(const CampaignJob &j)
 {
-    std::string out = std::to_string(j.index) + "," +
-                      systemKindName(j.system) + "," + j.scenario.name +
-                      "," + std::to_string(j.log2Tuples) + "," +
-                      std::to_string(j.seed) + "," +
-                      geometryName(j.geometry) + "," + j.exec.name() + ",";
-    JsonWriter::appendDouble(out, j.zipfTheta);
+    std::string out = std::to_string(j.index);
+    visitGridAxes([&](const auto &axis) {
+        using T = typename std::decay_t<decltype(axis)>::Value;
+        if constexpr (!std::is_same_v<T, TrafficSpec>)
+            out += "," + axis.label(j.*axis.value);
+        return true;
+    });
     return out;
 }
 
@@ -309,14 +308,13 @@ diffReports(const CampaignReport &a, const CampaignReport &b, double rtol)
                                  b.baseline + "'");
     }
 
-    // Runs pair by grid point, not by index, so reports of two grids
-    // still compare the points they share.
-    using Point = std::pair<SystemKind, GridGroupKey>;
+    // Runs pair by grid point (their coordinate labels), not by index, so
+    // reports of two grids still compare the points they share.
     auto points = [](const CampaignReport &r) {
-        std::map<Point, const CampaignRun *> by_point;
+        std::map<std::string, const CampaignRun *> by_point;
         for (const CampaignRun &run : r.runs) {
             if (!run.failed)
-                by_point[{run.job.system, gridGroupKey(run)}] = &run;
+                by_point[runLabel(run)] = &run;
         }
         return by_point;
     };
@@ -324,20 +322,19 @@ diffReports(const CampaignReport &a, const CampaignReport &b, double rtol)
     for (const CampaignRun &r : a.runs) {
         if (r.failed)
             continue;
-        auto it = b_runs.find({r.job.system, gridGroupKey(r)});
+        const std::string label = runLabel(r), where = "run " + label;
+        auto it = b_runs.find(label);
         if (it == b_runs.end()) {
-            out.structural.push_back("run " + runLabel(r) +
-                                     " only in first report");
+            out.structural.push_back(where + " only in first report");
             continue;
         }
         // Runs pair by grid point, so their own labels are not compared.
-        const std::string where = "run " + runLabel(r);
         ResultDiffer<RunResult> d{r.result, it->second->result, where, "",
                                   rtol, out};
         resultFields(d, std::type_identity<RunResult>{});
     }
     for (const CampaignRun &r : b.runs) {
-        if (!r.failed && !a_runs.count({r.job.system, gridGroupKey(r)})) {
+        if (!r.failed && !a_runs.count(runLabel(r))) {
             out.structural.push_back("run " + runLabel(r) +
                                      " only in second report");
         }

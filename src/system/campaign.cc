@@ -4,50 +4,18 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <stdexcept>
-#include <tuple>
+#include <type_traits>
 
 #include "common/json.hh"
 #include "common/json_parse.hh"
 #include "common/logging.hh"
 #include "sim/thread_pool.hh"
+#include "system/grid_axes.hh"
 #include "system/report.hh"
 
 namespace mondrian {
-
-namespace {
-
-/**
- * Render a double exactly as report JSON does (JsonWriter's canonical
- * 12-significant-digit encoding). Keying through this encoding makes a
- * theta parsed back from a report hash identically to the CLI-parsed
- * original; thetas that differ only beyond the report precision are
- * already indistinguishable in the report itself.
- */
-void
-appendDouble(std::string &key, double v)
-{
-    JsonWriter::appendDouble(key, v);
-}
-
-/** The first label @p label gives to two values of @p axis; nullopt when
- *  every label is distinct. */
-template <typename T, typename Label>
-std::optional<std::string>
-repeatedLabel(const std::vector<T> &axis, Label label)
-{
-    std::set<std::string> seen;
-    for (const T &v : axis) {
-        std::string l = label(v);
-        if (!seen.insert(l).second)
-            return l;
-    }
-    return std::nullopt;
-}
-
-} // namespace
 
 CampaignGrid
 paperGrid(unsigned log2_tuples)
@@ -88,46 +56,47 @@ gridHasTraffic(const CampaignGrid &grid)
 
 } // namespace
 
+std::size_t
+CampaignGrid::size() const
+{
+    std::size_t n = 1;
+    visitGridAxes([&](const auto &axis) {
+        n *= (this->*axis.values).size();
+        return true;
+    });
+    return n;
+}
+
 bool
 validateGrid(const CampaignGrid &grid, std::string &error)
 {
-    if (grid.systems.empty()) {
-        error = "systems axis is empty";
+    // Every axis is compared by its report label: a repeated label runs
+    // one grid point twice under one label (a repeated system: two
+    // summary rows), and thetas equal at the report's 12 digits repeat.
+    const bool axes_ok = visitGridAxes([&](const auto &axis) {
+        const auto &values = grid.*axis.values;
+        if (values.empty()) {
+            error = std::string(axis.noun) + " axis is empty";
+            return false;
+        }
+        std::set<std::string> seen;
+        for (const auto &v : values) {
+            std::string label = axis.label(v);
+            if (!seen.insert(label).second) {
+                error = "duplicate " + std::string(axis.noun) + " '" +
+                        label + "'";
+                return false;
+            }
+        }
+        return true;
+    });
+    if (!axes_ok)
         return false;
-    }
-    if (grid.scenarios.empty()) {
-        error = "scenario axis is empty";
-        return false;
-    }
     for (const Scenario &sc : grid.scenarios) {
         if (sc.stages.empty()) {
             error = "scenario '" + sc.name + "' has no stages";
             return false;
         }
-    }
-    if (grid.log2Tuples.empty()) {
-        error = "log2-tuples axis is empty";
-        return false;
-    }
-    if (grid.seeds.empty()) {
-        error = "seeds axis is empty";
-        return false;
-    }
-    if (grid.geometries.empty()) {
-        error = "geometry axis is empty";
-        return false;
-    }
-    if (grid.execOverrides.empty()) {
-        error = "exec-ablation axis is empty";
-        return false;
-    }
-    if (grid.zipfThetas.empty()) {
-        error = "zipf-theta axis is empty";
-        return false;
-    }
-    if (grid.traffics.empty()) {
-        error = "traffic axis is empty";
-        return false;
     }
     for (const TrafficSpec &t : grid.traffics) {
         std::string t_error = validateTrafficSpec(t);
@@ -142,19 +111,9 @@ validateGrid(const CampaignGrid &grid, std::string &error)
             return false;
         }
     }
-    std::set<std::string> theta_names;
     for (double z : grid.zipfThetas) {
         if (!(z >= 0.0) || z >= 2.0) {
             error = "zipf theta must be in [0, 2)";
-            return false;
-        }
-        // Thetas are labeled (and resume-keyed) at the report's 12-digit
-        // encoding; values identical at that precision would share one
-        // axis label and cache identity, so reject them as duplicates.
-        const std::string name = JsonWriter::doubleString(z);
-        if (!theta_names.insert(name).second) {
-            error = "duplicate zipf-theta axis value " + name +
-                    " (identical at the report's 12-digit precision)";
             return false;
         }
     }
@@ -171,37 +130,6 @@ validateGrid(const CampaignGrid &grid, std::string &error)
         if (!validateExecOverride(ov, ov_error)) {
             error = "invalid exec-ablation point " + ov.name() + ": " +
                     ov_error;
-            return false;
-        }
-    }
-    // A repeated axis point runs one grid point twice and writes two
-    // runs (a repeated system: two summary rows) under one label. Each
-    // axis is compared by its report label.
-    const std::pair<const char *, std::optional<std::string>> repeats[] = {
-        {"system", repeatedLabel(grid.systems, [](SystemKind k) {
-             return std::string(systemKindName(k));
-         })},
-        {"scenario",
-         repeatedLabel(grid.scenarios, [](const Scenario &sc) {
-             return sc.name;
-         })},
-        {"log2-tuples value",
-         repeatedLabel(grid.log2Tuples,
-                       [](unsigned l) { return std::to_string(l); })},
-        {"seed", repeatedLabel(grid.seeds, [](std::uint64_t seed) {
-             return std::to_string(seed);
-         })},
-        {"geometry", repeatedLabel(grid.geometries, geometryName)},
-        {"exec-ablation point",
-         repeatedLabel(grid.execOverrides,
-                       [](const ExecOverride &ov) { return ov.name(); })},
-        {"traffic point",
-         repeatedLabel(grid.traffics,
-                       [](const TrafficSpec &t) { return t.name(); })},
-    };
-    for (const auto &[axis, label] : repeats) {
-        if (label) {
-            error = std::string("duplicate ") + axis + " '" + *label + "'";
             return false;
         }
     }
@@ -321,19 +249,10 @@ expandGrid(const CampaignGrid &grid)
                     for (std::uint64_t seed : grid.seeds) {
                         for (unsigned log2 : grid.log2Tuples) {
                             for (const Scenario &sc : grid.scenarios) {
-                                for (SystemKind sys : grid.systems) {
-                                    CampaignJob job;
-                                    job.index = jobs.size();
-                                    job.system = sys;
-                                    job.scenario = sc;
-                                    job.log2Tuples = log2;
-                                    job.seed = seed;
-                                    job.geometry = geo;
-                                    job.exec = exec;
-                                    job.zipfTheta = theta;
-                                    job.traffic = traffic;
-                                    jobs.push_back(job);
-                                }
+                                for (SystemKind sys : grid.systems)
+                                    jobs.push_back({jobs.size(), sys, sc,
+                                                    log2, seed, geo, exec,
+                                                    theta, traffic});
                             }
                         }
                     }
@@ -347,17 +266,23 @@ expandGrid(const CampaignGrid &grid)
 GridGroupKey
 gridGroupKey(const CampaignJob &job)
 {
-    return {geometryName(job.geometry), job.exec.name(), job.zipfTheta,
-            job.seed, job.log2Tuples, job.scenario.name,
-            job.traffic.name()};
+    std::string key;
+    visitGridAxes([&](const auto &axis) {
+        using T = typename std::decay_t<decltype(axis)>::Value;
+        if constexpr (!std::is_same_v<T, SystemKind>)
+            key += axis.label(job.*axis.value) + "|";
+        return true;
+    });
+    key.pop_back();
+    return key;
 }
 
 GridGroupKey
 gridGroupKey(const CampaignRun &run)
 {
-    // RunResult::op always equals job.scenario.name (the runner sets it
-    // and the resume identity includes it), so keying by the job alone
-    // is equivalent.
+    // A result's system and op are its job's labels (the runner writes
+    // them; checkResultShape holds loaded results to them), so keying by
+    // the job alone is equivalent.
     return gridGroupKey(run.job);
 }
 
@@ -436,39 +361,18 @@ summarizeComparisons(const std::string &system, std::size_t total_runs,
     return s;
 }
 
-std::string
-ResumeCache::gridPointHash(const std::string &system, const std::string &op,
-                           unsigned log2_tuples, std::uint64_t seed,
-                           double zipf_theta, const MemGeometry &geo,
-                           const ExecOverride &exec,
-                           const std::string &traffic)
-{
-    // Canonical identity string: every axis field at a fixed, delimited
-    // position, so the key is injective over grid points — two distinct
-    // axis points cannot collide by construction. The key itself is the
-    // cache identity (no lossy digest in the identity path); theta is
-    // canonicalized to the report's 12-digit encoding first (see
-    // appendDouble).
-    std::string key = system + "|" + op + "|" +
-                      std::to_string(log2_tuples) + "|" +
-                      std::to_string(seed) + "|";
-    appendDouble(key, zipf_theta);
-    key += "|" + std::to_string(geo.numStacks) + "|" +
-           std::to_string(geo.vaultsPerStack) + "|" +
-           std::to_string(geo.banksPerVault) + "|" +
-           std::to_string(geo.rowBytes) + "|" +
-           std::to_string(geo.vaultBytes) + "|" +
-           std::to_string(exec.radixBits) + "|" +
-           std::to_string(exec.readChunkBytes) + "|" +
-           std::to_string(exec.tlbEntries) + "|" + traffic;
-    return key;
-}
-
 const ResumeCache::Entry *
-ResumeCache::find(const std::string &hash) const
+ResumeCache::find(const CampaignJob &job) const
 {
-    auto it = entries_.find(hash);
-    return it == entries_.end() ? nullptr : &it->second;
+    auto it = entries_.find(campaignJobKey(job));
+    if (it == entries_.end())
+        return nullptr;
+    std::string error;
+    if (checkResultShape(job, it->second.result, error))
+        return &it->second;
+    warn("resume: re-simulating grid point %zu: its cached result %s",
+         job.index, error.c_str());
+    return nullptr;
 }
 
 bool
@@ -537,10 +441,19 @@ ResumeCache::loadJournal(const std::string &text)
 std::string
 campaignJobKey(const CampaignJob &job)
 {
-    return ResumeCache::gridPointHash(
-        systemKindName(job.system), scenarioIdentity(job.scenario),
-        job.log2Tuples, job.seed, job.zipfTheta, job.geometry, job.exec,
-        job.traffic.name());
+    // Every label at a fixed position; the scenario's identity adds its
+    // stage structure, so a restructured pipeline misses.
+    std::string key;
+    visitGridAxes([&](const auto &axis) {
+        using T = typename std::decay_t<decltype(axis)>::Value;
+        if constexpr (std::is_same_v<T, Scenario>)
+            key += scenarioIdentity(job.scenario) + "|";
+        else
+            key += axis.label(job.*axis.value) + "|";
+        return true;
+    });
+    key.pop_back();
+    return key;
 }
 
 std::string
@@ -569,6 +482,31 @@ readJournalLine(const std::string &line, std::string &key,
     return r ? readRunResult(*r, result, error) : m.fail("result");
 }
 
+bool
+checkResultShape(const CampaignJob &job, const RunResult &result,
+                 std::string &error)
+{
+    const std::string system = systemKindName(job.system);
+    if (result.system != system || result.op != job.scenario.name) {
+        error = "is of " + result.system + "/" + result.op +
+                ", not of " + system + "/" + job.scenario.name;
+        return false;
+    }
+    // A served run reports its "served" block and no stages; a single
+    // query of a pipeline reports its "stages" (ServedRunner::run).
+    const bool served = !job.traffic.degenerate();
+    const bool staged = !served && !job.scenario.degenerate();
+    auto present = [&](const char *block, bool want, bool has) {
+        if (want != has)
+            error = std::string(want ? "lacks" : "has") + " a \"" + block +
+                    "\" block under traffic " + job.traffic.name() +
+                    " and scenario " + job.scenario.name;
+        return want == has;
+    };
+    return present("served", served, result.served.valid) &&
+           present("stages", staged, !result.stages.empty());
+}
+
 std::vector<CampaignJob>
 beginCampaign(const CampaignGrid &grid, const ResumeCache *resume,
               CampaignReport &report)
@@ -583,8 +521,7 @@ beginCampaign(const CampaignGrid &grid, const ResumeCache *resume,
     for (CampaignJob &job : expandGrid(grid)) {
         CampaignRun &slot = report.runs.emplace_back();
         slot.job = job;
-        const ResumeCache::Entry *hit =
-            resume ? resume->find(campaignJobKey(job)) : nullptr;
+        const ResumeCache::Entry *hit = resume ? resume->find(job) : nullptr;
         if (hit) {
             slot.result = hit->result;
             slot.rawResultJson = hit->rawResultJson;
@@ -664,14 +601,14 @@ void
 writeRunCoordinates(JsonWriter &w, const CampaignJob &job)
 {
     w.member("index", std::uint64_t{job.index});
-    w.member("system", systemKindName(job.system));
-    w.member("scenario", job.scenario.name);
-    w.member("log2_tuples", std::uint64_t{job.log2Tuples});
-    w.member("seed", job.seed);
-    w.member("geometry", geometryName(job.geometry));
-    w.member("exec", job.exec.name());
-    w.member("zipf_theta", job.zipfTheta);
-    w.member("traffic", job.traffic.name());
+    visitGridAxes([&](const auto &axis) {
+        const auto &v = job.*axis.value;
+        if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>)
+            w.member(axis.coordinate, v);
+        else
+            w.member(axis.coordinate, axis.label(v));
+        return true;
+    });
 }
 
 /** Check the "schema" member of a parsed report: false with @p error
@@ -679,9 +616,8 @@ writeRunCoordinates(JsonWriter &w, const CampaignJob &job)
 bool
 checkReportSchema(const JsonValue &doc, std::string &error)
 {
-    const JsonValue *schema = doc.find("schema");
-    const std::string name = schema ? schema->asString() : "";
-    if (name == kCampaignReportSchema)
+    std::string name;
+    if (readString(doc.find("schema"), name) && name == kCampaignReportSchema)
         return true;
     error = "not a " + std::string(kCampaignReportSchema) +
             " report (schema '" + name + "')";
@@ -702,15 +638,7 @@ placeRunEntry(const JsonValue &entry, CampaignReport &report,
 {
     MemberReader m{entry, error};
     std::size_t index = 0;
-    unsigned log2 = 0;
-    std::uint64_t seed = 0;
-    double theta = 0.0;
-    std::string system, scenario, geometry, exec, traffic;
-    if (!m.uint("index", index) || !m.str("system", system) ||
-        !m.str("scenario", scenario) || !m.uint("log2_tuples", log2) ||
-        !m.uint("seed", seed) || !m.str("geometry", geometry) ||
-        !m.str("exec", exec) || !m.number("zipf_theta", theta) ||
-        !m.str("traffic", traffic))
+    if (!m.uint("index", index))
         return nullptr;
     if (index >= report.runs.size()) {
         error = "index " + std::to_string(index) + " out of range (the "
@@ -723,139 +651,31 @@ placeRunEntry(const JsonValue &entry, CampaignReport &report,
         return nullptr;
     }
     const CampaignJob &job = report.runs[index].job;
-    const std::pair<const char *, std::pair<std::string, std::string>>
-        labels[] = {
-            {"system", {system, systemKindName(job.system)}},
-            {"scenario", {scenario, job.scenario.name}},
-            {"log2_tuples",
-             {std::to_string(log2), std::to_string(job.log2Tuples)}},
-            {"seed", {std::to_string(seed), std::to_string(job.seed)}},
-            {"geometry", {geometry, geometryName(job.geometry)}},
-            {"exec", {exec, job.exec.name()}},
-            {"zipf_theta",
-             {JsonWriter::doubleString(theta),
-              JsonWriter::doubleString(job.zipfTheta)}},
-            {"traffic", {traffic, job.traffic.name()}},
-        };
-    for (const auto &[member, got_want] : labels) {
-        if (got_want.first != got_want.second) {
-            error = "\"" + std::string(member) + "\" is '" +
-                    got_want.first + "' but grid point " +
-                    std::to_string(index) + " has '" + got_want.second +
-                    "'";
-            return nullptr;
+    const bool placed = visitGridAxes([&](const auto &axis) {
+        using T = typename std::decay_t<decltype(axis)>::Value;
+        std::string got;
+        if constexpr (std::is_arithmetic_v<T>) {
+            // Type-checked: a string seed must not read as seed 0.
+            const JsonValue *v = entry.find(axis.coordinate);
+            T value{};
+            std::string what;
+            if (!v || !axis.read(*v, value, what))
+                return m.fail(axis.coordinate);
+            got = axis.label(value);
+        } else if (!m.str(axis.coordinate, got)) {
+            return false;
         }
-    }
+        const std::string want = axis.label(job.*axis.value);
+        if (got != want)
+            error = "\"" + std::string(axis.coordinate) + "\" is '" + got +
+                    "' but grid point " + std::to_string(index) +
+                    " has '" + want + "'";
+        return got == want;
+    });
+    if (!placed)
+        return nullptr;
     taken[index] = true;
     return &report.runs[index];
-}
-
-/**
- * Read grid axis @p name of @p block, one entry at a time through
- * @p entry(value, what), which returns false with @p what describing
- * the fault.
- */
-template <typename Entry>
-bool
-readGridAxis(const JsonValue &block, const char *name, Entry entry,
-             std::string &error)
-{
-    const JsonValue *axis = block.find(name);
-    if (!axis || !axis->isArray()) {
-        error = std::string("grid axis \"") + name +
-                "\" missing or not an array";
-        return false;
-    }
-    for (std::size_t i = 0; i < axis->items.size(); ++i) {
-        std::string what;
-        if (!entry(axis->items[i], what)) {
-            error = std::string("grid axis \"") + name + "\" entry " +
-                    std::to_string(i) + ": " + what;
-            return false;
-        }
-    }
-    return true;
-}
-
-/** An entry's "name" member must equal the label its fields rebuild. */
-bool
-labelMatches(const JsonValue &v, const std::string &rebuilt,
-             std::string &what)
-{
-    std::string name;
-    if (!MemberReader{v, what}.str("name", name))
-        return false;
-    if (name != rebuilt)
-        what = "label '" + name + "' does not match its fields ('" +
-               rebuilt + "')";
-    return name == rebuilt;
-}
-
-bool
-readScenario(const JsonValue &v, Scenario &sc, std::string &what)
-{
-    MemberReader m{v, what};
-    const JsonValue *stages = v.find("stages");
-    if (!m.str("name", sc.name))
-        return false;
-    if (!stages || !stages->isArray())
-        return m.fail("stages");
-    for (std::size_t i = 0; i < stages->items.size(); ++i) {
-        MemberReader st{stages->items[i], what,
-                        "stages[" + std::to_string(i) + "]."};
-        ScenarioStage &stage = sc.stages.emplace_back();
-        std::string op, input;
-        if (!st.str("stage", stage.spark) || !st.str("op", op) ||
-            !st.str("input", input))
-            return false;
-        if (!opKindFromName(op, stage.op))
-            return st.fail("op");
-        if (input == stageInputName(StageInput::kPrevOutput))
-            stage.input = StageInput::kPrevOutput;
-        else if (input != stageInputName(StageInput::kGenerated))
-            return st.fail("input");
-    }
-    return true;
-}
-
-bool
-readTraffic(const JsonValue &v, TrafficSpec &t, std::string &what)
-{
-    MemberReader m{v, what};
-    std::string name, process;
-    if (!m.str("name", name))
-        return false;
-    // A degenerate point is written as its label alone.
-    if (name == TrafficSpec{}.name())
-        return true;
-    if (!m.str("process", process))
-        return false;
-    if (process == arrivalProcessName(ArrivalProcess::kFixed))
-        t.process = ArrivalProcess::kFixed;
-    else if (process != arrivalProcessName(ArrivalProcess::kPoisson))
-        return m.fail("process");
-    if (!m.number("lambda_qps", t.lambdaQps) ||
-        !m.uint("queries", t.queries) || !m.uint("warmup", t.warmup) ||
-        !m.uint("max_in_flight", t.maxInFlight) || !m.uint("seed", t.seed))
-        return false;
-    if (const JsonValue *mix = v.find("mix")) {
-        if (!mix->isArray())
-            return m.fail("mix");
-        for (std::size_t i = 0; i < mix->items.size(); ++i) {
-            MemberReader e{mix->items[i], what,
-                           "mix[" + std::to_string(i) + "]."};
-            TrafficMixEntry &entry = t.mix.emplace_back();
-            std::string spec, sc_error;
-            if (!e.str("scenario", spec) ||
-                !e.number("weight", entry.weight))
-                return false;
-            if (!scenarioFromSpec(spec, entry.scenario, sc_error))
-                return e.fail("scenario");
-        }
-        if (!m.number("mix_zipf_theta", t.mixZipfTheta))
-            return false;
-    }
-    return labelMatches(v, t.name(), what);
 }
 
 } // namespace
@@ -865,64 +685,25 @@ readCampaignGrid(const JsonValue &block, CampaignGrid &out,
                  std::string &error)
 {
     CampaignGrid g;
-    g.geometries.clear();
-    g.execOverrides.clear();
-    g.zipfThetas.clear();
-    g.traffics.clear();
-    const bool ok =
-        readGridAxis(block, "systems", [&](const JsonValue &v,
-                                           std::string &what) {
-            std::string name;
-            const bool is_string = readString(&v, name);
-            what = is_string ? "unknown system '" + name + "'"
-                             : "not a system name";
-            return is_string &&
-                   systemKindFromName(name, g.systems.emplace_back());
-        }, error) &&
-        readGridAxis(block, "scenarios", [&](const JsonValue &v,
-                                             std::string &what) {
-            return readScenario(v, g.scenarios.emplace_back(), what);
-        }, error) &&
-        readGridAxis(block, "log2_tuples", [&](const JsonValue &v,
-                                               std::string &what) {
-            what = "not an unsigned integer";
-            return readUint(&v, g.log2Tuples.emplace_back());
-        }, error) &&
-        readGridAxis(block, "seeds", [&](const JsonValue &v,
-                                         std::string &what) {
-            what = "not an unsigned integer";
-            return readUint(&v, g.seeds.emplace_back());
-        }, error) &&
-        readGridAxis(block, "geometries", [&](const JsonValue &v,
-                                              std::string &what) {
-            MemGeometry &geo = g.geometries.emplace_back();
-            MemberReader m{v, what};
-            return m.uint("stacks", geo.numStacks) &&
-                   m.uint("vaults_per_stack", geo.vaultsPerStack) &&
-                   m.uint("banks_per_vault", geo.banksPerVault) &&
-                   m.uint("row_bytes", geo.rowBytes) &&
-                   m.uint("vault_bytes", geo.vaultBytes) &&
-                   labelMatches(v, geometryName(geo), what);
-        }, error) &&
-        readGridAxis(block, "exec_overrides", [&](const JsonValue &v,
-                                                  std::string &what) {
-            // Absent knobs inherit the preset.
-            ExecOverride &ov = g.execOverrides.emplace_back();
-            MemberReader m{v, what};
-            return m.optUint("radix_bits", ov.radixBits) &&
-                   m.optUint("read_chunk_bytes", ov.readChunkBytes) &&
-                   m.optUint("tlb_entries", ov.tlbEntries) &&
-                   labelMatches(v, ov.name(), what);
-        }, error) &&
-        readGridAxis(block, "zipf_thetas", [&](const JsonValue &v,
-                                               std::string &what) {
-            what = "not a number";
-            return readNumber(&v, g.zipfThetas.emplace_back());
-        }, error) &&
-        readGridAxis(block, "traffics", [&](const JsonValue &v,
-                                            std::string &what) {
-            return readTraffic(v, g.traffics.emplace_back(), what);
-        }, error);
+    const bool ok = visitGridAxes([&](const auto &axis) {
+        const JsonValue *values = block.find(axis.block);
+        if (!values || !values->isArray()) {
+            error = std::string("grid axis \"") + axis.block +
+                    "\" missing or not an array";
+            return false;
+        }
+        auto &read = g.*axis.values;
+        read.clear();
+        for (std::size_t i = 0; i < values->items.size(); ++i) {
+            std::string what;
+            if (!axis.read(values->items[i], read.emplace_back(), what)) {
+                error = std::string("grid axis \"") + axis.block +
+                        "\" entry " + std::to_string(i) + ": " + what;
+                return false;
+            }
+        }
+        return true;
+    });
     if (!ok)
         return false;
     std::uint64_t total = 0;
@@ -976,7 +757,8 @@ readCampaignReport(const std::string &json_text, CampaignReport &out,
             return false;
         }
         const JsonValue *result = entry.find("result");
-        if (!result || !readRunResult(*result, slot->result, error)) {
+        if (!result || !readRunResult(*result, slot->result, error) ||
+            !checkResultShape(slot->job, slot->result, error)) {
             error = where + "malformed result: " +
                     (result ? error : "missing");
             return false;
@@ -1038,90 +820,13 @@ void
 writeCampaignGrid(JsonWriter &w, const CampaignGrid &grid)
 {
     w.beginObject();
-    w.key("systems").beginArray();
-    for (SystemKind k : grid.systems)
-        w.value(systemKindName(k));
-    w.endArray();
-    w.key("scenarios").beginArray();
-    for (const Scenario &sc : grid.scenarios) {
-        w.beginObject();
-        w.member("name", sc.name);
-        w.key("stages").beginArray();
-        for (const ScenarioStage &st : sc.stages) {
-            w.beginObject();
-            w.member("stage", st.spark);
-            w.member("op", opKindName(st.op));
-            w.member("input", stageInputName(st.input));
-            w.endObject();
-        }
+    visitGridAxes([&](const auto &axis) {
+        w.key(axis.block).beginArray();
+        for (const auto &v : grid.*axis.values)
+            axis.write(w, v);
         w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.key("log2_tuples").beginArray();
-    for (unsigned l : grid.log2Tuples)
-        w.value(std::uint64_t{l});
-    w.endArray();
-    w.key("seeds").beginArray();
-    for (std::uint64_t s : grid.seeds)
-        w.value(s);
-    w.endArray();
-    w.key("geometries").beginArray();
-    for (const MemGeometry &geo : grid.geometries) {
-        w.beginObject();
-        w.member("name", geometryName(geo));
-        w.member("stacks", std::uint64_t{geo.numStacks});
-        w.member("vaults_per_stack", std::uint64_t{geo.vaultsPerStack});
-        w.member("banks_per_vault", std::uint64_t{geo.banksPerVault});
-        w.member("row_bytes", geo.rowBytes);
-        w.member("vault_bytes", geo.vaultBytes);
-        w.endObject();
-    }
-    w.endArray();
-    w.key("exec_overrides").beginArray();
-    for (const ExecOverride &ov : grid.execOverrides) {
-        w.beginObject();
-        w.member("name", ov.name());
-        // Only overridden knobs appear; absent means "inherit preset".
-        if (ov.radixBits >= 0)
-            w.member("radix_bits", std::int64_t{ov.radixBits});
-        if (ov.readChunkBytes >= 0)
-            w.member("read_chunk_bytes", std::int64_t{ov.readChunkBytes});
-        if (ov.tlbEntries >= 0)
-            w.member("tlb_entries", std::int64_t{ov.tlbEntries});
-        w.endObject();
-    }
-    w.endArray();
-    w.key("zipf_thetas").beginArray();
-    for (double z : grid.zipfThetas)
-        w.value(z);
-    w.endArray();
-    w.key("traffics").beginArray();
-    for (const TrafficSpec &t : grid.traffics) {
-        w.beginObject();
-        w.member("name", t.name());
-        if (!t.degenerate()) {
-            w.member("process", arrivalProcessName(t.process));
-            w.member("lambda_qps", t.lambdaQps);
-            w.member("queries", t.queries);
-            w.member("warmup", t.warmup);
-            w.member("max_in_flight", t.maxInFlight);
-            w.member("seed", t.seed);
-            if (!t.mix.empty()) {
-                w.key("mix").beginArray();
-                for (const TrafficMixEntry &m : t.mix) {
-                    w.beginObject();
-                    w.member("scenario", m.scenario.name);
-                    w.member("weight", m.weight);
-                    w.endObject();
-                }
-                w.endArray();
-                w.member("mix_zipf_theta", t.mixZipfTheta);
-            }
-        }
-        w.endObject();
-    }
-    w.endArray();
+        return true;
+    });
     w.member("total_runs", std::uint64_t{grid.size()});
     w.endObject();
 }
@@ -1243,7 +948,7 @@ campaignDryRun(const CampaignGrid &grid, const ResumeCache *resume)
 
         bool hit = false;
         if (resume) {
-            hit = resume->find(campaignJobKey(job)) != nullptr;
+            hit = resume->find(job) != nullptr;
             if (hit)
                 ++cached;
         }

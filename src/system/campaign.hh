@@ -48,7 +48,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "system/config.hh"
@@ -80,19 +79,14 @@ struct CampaignGrid
      *  degenerate "none" spec (one query: the classic single run). */
     std::vector<TrafficSpec> traffics = {TrafficSpec{}};
 
-    /** Number of jobs the grid expands to. */
-    std::size_t
-    size() const
-    {
-        return systems.size() * scenarios.size() * log2Tuples.size() *
-               seeds.size() * geometries.size() * execOverrides.size() *
-               zipfThetas.size() * traffics.size();
-    }
+    /** Number of jobs the grid expands to: the product of the axis
+     *  sizes. */
+    std::size_t size() const;
 };
 
 /**
  * Check that every axis is non-empty and every axis value is valid
- * (geometries pass validateGeometry(), no axis repeats a point: a
+ * (geometries pass validateGeometry(), no axis repeats a label: a
  * repeated system, scale or seed would run one grid point twice).
  * @return false with @p error naming the offending axis otherwise.
  */
@@ -143,13 +137,27 @@ std::vector<CampaignJob> expandGrid(const CampaignGrid &grid);
 RunResult executeCampaignJob(const CampaignJob &job);
 
 /**
- * The injective identity key of a job's grid point — the
- * ResumeCache::gridPointHash of its fields. The single currency of every
+ * The identity key of a job's grid point: the labels of all eight
+ * coordinates joined by '|' in axis order (system/grid_axes.hh), the
+ * scenario given by scenarioIdentity() so a renamed or restructured
+ * pipeline never satisfies a stale entry. The single currency of every
  * result cache (the --resume journal cache and the worker-side
  * --worker-cache): two jobs share a key iff they are the same grid
  * point.
  */
 std::string campaignJobKey(const CampaignJob &job);
+
+/**
+ * Check that @p result has the shape @p job's run writes: its system and
+ * op are the job's labels, it has a "served" block iff the traffic is
+ * not degenerate, and "stages" iff the traffic is degenerate and the
+ * scenario a pipeline. A result read from a report, journal line,
+ * worker-cache entry or result frame passes readRunResult member by
+ * member; this catches a whole optional block deleted or added.
+ * @return false with @p error describing the mismatch otherwise.
+ */
+bool checkResultShape(const CampaignJob &job, const RunResult &result,
+                      std::string &error);
 
 /** One finished grid point. */
 struct CampaignRun
@@ -183,15 +191,13 @@ struct FailedRun
 };
 
 /**
- * Comparison group of a run: baseline matching is per (geometry, exec,
- * theta, seed, scale, scenario, traffic), so speedups always compare two
- * systems at the same axis point. Shared by the campaign summary and
+ * Comparison group of a run: the labels of every axis but the system,
+ * joined by '|' in axis order, so speedups always compare two systems at
+ * the same axis point. Shared by the campaign summary and
  * table-rendering callers so the two never drift when the grid grows new
  * axes.
  */
-using GridGroupKey = std::tuple<std::string, std::string, double,
-                                std::uint64_t, unsigned, std::string,
-                                std::string>;
+using GridGroupKey = std::string;
 
 GridGroupKey gridGroupKey(const CampaignJob &job);
 GridGroupKey gridGroupKey(const CampaignRun &run);
@@ -272,23 +278,21 @@ struct CampaignReport
 /**
  * Cache of finished grid points loaded from a prior campaign report.
  *
- * Keyed by the (config, workload) identity hash of a grid point —
- * (system, scenario, log2 tuples, seed, zipf theta, memory geometry,
- * exec override) — which is everything that determines a run's result. The
- * hash input encodes every numeric geometry/override field at a fixed
- * position, so two distinct axis points can never collide by
- * construction. A CampaignRunner consults the cache before executing
- * each job and reuses the stored result for hits, so incremental reruns
- * only simulate new grid points (ROADMAP "incremental reruns"). Cached
- * run entries splice back into reports byte-identically (verbatim
- * subtree copy); the summary rollups are recomputed from values that
- * round-tripped the writer's 12-significant-digit encoding, so a
- * resumed summary could in principle differ from a fresh one in the
- * final printed digit of a geomean.
+ * Keyed by campaignJobKey: the labels of all eight coordinates (system,
+ * scenario, log2 tuples, seed, memory geometry, exec override, zipf
+ * theta, traffic), which is everything that determines a run's result.
+ * Each label is injective over its axis's values, so two distinct grid
+ * points cannot collide. A CampaignRunner consults the cache before
+ * executing each job and reuses the stored result for hits, so
+ * incremental reruns only simulate new grid points. Cached run entries
+ * splice back into reports byte-identically (verbatim subtree copy); the
+ * summary rollups are recomputed from values that round-tripped the
+ * writer's 12-significant-digit encoding, so a resumed summary could in
+ * principle differ from a fresh one in the final printed digit of a
+ * geomean.
  *
- * Loads mondrian-campaign-v4 reports only, through readCampaignReport:
- * every run keys by campaignJobKey of its grid point, whose scenario
- * identity carries the stage structure (scenarioIdentity), so a renamed
+ * Loads mondrian-campaign-v4 reports only, through readCampaignReport.
+ * The scenario's part of the key is its scenarioIdentity, so a renamed
  * or restructured pipeline never satisfies a stale entry.
  */
 class ResumeCache
@@ -318,30 +322,18 @@ class ResumeCache
 
     std::size_t size() const { return entries_.size(); }
 
-    /**
-     * Canonical key identifying one (config, workload) grid point: the
-     * injective delimited-field encoding of every axis coordinate (no
-     * lossy digest — distinct points cannot collide). @p scenario is
-     * the scenarioIdentity() string — the bare name for degenerate
-     * scenarios and name + stage structure for pipelines, so a renamed
-     * or restructured pipeline can never satisfy a stale cache entry.
-     */
-    static std::string gridPointHash(const std::string &system,
-                                     const std::string &scenario,
-                                     unsigned log2_tuples,
-                                     std::uint64_t seed, double zipf_theta,
-                                     const MemGeometry &geo,
-                                     const ExecOverride &exec,
-                                     const std::string &traffic);
-
     struct Entry
     {
         RunResult result;         ///< parsed (for summaries and progress)
         std::string rawResultJson; ///< verbatim subtree (for splicing)
     };
 
-    /** Lookup by grid-point hash; nullptr on miss. */
-    const Entry *find(const std::string &hash) const;
+    /**
+     * The entry of @p job's grid point; nullptr on a miss, and with a
+     * warn() when the stored result fails checkResultShape (a damaged
+     * journal line), so the grid point runs again.
+     */
+    const Entry *find(const CampaignJob &job) const;
 
   private:
     std::map<std::string, Entry> entries_;
@@ -401,8 +393,8 @@ class CampaignRunner
     const CampaignGrid &grid() const { return grid_; }
 
     /**
-     * Reuse results from @p cache: grid points whose (config, workload)
-     * hash is cached are not executed. The cache must outlive run().
+     * Reuse results from @p cache: grid points whose campaignJobKey is
+     * cached are not executed. The cache must outlive run().
      */
     void setResume(const ResumeCache *cache) { resume_ = cache; }
 
@@ -424,7 +416,7 @@ class CampaignRunner
 
 /**
  * One append-only journal line recording a completed run: compact JSON
- * {"key": <grid-point hash>, "index": N, "result": {...}} with a
+ * {"key": <campaignJobKey>, "index": N, "result": {...}} with a
  * trailing newline. Result doubles are written in exact shortest-
  * round-trip form so a journal-resumed report re-serializes
  * byte-identically to a fresh run (no splicing needed). Appended (and

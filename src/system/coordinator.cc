@@ -205,15 +205,16 @@ ensureWorkerCacheDir(const std::string &dir)
 }
 
 /**
- * Look @p key up in the cache at @p dir. An entry is a journal line and
+ * Look @p job up in the cache at @p dir. An entry is a journal line and
  * reads back through the journal's reader, at exact doubles, so replying
  * with @p result is byte-equivalent to re-running the simulation.
- * Unreadable, corrupt, or mismatched entries are misses.
+ * Unreadable, corrupt, mismatched or wrongly shaped entries are misses.
  */
 bool
-workerCacheLookup(const std::string &dir, const std::string &key,
+workerCacheLookup(const std::string &dir, const CampaignJob &job,
                   RunResult &result)
 {
+    const std::string key = campaignJobKey(job);
     const std::string path = workerCachePath(dir, key);
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -226,7 +227,13 @@ workerCacheLookup(const std::string &dir, const std::string &key,
                      "(%s)\n", path.c_str(), error.c_str());
         return false;
     }
-    return stored_key == key; // else a filename-hash collision: a miss
+    if (stored_key != key)
+        return false; // a filename-hash collision: a miss
+    if (checkResultShape(job, result, error))
+        return true;
+    std::fprintf(stderr, "worker: ignoring cache entry %s: its result %s\n",
+                 path.c_str(), error.c_str());
+    return false;
 }
 
 /** Persist one finished job (atomically: tmp file + rename). The entry
@@ -334,28 +341,28 @@ serveCampaignJobs(Channel &t, const std::vector<CampaignJob> &jobs,
         if (!awaitMessage(t, payload))
             break;
         JsonValue msg;
-        std::string parse_error;
-        if (!parseJson(payload, msg, parse_error)) {
+        std::string error, type;
+        MemberReader m{msg, error};
+        if (!parseJson(payload, msg, error) || !m.str("type", type)) {
             std::fprintf(stderr, "worker: bad message: %s\n",
-                         parse_error.c_str());
+                         error.c_str());
             break;
         }
-        const JsonValue *type = msg.find("type");
-        if (!type || type->asString() == "exit") {
+        if (type == "exit") {
             status = ServeStatus::kExit;
             break;
         }
-        if (type->asString() != "job")
+        if (type != "job")
             continue;
-        const JsonValue *idx = msg.find("index");
-        if (!idx || idx->asU64() >= jobs.size()) {
-            std::fprintf(stderr, "worker: job index out of range\n");
+        std::size_t index = jobs.size();
+        if (!m.uint("index", index) || index >= jobs.size()) {
+            std::fprintf(stderr, "worker: job index missing, wrong-typed "
+                         "or out of range\n");
             break;
         }
-        const std::size_t index = static_cast<std::size_t>(idx->asU64());
 
-        const JsonValue *f = msg.find("fault");
-        const std::string fault = f ? f->asString() : "";
+        std::string fault;
+        readString(msg.find("fault"), fault);
         if (fault == "crash") {
             // Die without a result or an exit frame — exactly what an
             // OOM kill or a segfault looks like from the coordinator.
@@ -386,9 +393,7 @@ serveCampaignJobs(Channel &t, const std::vector<CampaignJob> &jobs,
         }
 
         RunResult cached;
-        if (cache_ok && workerCacheLookup(cache_dir,
-                                          campaignJobKey(jobs[index]),
-                                          cached)) {
+        if (cache_ok && workerCacheLookup(cache_dir, jobs[index], cached)) {
             std::fprintf(stderr, "worker: cache hit for job %zu\n", index);
             t.send(resultFrame(index, cached, true));
             continue;
@@ -446,18 +451,18 @@ joinAndServe(Channel &t, const std::string &token,
     if (!awaitMessage(t, payload))
         return ServeStatus::kLost;
     JsonValue msg;
-    std::string error;
-    if (!parseJson(payload, msg, error)) {
+    std::string error, kind;
+    MemberReader m{msg, error};
+    if (!parseJson(payload, msg, error) || !m.str("type", kind)) {
         std::fprintf(stderr, "worker: bad handshake message: %s\n",
                      error.c_str());
         return ServeStatus::kRefused;
     }
-    const JsonValue *type = msg.find("type");
-    const std::string kind = type ? type->asString() : "";
     if (kind == "reject") {
-        const JsonValue *reason = msg.find("reason");
+        std::string reason = "no reason given";
+        readString(msg.find("reason"), reason);
         std::fprintf(stderr, "worker: coordinator rejected us: %s\n",
-                     reason ? reason->asString().c_str() : "no reason given");
+                     reason.c_str());
         return ServeStatus::kRefused; // final: a retry would be rejected too
     }
     if (kind != "spec") {
@@ -465,16 +470,17 @@ joinAndServe(Channel &t, const std::string &token,
                      kind.c_str());
         return ServeStatus::kRefused;
     }
-    const JsonValue *schema = msg.find("schema");
+    std::string schema;
     const JsonValue *block = msg.find("grid");
-    const JsonValue *hb = msg.find("heartbeat_interval");
-    CampaignGrid grid;
-    if (!schema || schema->asString() != kCampaignSpecSchema || !block) {
+    if (!m.str("schema", schema) || schema != kCampaignSpecSchema || !block) {
         std::fprintf(stderr, "worker: not a %s spec with a grid block\n",
                      kCampaignSpecSchema);
         return ServeStatus::kRefused;
     }
-    if (!readCampaignGrid(*block, grid, error) ||
+    CampaignGrid grid;
+    double heartbeat_interval = 0.0;
+    if (!m.number("heartbeat_interval", heartbeat_interval) ||
+        !readCampaignGrid(*block, grid, error) ||
         !validateGrid(grid, error)) {
         std::fprintf(stderr, "worker: bad campaign spec: %s\n",
                      error.c_str());
@@ -489,9 +495,7 @@ joinAndServe(Channel &t, const std::string &token,
     if (!peer.empty())
         std::fprintf(stderr, "worker: joined %s (%zu jobs in the grid)\n",
                      peer.c_str(), jobs.size());
-    return serveCampaignJobs(t, jobs,
-                             hb && hb->isNumber() ? hb->asDouble() : 1.0,
-                             cache_dir);
+    return serveCampaignJobs(t, jobs, heartbeat_interval, cache_dir);
 }
 
 } // namespace
@@ -879,20 +883,19 @@ struct DispatchLoop
     handleMessage(WorkerChan &w, const std::string &payload)
     {
         JsonValue msg;
-        std::string parse_error;
-        if (!parseJson(payload, msg, parse_error))
+        std::string error, kind;
+        MemberReader m{msg, error};
+        if (!parseJson(payload, msg, error) || !m.str("type", kind))
             return protocolBreak(w);
-        const JsonValue *type = msg.find("type");
-        const std::string kind = type ? type->asString() : "";
         w.lastSeen = monotonicSeconds();
         if (kind == "heartbeat")
             return {}; // the lastSeen refresh is the whole point
         if (kind == "hello") {
             // Local workers are our own children; only a worker that
             // dialed in must present the shared secret.
-            const JsonValue *tok = msg.find("token");
-            const std::string token =
-                tok && tok->isString() ? tok->asString() : "";
+            std::string token;
+            if (!m.str("token", token))
+                return protocolBreak(w);
             if (w.remote && token != config.helloToken) {
                 warn("coordinator: remote worker %u sent a bad hello "
                      "token; rejecting it", w.id);
@@ -908,34 +911,38 @@ struct DispatchLoop
             // The worker expanded the spec we shipped; a job count
             // mismatch means we would be assigning indices into a
             // DIFFERENT grid — never assign to it.
-            const JsonValue *count = msg.find("jobs");
-            if (w.state == Handshake::kJoining || !count ||
-                count->asU64() != report.runs.size())
+            std::size_t count = 0;
+            if (w.state == Handshake::kJoining || !m.uint("jobs", count) ||
+                count != report.runs.size())
                 return protocolBreak(w);
             w.state = Handshake::kReady;
             if (w.remote)
                 inform("coordinator: remote worker %u ready", w.id);
             return {};
         }
-        const JsonValue *idx = msg.find("index");
-        if ((kind != "result" && kind != "error") || !idx || w.job < 0 ||
-            idx->asU64() != static_cast<std::uint64_t>(w.job))
+        // The envelope is read whole before the job is taken back, so a
+        // broken frame drops the worker with its job still assigned.
+        std::size_t index = 0;
+        bool cached = false;
+        std::string message;
+        if ((kind != "result" && kind != "error") || w.job < 0 ||
+            !m.uint("index", index) ||
+            index != static_cast<std::size_t>(w.job) ||
+            !m.optBool("cached", cached) ||
+            (kind == "error" && !m.str("message", message)))
             return protocolBreak(w);
-        const std::size_t index = static_cast<std::size_t>(w.job);
         w.job = -1;
         const JsonValue *result = msg.find("result");
-        const JsonValue *cached = msg.find("cached");
         RunResult parsed;
-        std::string error;
         if (kind == "error") {
-            const JsonValue *m = msg.find("message");
-            attemptFailed(index, m ? m->asString() : "worker error");
-        } else if (!result || !readRunResult(*result, parsed, error)) {
+            attemptFailed(index, message);
+        } else if (!result || !readRunResult(*result, parsed, error) ||
+                   !checkResultShape(report.runs[index].job, parsed,
+                                     error)) {
             attemptFailed(index, "corrupt result frame: " +
                                      (result ? error : "missing"));
         } else {
-            if (cached && cached->kind == JsonValue::Kind::kBool &&
-                cached->boolean)
+            if (cached)
                 ++report.workerCacheHits;
             report.runs[index].result = std::move(parsed);
             consecutiveFailures = 0;

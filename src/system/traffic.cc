@@ -204,8 +204,8 @@ validateTrafficSpec(const TrafficSpec &traffic)
     }
     if (traffic.lambdaQps < 0.0 || !std::isfinite(traffic.lambdaQps))
         return "traffic lambda must be a finite rate > 0";
-    if (traffic.queries == 0)
-        return "traffic needs queries >= 1";
+    if (traffic.queries == 0 || traffic.queries > kMaxTrafficQueries)
+        return "traffic queries must be in [1, 2^20]";
     if (traffic.warmup >= traffic.queries)
         return "traffic warmup must leave at least one measured query";
     if (!(traffic.mixZipfTheta >= 0.0 && traffic.mixZipfTheta < 2.0))

@@ -16,7 +16,8 @@
  *   item     := "poisson" | "fixed"          (arrival process; default
  *               poisson)
  *             | "lambda=" RATE                (arrivals per second; > 0)
- *             | "queries=" N                  (arrivals to generate)
+ *             | "queries=" N                  (arrivals to generate;
+ *                                               at most 2^20)
  *             | "warmup=" N                   (first N queries excluded
  *               from the measurement window)
  *             | "inflight=" N                 (admission cap; arrivals
@@ -71,6 +72,10 @@ struct TrafficMixEntry
     Scenario scenario;
     double weight = 1.0;
 };
+
+/** Upper bound on TrafficSpec::queries: the whole arrival schedule is
+ *  allocated before the run starts. */
+inline constexpr std::uint64_t kMaxTrafficQueries = std::uint64_t{1} << 20;
 
 /** Declarative open-loop traffic configuration — a campaign axis. */
 struct TrafficSpec

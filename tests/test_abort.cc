@@ -209,6 +209,7 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
         {"--systems", "nmp-rand"},
         {"--traffic", "lambda=1000,queries=-1"},
         {"--traffic", "lambda=1000,queries=99999999999999999999999"},
+        {"--traffic", "lambda=1000,queries=18446744073709551615"},
         {"--traffic", "lambda=1000,inflight=-1"},
         {"--traffic", "lambda=1000,queries= 4"},
         {"--traffic", "lambda=1000,mix=scan:1+join:1,mix-zipf=nan"},
@@ -282,6 +283,47 @@ TEST(CampaignCli, DamagedJournalLineIsSkippedAndRerunByteIdentically)
     EXPECT_EQ(fileText(resumed.path), fileText(fresh.path));
 }
 
+TEST(CampaignCli, JournalLineWithoutItsServedBlockIsRerunByteIdentically)
+{
+    // Every member of a result can be read strictly and the whole optional
+    // "served" block still be gone: only the grid point's traffic tells.
+    TempPath journal("served-journal");
+    TempPath fresh("served-fresh");
+    TempPath resumed("served-resumed");
+    TempPath log("served-log");
+    const std::vector<std::string> served = {
+        "--systems", "cpu,mondrian", "--ops", "scan", "--log2-tuples", "8",
+        "--traffic", "poisson,lambda=2000,queries=4", "--quiet",
+        "--journal", journal.path};
+    auto with = [&served](std::vector<std::string> args) {
+        args.insert(args.begin(), served.begin(), served.end());
+        return args;
+    };
+    ASSERT_EQ(campaignExitCode(with({"--out", fresh.path})), 0);
+
+    std::vector<std::string> lines = journalLines(journal.path);
+    ASSERT_EQ(lines.size(), 2u);
+    const std::size_t at = lines[0].find("\"served\": {");
+    ASSERT_NE(at, std::string::npos) << lines[0];
+    lines[0].erase(at, lines[0].find('}', at) + 2 - at); // and its comma
+    {
+        std::ofstream out(journal.path, std::ios::binary | std::ios::trunc);
+        for (const std::string &l : lines)
+            out << l << '\n';
+    }
+
+    ASSERT_EQ(campaignExitCode(with({"--out", resumed.path}), log.path), 0);
+    const std::string err = fileText(log.path);
+    EXPECT_NE(err.find("resume: re-simulating grid point 0: its cached "
+                       "result lacks a \"served\" block"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("resume: 1 of 2 grid points reused"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(fileText(resumed.path), fileText(fresh.path));
+}
+
 TEST(CampaignCli, DamagedWorkerCacheEntryIsAMissAndRerunByteIdentically)
 {
     char tmpl[] = "/tmp/mondrian-damaged-cache-XXXXXX";
@@ -310,6 +352,13 @@ TEST(CampaignCli, DamagedWorkerCacheEntryIsAMissAndRerunByteIdentically)
     ASSERT_EQ(entries.size(), 6u);
     const std::string damaged = withoutTotalTime(fileText(entries[0]));
     std::ofstream(entries[0], std::ios::binary | std::ios::trunc) << damaged;
+    // A well-formed result of another op: not the result of this entry's
+    // grid point.
+    std::string other_op = fileText(entries[1]);
+    const std::size_t op = other_op.find("\"op\": \"");
+    ASSERT_NE(op, std::string::npos);
+    other_op.insert(op + 7, "x");
+    std::ofstream(entries[1], std::ios::binary | std::ios::trunc) << other_op;
 
     ASSERT_EQ(campaignExitCode(with({"--out", again.path}), log.path), 0);
     const std::string err = fileText(log.path);
@@ -318,7 +367,11 @@ TEST(CampaignCli, DamagedWorkerCacheEntryIsAMissAndRerunByteIdentically)
                        " (missing or wrong-typed \"total_time_ps\")"),
               std::string::npos)
         << err;
-    EXPECT_NE(err.find("worker-cache: 5 results served"), std::string::npos)
+    EXPECT_NE(err.find("worker: ignoring cache entry " + entries[1] +
+                       ": its result is of "),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("worker-cache: 4 results served"), std::string::npos)
         << err;
     EXPECT_EQ(fileText(again.path), fileText(fresh.path));
     const std::string rm = "rm -rf '" + cache + "'";

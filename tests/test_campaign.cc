@@ -173,26 +173,12 @@ TEST(Campaign, SystemConfigAppliesGeometryAndOverride)
     EXPECT_EQ(cfg.exec.readChunkBytes, makeSystem(SystemKind::kCpu).exec.readChunkBytes);
 }
 
-TEST(Campaign, ValidateGridNamesTheEmptyAxis)
+TEST(Campaign, ValidateGridNamesAnInvalidGeometry)
 {
+    // Empty and repeated axes: GridAxes.EachAxisIsValidatedLabeledAndKeyed.
     CampaignGrid grid = testGrid();
     std::string err;
     EXPECT_TRUE(validateGrid(grid, err)) << err;
-
-    CampaignGrid no_geo = grid;
-    no_geo.geometries.clear();
-    EXPECT_FALSE(validateGrid(no_geo, err));
-    EXPECT_NE(err.find("geometry axis"), std::string::npos);
-
-    CampaignGrid no_exec = grid;
-    no_exec.execOverrides.clear();
-    EXPECT_FALSE(validateGrid(no_exec, err));
-    EXPECT_NE(err.find("exec-ablation axis"), std::string::npos);
-
-    CampaignGrid no_theta = grid;
-    no_theta.zipfThetas.clear();
-    EXPECT_FALSE(validateGrid(no_theta, err));
-    EXPECT_NE(err.find("zipf-theta axis"), std::string::npos);
 
     CampaignGrid bad_geo = grid;
     bad_geo.geometries[0].vaultsPerStack = 5; // not a power of two
@@ -293,24 +279,19 @@ TEST(Campaign, ValidateGridRejectsInfeasibleCombinations)
     EXPECT_NE(err.find("radix bits"), std::string::npos) << err;
 }
 
-TEST(Resume, ThetaHashMatchesReportEncoding)
+TEST(Resume, ThetaKeyMatchesReportEncoding)
 {
-    // The hash canonicalizes theta at the report writer's 12 significant
-    // digits, so a theta parsed back from a report hashes identically to
-    // the CLI-parsed original even when the original had more digits.
-    const MemGeometry geo = defaultGeometry();
-    const ExecOverride base;
-    const double cli = 0.1234567890123456;   // what strtod produced
-    const double report = 0.123456789012;    // what the report stores
-    EXPECT_EQ(ResumeCache::gridPointHash("cpu", "join", 15, 42, cli, geo,
-                                         base, "none"),
-              ResumeCache::gridPointHash("cpu", "join", 15, 42, report,
-                                         geo, base, "none"));
+    // The key labels theta at the report writer's 12 significant digits,
+    // so a theta parsed back from a report keys identically to the
+    // CLI-parsed original even when the original had more digits.
+    CampaignJob cli, report;
+    cli.zipfTheta = 0.1234567890123456;   // what strtod produced
+    report.zipfTheta = 0.123456789012;    // what the report stores
+    EXPECT_EQ(campaignJobKey(cli), campaignJobKey(report));
     // ... while thetas that differ within 12 digits still differ.
-    EXPECT_NE(ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.5, geo,
-                                         base, "none"),
-              ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.75, geo,
-                                         base, "none"));
+    cli.zipfTheta = 0.5;
+    report.zipfTheta = 0.75;
+    EXPECT_NE(campaignJobKey(cli), campaignJobKey(report));
 }
 
 TEST(Campaign, ExecOverrideParseAndCanonicalName)
@@ -355,50 +336,18 @@ TEST(Campaign, ExecOverrideParseAndCanonicalName)
 
 TEST(Campaign, ValidateGridRejectsThetaDuplicates)
 {
+    // Thetas identical at the report's 12-digit precision would share
+    // one axis label and resume identity: a repeated value.
     CampaignGrid grid = testGrid();
     std::string err;
-
-    grid.zipfThetas = {0.5, 0.5};
-    EXPECT_FALSE(validateGrid(grid, err));
-    EXPECT_NE(err.find("duplicate zipf-theta"), std::string::npos) << err;
-
-    // Thetas identical at the report's 12-digit precision would share
-    // one axis label and resume identity — also rejected.
     grid.zipfThetas = {0.123456789012, 0.1234567890121};
     EXPECT_FALSE(validateGrid(grid, err));
-    EXPECT_NE(err.find("12-digit"), std::string::npos) << err;
+    EXPECT_NE(err.find("duplicate zipf-theta '0.123456789012'"),
+              std::string::npos)
+        << err;
 
     grid.zipfThetas = {0.0, 0.5, 0.75};
     EXPECT_TRUE(validateGrid(grid, err)) << err;
-}
-
-TEST(Campaign, ValidateGridRejectsRepeatedSystemsScalesAndSeeds)
-{
-    // Each would run one grid point twice; a repeated system would also
-    // write two summary rows for it.
-    std::string err;
-    CampaignGrid grid = testGrid();
-    grid.systems = {SystemKind::kCpu, SystemKind::kMondrian,
-                    SystemKind::kMondrian};
-    EXPECT_FALSE(validateGrid(grid, err));
-    EXPECT_NE(err.find("duplicate system 'mondrian'"), std::string::npos)
-        << err;
-
-    grid = testGrid();
-    grid.log2Tuples = {8, 8};
-    EXPECT_FALSE(validateGrid(grid, err));
-    EXPECT_NE(err.find("duplicate log2-tuples value '8'"), std::string::npos)
-        << err;
-
-    grid = testGrid();
-    grid.seeds = {42, 7, 42};
-    EXPECT_FALSE(validateGrid(grid, err));
-    EXPECT_NE(err.find("duplicate seed '42'"), std::string::npos) << err;
-
-    // The campaign entry points refuse such a grid before running it.
-    grid = testGrid();
-    grid.systems = {SystemKind::kCpu, SystemKind::kCpu};
-    EXPECT_THROW(CampaignRunner(grid).run(1), std::invalid_argument);
 }
 
 TEST(Campaign, ParallelMatchesSerialByteForByte)
@@ -731,59 +680,38 @@ resumeGrid()
 
 } // namespace
 
-TEST(Resume, GridPointHashIsStableAndDiscriminating)
+TEST(Resume, CampaignJobKeyIsStableAndDiscriminating)
 {
-    const MemGeometry geo = defaultGeometry();
-    const ExecOverride base;
-    std::string h = ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.0,
-                                               geo, base, "none");
-    EXPECT_EQ(h, ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.0,
-                                            geo, base, "none"));
-    // The identity is the injective delimited encoding itself, not a
-    // lossy digest: every axis coordinate appears at a fixed position.
-    EXPECT_EQ(h, "cpu|join|15|42|0|4|16|8|256|8388608|-1|-1|-1|none");
+    CampaignJob base;
+    base.scenario = degenerateScenario(OpKind::kJoin);
+    const std::string h = campaignJobKey(base);
+    EXPECT_EQ(h, campaignJobKey(base));
+    // The identity is every coordinate's label at a fixed position, in
+    // axis order, not a lossy digest.
+    EXPECT_EQ(h, "cpu|join|15|42|4x16x8-8MiB-r256|base|0|none");
+
+    // The geometry and exec labels are injective: every geometry field
+    // and every exec-override knob distinguishes (one job per axis is
+    // GridAxes.EachAxisIsValidatedLabeledAndKeyed).
     std::set<std::string> all{h};
-    all.insert(ResumeCache::gridPointHash("nmp", "join", 15, 42, 0.0, geo,
-                                          base, "none"));
-    all.insert(ResumeCache::gridPointHash("cpu", "scan", 15, 42, 0.0, geo,
-                                          base, "none"));
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 16, 42, 0.0, geo,
-                                          base, "none"));
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 15, 43, 0.0, geo,
-                                          base, "none"));
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.8, geo,
-                                          base, "none"));
-    // Every geometry field is an axis coordinate of its own.
-    MemGeometry g2 = geo;
-    g2.vaultsPerStack = 8;
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.0, g2,
-                                          base, "none"));
-    g2 = geo;
-    g2.rowBytes = 2048;
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.0, g2,
-                                          base, "none"));
-    g2 = geo;
-    g2.vaultBytes = 256 * kKiB;
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.0, g2,
-                                          base, "none"));
-    // ... and so is every exec-override knob.
-    ExecOverride ov;
-    ov.radixBits = 9;
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.0, geo,
-                                          ov, "none"));
-    ov = ExecOverride{};
-    ov.readChunkBytes = 256;
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.0, geo,
-                                          ov, "none"));
-    ov = ExecOverride{};
-    ov.tlbEntries = 16;
-    all.insert(ResumeCache::gridPointHash("cpu", "join", 15, 42, 0.0, geo,
-                                          ov, "none"));
-    // ... and the traffic spec is the eighth coordinate.
-    all.insert(ResumeCache::gridPointHash(
-        "cpu", "join", 15, 42, 0.0, geo, base,
-        "poisson-l1000.00000000-q64-s1"));
-    EXPECT_EQ(all.size(), 13u); // every coordinate distinguishes
+    auto add = [&all, &base](auto mutate) {
+        CampaignJob j = base;
+        mutate(j);
+        all.insert(campaignJobKey(j));
+    };
+    add([](CampaignJob &j) { j.geometry.numStacks = 2; });
+    add([](CampaignJob &j) { j.geometry.vaultsPerStack = 8; });
+    add([](CampaignJob &j) { j.geometry.banksPerVault = 4; });
+    add([](CampaignJob &j) { j.geometry.rowBytes = 2048; });
+    add([](CampaignJob &j) { j.geometry.vaultBytes = 256 * kKiB; });
+    add([](CampaignJob &j) { j.exec.radixBits = 9; });
+    add([](CampaignJob &j) { j.exec.readChunkBytes = 256; });
+    add([](CampaignJob &j) { j.exec.tlbEntries = 16; });
+    // A pipeline keys by its stage structure, not its name alone.
+    add([](CampaignJob &j) {
+        j.scenario.stages[0].input = StageInput::kPrevOutput;
+    });
+    EXPECT_EQ(all.size(), 10u); // every change distinguishes
 }
 
 TEST(Resume, FullyCachedRerunMatchesFreshReport)
@@ -1213,9 +1141,11 @@ TEST(JsonParse, RoundTripsWriterOutput)
     JsonValue doc;
     std::string err;
     ASSERT_TRUE(parseJson(w.str(), doc, err)) << err;
-    EXPECT_EQ(doc.find("name")->asString(), "x\"y\\z\n");
-    EXPECT_EQ(doc.find("count")->asU64(), 18446744073709551615ull);
-    EXPECT_DOUBLE_EQ(doc.find("ratio")->asDouble(), -0.125);
+    EXPECT_EQ(doc.find("name")->text, "x\"y\\z\n");
+    std::uint64_t count = 0;
+    EXPECT_TRUE(readUint(doc.find("count"), count));
+    EXPECT_EQ(count, 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(doc.find("ratio")->number, -0.125);
     EXPECT_TRUE(doc.find("flag")->boolean);
     ASSERT_TRUE(doc.find("list")->isArray());
     EXPECT_EQ(doc.find("list")->items.size(), 2u);
@@ -1261,7 +1191,7 @@ TEST(JsonParse, StringsRoundTripTheWriterEscaper)
     JsonValue doc;
     std::string err;
     ASSERT_TRUE(parseJson(w.str(), doc, err)) << err;
-    EXPECT_EQ(doc.find("s")->asString(), original);
+    EXPECT_EQ(doc.find("s")->text, original);
 }
 
 TEST(JsonParse, DocumentsDecodeUnicodeEscapes)
@@ -1271,7 +1201,7 @@ TEST(JsonParse, DocumentsDecodeUnicodeEscapes)
     ASSERT_TRUE(
         parseJson("{\"k\": \"\\u00e9 \\ud83d\\ude00\"}", doc, err))
         << err;
-    EXPECT_EQ(doc.find("k")->asString(), "\xc3\xa9 \xf0\x9f\x98\x80");
+    EXPECT_EQ(doc.find("k")->text, "\xc3\xa9 \xf0\x9f\x98\x80");
     // Malformed escapes now fail the parse instead of mangling bytes.
     EXPECT_FALSE(parseJson("{\"k\": \"\\ud800\"}", doc, err));
     EXPECT_FALSE(parseJson("{\"k\": \"\\uqqqq\"}", doc, err));

@@ -15,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -153,12 +154,12 @@ specMessage(const char *schema)
 
 /**
  * Run a real `mondrian_campaign --worker` over pipes, answer its hello
- * with @p spec_msg, then close the command direction. @p replies gets
- * every message the worker sent after its hello.
+ * with @p messages (the spec first), then close the command direction.
+ * @p replies gets every message the worker sent after its hello.
  * @return the worker's exit code.
  */
 int
-workerAnswering(const std::string &spec_msg,
+workerAnswering(const std::vector<std::string> &messages,
                 std::vector<std::string> &replies)
 {
     int down[2], up[2];
@@ -179,7 +180,8 @@ workerAnswering(const std::string &spec_msg,
     Channel t(up[0], down[1]);
     std::string msg;
     if (awaitMessage(t, msg)) { // the hello
-        t.send(spec_msg);
+        for (const std::string &m : messages)
+            t.send(m);
         t.shutdownSend();
         while (awaitMessage(t, msg))
             replies.push_back(msg);
@@ -192,7 +194,8 @@ workerAnswering(const std::string &spec_msg,
 TEST(WorkerSpec, JoinsOnlyUnderTheCurrentSchema)
 {
     std::vector<std::string> replies;
-    EXPECT_EQ(workerAnswering(specMessage(kCampaignSpecSchema), replies), 0);
+    EXPECT_EQ(workerAnswering({specMessage(kCampaignSpecSchema)}, replies),
+              0);
     ASSERT_FALSE(replies.empty());
     EXPECT_NE(replies[0].find("\"ready\""), std::string::npos)
         << replies[0];
@@ -204,9 +207,32 @@ TEST(WorkerSpec, JoinsOnlyUnderTheCurrentSchema)
           "mondrian-campaign-spec-v2"}) {
         const std::string what = schema ? schema : "(no schema)";
         replies.clear();
-        EXPECT_EQ(workerAnswering(specMessage(schema), replies), 2) << what;
+        EXPECT_EQ(workerAnswering({specMessage(schema)}, replies), 2)
+            << what;
         EXPECT_TRUE(replies.empty()) << what;
     }
+}
+
+TEST(WorkerSpec, RunsNoJobUnderAStringIndex)
+{
+    // "index": "0" is not job 0: the worker drops the channel instead of
+    // answering. The same job under a numeric index gets its result.
+    auto answers = [](const char *index) {
+        std::vector<std::string> replies;
+        EXPECT_EQ(workerAnswering({specMessage(kCampaignSpecSchema),
+                                   std::string("{\"type\": \"job\", "
+                                               "\"index\": ") +
+                                       index + "}"},
+                                  replies),
+                  0);
+        return std::count_if(replies.begin(), replies.end(),
+                             [](const std::string &r) {
+                                 return r.find("\"result\"") !=
+                                        std::string::npos;
+                             });
+    };
+    EXPECT_EQ(answers("0"), 1);
+    EXPECT_EQ(answers("\"0\""), 0);
 }
 
 // --------------------------------------------- coordinator byte-identity

@@ -47,6 +47,15 @@ awaitMsg(Channel &t, std::string &payload)
     }
 }
 
+/** @p v's string value; "" when absent or not a string. */
+std::string
+stringOf(const JsonValue *v)
+{
+    std::string s;
+    readString(v, s);
+    return s;
+}
+
 /** A connected loopback socket pair: {client, served}. */
 std::pair<Socket, Socket>
 loopbackPair()
@@ -303,14 +312,13 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
         JsonValue reply;
         ASSERT_TRUE(parseJson(msg, reply, error)) << error;
         ASSERT_TRUE(reply.find("type"));
-        EXPECT_EQ(reply.find("type")->asString(), "reject");
+        EXPECT_EQ(stringOf(reply.find("type")), "reject");
         EXPECT_FALSE(awaitMsg(t, msg)); // coordinator closed the channel
     }
 
-    // 2) A hand-rolled worker with the right token: receives the spec
-    // over the wire, expands it, serves every job with exact-double
-    // results — the protocol proven without the production worker loop.
-    {
+    // A hand-rolled worker with the right token: receives the spec over
+    // the wire and expands it, then answers with @p reply(job message).
+    auto serve = [&](auto reply) {
         Socket s = Socket::connect(ep, error);
         ASSERT_TRUE(s.valid()) << error;
         Channel t(std::move(s));
@@ -321,9 +329,9 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
         JsonValue spec_msg;
         ASSERT_TRUE(parseJson(msg, spec_msg, error)) << error;
         ASSERT_TRUE(spec_msg.find("type"));
-        ASSERT_EQ(spec_msg.find("type")->asString(), "spec");
+        ASSERT_EQ(stringOf(spec_msg.find("type")), "spec");
         ASSERT_TRUE(spec_msg.find("schema"));
-        ASSERT_EQ(spec_msg.find("schema")->asString(), kCampaignSpecSchema);
+        ASSERT_EQ(stringOf(spec_msg.find("schema")), kCampaignSpecSchema);
         ASSERT_TRUE(spec_msg.find("grid"));
 
         CampaignGrid wire_grid;
@@ -334,29 +342,56 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
         ASSERT_TRUE(t.send("{\"type\": \"ready\", \"jobs\": " +
                            std::to_string(jobs.size()) + "}"));
 
-        for (;;) {
-            ASSERT_TRUE(awaitMsg(t, msg));
+        while (awaitMsg(t, msg)) {
             JsonValue job_msg;
             ASSERT_TRUE(parseJson(msg, job_msg, error)) << error;
             const JsonValue *type = job_msg.find("type");
             ASSERT_TRUE(type);
-            if (type->asString() == "exit")
-                break;
-            ASSERT_EQ(type->asString(), "job");
-            const std::size_t index = static_cast<std::size_t>(
-                job_msg.find("index")->asU64());
-            const RunResult result = executeCampaignJob(jobs[index]);
-            JsonWriter w;
-            w.setPreciseDoubles(true);
-            w.beginObject();
-            w.member("type", "result");
-            w.member("index", std::uint64_t{index});
-            w.key("result");
-            writeRunResult(w, result);
-            w.endObject();
-            ASSERT_TRUE(t.send(JsonWriter::compact(w.str())));
+            if (stringOf(type) == "exit")
+                return;
+            ASSERT_EQ(stringOf(type), "job");
+            std::size_t index = 0;
+            ASSERT_TRUE(readUint(job_msg.find("index"), index));
+            ASSERT_LT(index, jobs.size());
+            ASSERT_TRUE(t.send(reply(jobs, index)));
         }
-    }
+    };
+    auto resultFrame = [](const std::string &index,
+                          const RunResult &result) {
+        JsonWriter w;
+        w.setPreciseDoubles(true);
+        w.beginObject();
+        w.member("type", "result");
+        w.key("index").rawValue(index);
+        w.key("result");
+        writeRunResult(w, result);
+        w.endObject();
+        return JsonWriter::compact(w.str());
+    };
+
+    // 2) A worker that writes the job's index as a string: the coordinator
+    // must not read "0" as job 0. It drops the worker after that one
+    // frame (EOF here, no second job) and the job runs again.
+    std::size_t answered = 0;
+    serve([&](const std::vector<CampaignJob> &jobs, std::size_t index) {
+        ++answered;
+        return resultFrame("\"" + std::to_string(index) + "\"",
+                           executeCampaignJob(jobs[index]));
+    });
+    EXPECT_EQ(answered, 1u);
+
+    // 3) A worker that serves every job with exact-double results: the
+    // protocol proven without the production worker loop. Its first
+    // result is another job's, which fails that attempt (a result must
+    // have its job's system and op) without dropping the worker.
+    bool first = true;
+    serve([&](const std::vector<CampaignJob> &jobs, std::size_t index) {
+        const std::size_t answered = first ? index ^ 1 : index;
+        first = false;
+        return resultFrame(std::to_string(index),
+                           executeCampaignJob(jobs[answered]));
+    });
+    EXPECT_FALSE(first);
 
     coord_thread.join();
     EXPECT_TRUE(report.failedRuns.empty());

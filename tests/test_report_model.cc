@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/file_io.hh"
 #include "common/json_parse.hh"
 #include "system/campaign.hh"
+#include "system/grid_axes.hh"
 #include "system/report.hh"
 #include "system/scenario.hh"
 #include "system/traffic.hh"
@@ -190,6 +192,14 @@ TEST(ReportLoader, RejectsMalformedDocumentsNamingTheFault)
 
     err = loadError(editRuns(json, "\"result\": {", "\"broken\": {"));
     EXPECT_NE(err.find("run 0: malformed result"), std::string::npos) << err;
+
+    // A result of another grid point: "op" is read strictly but is not
+    // the op of the point the run's coordinates name.
+    err = loadError(editRuns(json, "\"op\": \"scan\"", "\"op\": \"join\""));
+    EXPECT_NE(err.find("run 0: malformed result: is of cpu/join, not of "
+                       "cpu/scan"),
+              std::string::npos)
+        << err;
 }
 
 namespace {
@@ -395,44 +405,107 @@ TEST(ReportLoader, RejectsAGridBlockThatFailsValidation)
     EXPECT_NE(err.find("duplicate seed '42'"), std::string::npos) << err;
 }
 
-TEST(GridGroupKey, SeparatesEveryAxisButTheSystem)
+namespace {
+
+/** Two values on every axis. Grid point 0 has every axis at its first
+ *  value, a cpu scan at 2^8: cheap to run. */
+CampaignGrid
+twoValueGrid()
 {
-    CampaignJob base;
-    base.system = SystemKind::kCpu;
-    base.scenario = degenerateScenario(OpKind::kJoin);
-    base.log2Tuples = 14;
+    CampaignGrid grid;
+    grid.systems = {SystemKind::kCpu, SystemKind::kMondrian};
+    Scenario sessions;
+    std::string err;
+    EXPECT_TRUE(scenarioFromSpec("sessions", sessions, err)) << err;
+    grid.scenarios = {degenerateScenario(OpKind::kScan), sessions};
+    grid.log2Tuples = {8, 9};
+    grid.seeds = {42, 43};
+    MemGeometry narrow = defaultGeometry();
+    narrow.vaultsPerStack = 8;
+    grid.geometries = {defaultGeometry(), narrow};
+    ExecOverride radix;
+    radix.radixBits = 9;
+    grid.execOverrides = {ExecOverride{}, radix};
+    grid.zipfThetas = {0.0, 0.5};
+    TrafficSpec served;
+    served.lambdaQps = 2000.0;
+    served.queries = 4;
+    grid.traffics = {TrafficSpec{}, served};
+    return grid;
+}
 
-    // The group key ignores the system (that's what pairing means) ...
-    CampaignJob v = base;
-    v.system = SystemKind::kNmp;
-    EXPECT_EQ(gridGroupKey(v), gridGroupKey(base));
+/** The text of @p axis's coordinate member of @p job in a run entry:
+ *  a number as itself, anything else as its quoted label. */
+template <typename Axis>
+std::string
+coordinateText(const Axis &axis, const CampaignJob &job)
+{
+    using T = typename Axis::Value;
+    const std::string label = axis.label(job.*axis.value);
+    return std::string("\"") + axis.coordinate + "\": " +
+           (std::is_arithmetic_v<T> ? label : "\"" + label + "\"");
+}
 
-    // ... and any one other axis changes it.
-    auto differs = [&base](const CampaignJob &j) {
-        EXPECT_NE(gridGroupKey(j), gridGroupKey(base));
-    };
-    v = base;
-    v.scenario = degenerateScenario(OpKind::kScan);
-    differs(v);
-    v = base;
-    v.log2Tuples = 15;
-    differs(v);
-    v = base;
-    v.seed = 43;
-    differs(v);
-    v = base;
-    v.geometry.vaultsPerStack = 8;
-    differs(v);
-    v = base;
-    v.exec.radixBits = 9;
-    differs(v);
-    v = base;
-    v.zipfTheta = 0.75;
-    differs(v);
-    v = base;
-    v.traffic.lambdaQps = 1000.0;
-    v.traffic.queries = 4;
-    differs(v);
+} // namespace
+
+TEST(GridAxes, EachAxisIsValidatedLabeledAndKeyed)
+{
+    const CampaignGrid grid = twoValueGrid();
+    std::string err;
+    ASSERT_TRUE(validateGrid(grid, err)) << err;
+
+    // A report of grid point 0 alone.
+    CampaignReport report;
+    report.grid = grid;
+    for (CampaignJob &job : expandGrid(grid)) {
+        CampaignRun &run = report.runs.emplace_back();
+        run.job = std::move(job);
+        run.failed = run.job.index != 0;
+    }
+    const CampaignJob &first = report.runs[0].job;
+    report.runs[0].result = executeCampaignJob(first);
+    const std::string json = campaignReportJson(report);
+    EXPECT_EQ(rewritten(json), json + "\n");
+
+    std::size_t axes = 0;
+    visitGridAxes([&](const auto &axis) {
+        using T = typename std::decay_t<decltype(axis)>::Value;
+        SCOPED_TRACE(axis.block);
+        ++axes;
+        const std::vector<T> &values = grid.*axis.values;
+        const std::string noun = axis.noun;
+
+        CampaignGrid g = grid;
+        (g.*axis.values).clear();
+        EXPECT_FALSE(validateGrid(g, err));
+        EXPECT_EQ(err, noun + " axis is empty");
+
+        g = grid;
+        (g.*axis.values).push_back(values[0]);
+        EXPECT_FALSE(validateGrid(g, err));
+        EXPECT_EQ(err, "duplicate " + noun + " '" + axis.label(values[0]) +
+                           "'");
+
+        // Run 0's coordinate naming the axis's other value.
+        CampaignJob other = first;
+        other.*axis.value = values[1];
+        err = loadError(editRuns(json, coordinateText(axis, first),
+                                 coordinateText(axis, other)));
+        EXPECT_NE(err.find(std::string("run 0: \"") + axis.coordinate +
+                           "\" is '" + axis.label(values[1]) +
+                           "' but grid point 0 has '" +
+                           axis.label(values[0]) + "'"),
+                  std::string::npos)
+            << err;
+
+        // Jobs that differ on this axis alone are two grid points, in one
+        // comparison group iff the axis is the system.
+        EXPECT_NE(campaignJobKey(other), campaignJobKey(first));
+        EXPECT_EQ(gridGroupKey(other) == gridGroupKey(first),
+                  (std::is_same_v<T, SystemKind>));
+        return true;
+    });
+    EXPECT_EQ(axes, 8u);
 }
 
 TEST(ReportSchema, EveryGridEmitsV4)

@@ -137,6 +137,16 @@ TEST(TrafficSpec, RejectsMalformedSpecs)
           "lambda=nan", "lambda=1000,mix=scan:inf"})
         EXPECT_FALSE(parseTrafficSpec(bad, t, err)) << bad;
 
+    // The arrival schedule is allocated whole before the run, so queries
+    // is bounded at parse time rather than failing mid-campaign.
+    EXPECT_TRUE(parseTrafficSpec("lambda=1000,queries=1048576", t, err))
+        << err;
+    for (const char *big : {"lambda=1000,queries=1048577",
+                            "lambda=1000,queries=18446744073709551615"}) {
+        EXPECT_FALSE(parseTrafficSpec(big, t, err)) << big;
+        EXPECT_NE(err.find("queries"), std::string::npos) << err;
+    }
+
     // validateTrafficSpec also works standalone on constructed specs.
     TrafficSpec bad;
     bad.lambdaQps = 1000.0;

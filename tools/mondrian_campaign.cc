@@ -441,10 +441,8 @@ main(int argc, char **argv)
             const std::string spec = argValue(argc, argv, i, "--traffic");
             TrafficSpec t;
             std::string err;
-            if (!parseTrafficSpec(spec, t, err))
+            if (!parseTrafficSpec(spec, t, err)) // validates it too
                 die("--traffic '" + spec + "': " + err);
-            if (std::string verr = validateTrafficSpec(t); !verr.empty())
-                die("--traffic '" + spec + "': " + verr);
             addTraffic(std::move(t));
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
