@@ -76,7 +76,7 @@ validateGrid(const CampaignGrid &grid, std::string &error)
     const bool axes_ok = visitGridAxes([&](const auto &axis) {
         const auto &values = grid.*axis.values;
         if (values.empty()) {
-            error = std::string(axis.noun) + " axis is empty";
+            error = std::string(axis.name) + " axis is empty";
             return false;
         }
         std::set<std::string> seen;

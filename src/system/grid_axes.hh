@@ -39,7 +39,8 @@ struct GridAxis
     using Value = T;
     const char *block;      ///< grid-block member, e.g. "systems"
     const char *coordinate; ///< run-coordinate member, e.g. "system"
-    const char *noun;       ///< what validateGrid's errors call a value
+    const char *name;       ///< validateGrid's name for the axis
+    const char *noun;       ///< and for one of its values
     std::vector<T> CampaignGrid::*values;
     T CampaignJob::*value;
     std::string (*label)(const T &);
@@ -255,45 +256,45 @@ bool
 visitGridAxes(V &&v)
 {
     return v(GridAxis<SystemKind>{
-               "systems", "system", "system", &CampaignGrid::systems,
-               &CampaignJob::system,
-               [](const SystemKind &k) {
-                   return std::string(systemKindName(k));
-               },
+               "systems", "system", "systems", "system",
+               &CampaignGrid::systems, &CampaignJob::system,
+               [](const auto &k) { return std::string(systemKindName(k)); },
                [](JsonWriter &w, const SystemKind &k) {
                    w.value(systemKindName(k));
                },
                readSystem}) &&
            v(GridAxis<Scenario>{
-               "scenarios", "scenario", "scenario",
+               "scenarios", "scenario", "scenario", "scenario",
                &CampaignGrid::scenarios, &CampaignJob::scenario,
                [](const Scenario &sc) { return sc.name; }, writeScenario,
                readScenario}) &&
            v(GridAxis<unsigned>{
-               "log2_tuples", "log2_tuples", "log2-tuples value",
-               &CampaignGrid::log2Tuples, &CampaignJob::log2Tuples,
+               "log2_tuples", "log2_tuples", "log2-tuples",
+               "log2-tuples value", &CampaignGrid::log2Tuples,
+               &CampaignJob::log2Tuples,
                [](const unsigned &l) { return std::to_string(l); },
                [](JsonWriter &w, const unsigned &l) { w.value(l); },
                readUintEntry<unsigned>}) &&
            v(GridAxis<std::uint64_t>{
-               "seeds", "seed", "seed", &CampaignGrid::seeds,
+               "seeds", "seed", "seeds", "seed", &CampaignGrid::seeds,
                &CampaignJob::seed,
                [](const std::uint64_t &s) { return std::to_string(s); },
                [](JsonWriter &w, const std::uint64_t &s) { w.value(s); },
                readUintEntry<std::uint64_t>}) &&
            v(GridAxis<MemGeometry>{
-               "geometries", "geometry", "geometry",
+               "geometries", "geometry", "geometry", "geometry",
                &CampaignGrid::geometries, &CampaignJob::geometry,
                geometryName, writeGeometry, readGeometry}) &&
            v(GridAxis<ExecOverride>{
                "exec_overrides", "exec", "exec-ablation",
-               &CampaignGrid::execOverrides, &CampaignJob::exec,
+               "exec-ablation point", &CampaignGrid::execOverrides,
+               &CampaignJob::exec,
                [](const ExecOverride &ov) { return ov.name(); }, writeExec,
                readExec}) &&
            // Labeled at the report's 12 digits: thetas that differ only
            // beyond them are one grid point.
            v(GridAxis<double>{
-               "zipf_thetas", "zipf_theta", "zipf-theta",
+               "zipf_thetas", "zipf_theta", "zipf-theta", "zipf-theta",
                &CampaignGrid::zipfThetas, &CampaignJob::zipfTheta,
                [](const double &z) { return JsonWriter::doubleString(z); },
                [](JsonWriter &w, const double &z) { w.value(z); },
@@ -302,8 +303,8 @@ visitGridAxes(V &&v)
                    return readNumber(&e, z);
                }}) &&
            v(GridAxis<TrafficSpec>{
-               "traffics", "traffic", "traffic", &CampaignGrid::traffics,
-               &CampaignJob::traffic,
+               "traffics", "traffic", "traffic", "traffic point",
+               &CampaignGrid::traffics, &CampaignJob::traffic,
                [](const TrafficSpec &t) { return t.name(); }, writeTraffic,
                readTraffic});
 }

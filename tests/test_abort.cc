@@ -314,6 +314,9 @@ TEST(CampaignCli, JournalLineWithoutItsServedBlockIsRerunByteIdentically)
 
     ASSERT_EQ(campaignExitCode(with({"--out", resumed.path}), log.path), 0);
     const std::string err = fileText(log.path);
+    EXPECT_NE(err.find("journal: 2 completed runs read from"),
+              std::string::npos)
+        << err;
     EXPECT_NE(err.find("resume: re-simulating grid point 0: its cached "
                        "result lacks a \"served\" block"),
               std::string::npos)

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <string>
@@ -288,6 +289,8 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
     config.listenEndpoint = "127.0.0.1:0";
     config.helloToken = "s3cret";
     CampaignCoordinator coordinator(grid, config);
+    std::atomic<bool> stop{false};
+    coordinator.setAbort(&stop);
     std::string error;
     ASSERT_TRUE(coordinator.listen(error)) << error;
     const std::uint16_t port = coordinator.listenPort();
@@ -318,7 +321,10 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
 
     // A hand-rolled worker with the right token: receives the spec over
     // the wire and expands it, then answers with @p reply(job message).
-    auto serve = [&](auto reply) {
+    // @p exited is set when the coordinator sends `exit`, and stays unset
+    // when it closes the channel instead (the worker was dropped).
+    auto serve = [&](auto reply, bool &exited) {
+        exited = false;
         Socket s = Socket::connect(ep, error);
         ASSERT_TRUE(s.valid()) << error;
         Channel t(std::move(s));
@@ -347,8 +353,10 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
             ASSERT_TRUE(parseJson(msg, job_msg, error)) << error;
             const JsonValue *type = job_msg.find("type");
             ASSERT_TRUE(type);
-            if (stringOf(type) == "exit")
+            if (stringOf(type) == "exit") {
+                exited = true;
                 return;
+            }
             ASSERT_EQ(stringOf(type), "job");
             std::size_t index = 0;
             ASSERT_TRUE(readUint(job_msg.find("index"), index));
@@ -373,12 +381,14 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
     // must not read "0" as job 0. It drops the worker after that one
     // frame (EOF here, no second job) and the job runs again.
     std::size_t answered = 0;
+    bool exited = false;
     serve([&](const std::vector<CampaignJob> &jobs, std::size_t index) {
         ++answered;
         return resultFrame("\"" + std::to_string(index) + "\"",
                            executeCampaignJob(jobs[index]));
-    });
+    }, exited);
     EXPECT_EQ(answered, 1u);
+    EXPECT_FALSE(exited);
 
     // 3) A worker that serves every job with exact-double results: the
     // protocol proven without the production worker loop. Its first
@@ -390,9 +400,13 @@ TEST(TcpHandshake, TokenRejectionThenHandRolledWorkerCompletesCampaign)
         first = false;
         return resultFrame(std::to_string(index),
                            executeCampaignJob(jobs[answered]));
-    });
+    }, exited);
     EXPECT_FALSE(first);
+    EXPECT_TRUE(exited); // kept after the failed attempt, then told to exit
 
+    // A failure above may leave jobs that no worker will serve.
+    if (::testing::Test::HasFailure())
+        stop = true;
     coord_thread.join();
     EXPECT_TRUE(report.failedRuns.empty());
     EXPECT_EQ(campaignReportJson(report), expected);

@@ -478,7 +478,7 @@ TEST(GridAxes, EachAxisIsValidatedLabeledAndKeyed)
         CampaignGrid g = grid;
         (g.*axis.values).clear();
         EXPECT_FALSE(validateGrid(g, err));
-        EXPECT_EQ(err, noun + " axis is empty");
+        EXPECT_EQ(err, std::string(axis.name) + " axis is empty");
 
         g = grid;
         (g.*axis.values).push_back(values[0]);

@@ -536,8 +536,8 @@ main(int argc, char **argv)
             const std::size_t n = cache.loadJournal(text);
             if (n > 0) {
                 std::fprintf(stderr,
-                             "journal: %zu completed runs recovered "
-                             "from %s\n", n, journal_path.c_str());
+                             "journal: %zu completed runs read from %s\n",
+                             n, journal_path.c_str());
                 have_cache = true;
             }
         }
@@ -639,7 +639,7 @@ main(int argc, char **argv)
     } catch (const std::exception &e) {
         die(std::string("campaign failed: ") + e.what());
     }
-    if (report.cachedRuns > 0) {
+    if (have_cache) {
         std::fprintf(stderr, "resume: %zu of %zu grid points reused\n",
                      report.cachedRuns, total);
     }
