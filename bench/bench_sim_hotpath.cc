@@ -28,7 +28,6 @@
  */
 
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/grammar.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "core/core_model.hh"
@@ -264,12 +264,8 @@ writeHistoryEntry(JsonWriter &w, const std::string &pr, double events_per_sec,
 std::uint64_t
 parseUnsignedArg(const char *text, const char *what, std::uint64_t max)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    // strtoull skips whitespace and wraps a leading '-': demand a digit.
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE || v > max) {
+    std::uint64_t v = 0;
+    if (!parseUint(text, max, v)) {
         std::fprintf(stderr,
                      "bench_sim_hotpath: %s must be an integer in [0, "
                      "%llu] (got '%s')\n",

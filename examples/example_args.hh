@@ -13,36 +13,33 @@
 #ifndef MONDRIAN_EXAMPLES_EXAMPLE_ARGS_HH
 #define MONDRIAN_EXAMPLES_EXAMPLE_ARGS_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
+
+#include "common/grammar.hh"
 
 namespace example_args {
 
 /**
- * Parse positional argument @p index as a long in [@p lo, @p hi];
- * @p fallback when absent. Prints an error naming @p what and exits 2
- * on garbage or out-of-range values.
+ * Parse positional argument @p index as an unsigned integer in
+ * [@p lo, @p hi]; @p fallback when absent. Prints an error naming
+ * @p what and exits 2 on garbage or out-of-range values.
  */
-inline long
-intArg(int argc, char **argv, int index, const char *what, long lo, long hi,
-       long fallback)
+inline unsigned
+intArg(int argc, char **argv, int index, const char *what, unsigned lo,
+       unsigned hi, unsigned fallback)
 {
     if (index >= argc)
         return fallback;
     const char *text = argv[index];
-    char *end = nullptr;
-    long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: '%s' is not an integer\n", what, text);
+    std::uint64_t v = 0;
+    if (!mondrian::parseUint(text, hi, v) || v < lo) {
+        std::fprintf(stderr, "%s must be an integer in [%u, %u] (got '%s')\n",
+                     what, lo, hi, text);
         std::exit(2);
     }
-    if (v < lo || v > hi) {
-        std::fprintf(stderr, "%s must be in [%ld, %ld] (got %s)\n", what,
-                     lo, hi, text);
-        std::exit(2);
-    }
-    return v;
+    return static_cast<unsigned>(v);
 }
 
 } // namespace example_args

@@ -16,14 +16,18 @@
 #   R3  No rand()/srand()/atoi()/atof()/atol()/atoll() in src/ tools/
 #       bench/ — unseeded RNG and unchecked numeric parsing both break
 #       the determinism contract (and let a CI bench run on garbage
-#       arguments). examples/example_args.hh is the one sanctioned home
-#       for quick-and-dirty demo parsing.
+#       arguments).
 #   R4  The calendar queue's bucket-count/width power-of-two
 #       static_asserts stay in place (index math masks, never divides).
 #   R5  Compile probe: the hot-path TUs are re-checked with
 #       -fsyntax-only so every fitsInline/packing static_assert actually
 #       fires in this tree (a capture that outgrows its buffer fails
 #       here even if the full build is stale).
+#   R6  No strto*()/std::sto*() in src/ tools/ examples/ bench/: every
+#       number in a flag or spec is read by parseUint/parseReal
+#       (src/common/grammar.hh). The C readers skip blanks, take '+',
+#       hex floats and inf, and wrap "-1", so a grammar that used one
+#       would accept what the others refuse.
 #
 # Usage: scripts/check_invariants.sh [repo-root]
 #        scripts/check_invariants.sh --self-test
@@ -102,6 +106,15 @@ if [[ -n "$r3_hits" ]]; then
          "or bench/:"$'\n'"$r3_hits"
 fi
 
+# --------------------------------------------------------------------- R6
+r6_hits=$(grep -rnE \
+              '(^|[^_[:alnum:]])(strto[a-z]+|std::sto[a-z]+)[[:space:]]*\(' \
+              src/ tools/ examples/ bench/ || true)
+if [[ -n "$r6_hits" ]]; then
+    note "R6 strto*()/std::sto*() in src/, tools/, examples/ or bench/;" \
+         "use parseUint/parseReal (src/common/grammar.hh):"$'\n'"$r6_hits"
+fi
+
 # --------------------------------------------------------------------- R4
 for pat in 'kNumBuckets & (kNumBuckets - 1)' 'kWidth & (kWidth - 1)'; do
     if ! grep -qF "$pat" src/sim/event_queue.hh; then
@@ -136,7 +149,7 @@ if [[ "$SELF_TEST" -eq 1 ]]; then
     make_sandbox() {
         cleanup
         sandbox="$(mktemp -d)"
-        cp -r src tools bench scripts "$sandbox/"
+        cp -r src tools examples bench scripts "$sandbox/"
     }
 
     expect_fail() {
@@ -185,6 +198,12 @@ EOF
         >> "$sandbox/bench/bench_sim_hotpath.cc"
     expect_fail "atoll() in bench/ (R3)"
 
+    # R6: a private number reader in a tool.
+    make_sandbox
+    printf '\n// probe\nstatic double selfTestR6(const char *s) { return std::strtod(s, nullptr); }\n' \
+        >> "$sandbox/tools/mondrian_report.cc"
+    expect_fail "std::strtod() in tools/ (R6)"
+
     # R4: power-of-two static_asserts removed.
     make_sandbox
     sed -i '/kNumBuckets & (kNumBuckets - 1)/d;/kWidth & (kWidth - 1)/d' \
@@ -208,11 +227,11 @@ namespace mondrian { namespace {
 EOF
     expect_fail "oversized hot-path closure (R5 compile probe)"
 
-    echo "OK: self-test caught all 6 seeded violations"
+    echo "OK: self-test caught all 7 seeded violations"
     exit 0
 fi
 
 if [[ "$fail" -ne 0 ]]; then
     exit 1
 fi
-echo "OK: project invariants hold (R1-R5)"
+echo "OK: project invariants hold (R1-R6)"

@@ -12,7 +12,6 @@ cortexA57()
     CoreConfig c;
     c.name = "cortex-a57";
     c.period = periodFromMHz(2000); // 2 GHz
-    c.issueWidth = 3;
     // §3.2: a 128-entry ROB sustains about 20 outstanding accesses.
     c.maxOutstandingLoads = 20;
     c.maxOutstandingStores = 24;
@@ -28,7 +27,6 @@ krait400()
     CoreConfig c;
     c.name = "krait400";
     c.period = periodFromMHz(1000); // 1 GHz
-    c.issueWidth = 3;
     // 48-entry ROB: roughly 8 concurrent fine-grained accesses.
     c.maxOutstandingLoads = 8;
     c.maxOutstandingStores = 12;
@@ -43,7 +41,6 @@ cortexA35Simd()
     CoreConfig c;
     c.name = "cortex-a35-simd";
     c.period = periodFromMHz(1000); // 1 GHz
-    c.issueWidth = 2;
     // In-order dual-issue: a single demand miss stalls the pipeline...
     c.maxOutstandingLoads = 2;
     c.maxOutstandingStores = 16; // object buffer drains posted stores

@@ -38,7 +38,6 @@ struct CoreConfig
 {
     std::string name = "core";
     Tick period = 1000;               ///< clock period (ps); 1 GHz default
-    unsigned issueWidth = 2;          ///< for reporting only
     unsigned maxOutstandingLoads = 8; ///< random-access MLP window
     unsigned maxOutstandingStores = 16; ///< store buffer entries
     unsigned streamDepth = 8;         ///< sequential fetch overlap

@@ -1,7 +1,6 @@
 #include "engine/exec_config.hh"
 
-#include <cstdlib>
-
+#include "common/grammar.hh"
 #include "common/intmath.hh"
 
 namespace mondrian {
@@ -109,11 +108,7 @@ parseExecOverride(const std::string &spec, ExecOverride &out, std::string &error
         error = "empty exec-ablation spec";
         return false;
     }
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t next = spec.find('+', pos);
-        std::string knob = spec.substr(
-            pos, next == std::string::npos ? std::string::npos : next - pos);
+    for (const std::string &knob : splitOn(spec, '+')) {
         std::size_t eq = knob.find('=');
         if (eq == std::string::npos) {
             error = "exec-ablation knob '" + knob + "' is not key=value";
@@ -121,10 +116,8 @@ parseExecOverride(const std::string &spec, ExecOverride &out, std::string &error
         }
         std::string key = knob.substr(0, eq);
         std::string val = knob.substr(eq + 1);
-        char *end = nullptr;
-        long v = std::strtol(val.c_str(), &end, 10);
-        if (end == val.c_str() || *end != '\0' || v < 0 ||
-            v > (1 << 20)) {
+        std::uint64_t v = 0;
+        if (!parseUint(val, 1 << 20, v)) {
             error = "exec-ablation value '" + val + "' is not an integer "
                     "in [0, 2^20]";
             return false;
@@ -146,9 +139,6 @@ parseExecOverride(const std::string &spec, ExecOverride &out, std::string &error
             return false;
         }
         *slot = static_cast<int>(v);
-        if (next == std::string::npos)
-            break;
-        pos = next + 1;
     }
     return validateExecOverride(out, error);
 }

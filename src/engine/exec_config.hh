@@ -82,13 +82,6 @@ struct ExecConfig
             v.push_back(u * per + i);
         return v;
     }
-
-    /** Unit that owns vault @p vault. */
-    unsigned
-    unitOfVault(unsigned vault, unsigned total_vaults) const
-    {
-        return vault / (total_vaults / numUnits);
-    }
 };
 
 /** Execution-style presets for the evaluated systems (§6). */

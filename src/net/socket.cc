@@ -9,8 +9,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
+
+#include "common/grammar.hh"
 
 namespace mondrian {
 
@@ -42,9 +43,8 @@ parseEndpoint(const std::string &spec, Endpoint &out, std::string &error)
                 "' is not a port number";
         return false;
     }
-    char *end = nullptr;
-    const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-    if (port > 65535) {
+    std::uint64_t port = 0;
+    if (!parseUint(port_text, 65535, port)) {
         error = "endpoint '" + spec + "': port " + port_text +
                 " out of range [0, 65535]";
         return false;

@@ -6,7 +6,8 @@
 
 #include <array>
 #include <cerrno>
-#include <cstdlib>
+
+#include "common/grammar.hh"
 
 namespace mondrian {
 
@@ -85,12 +86,8 @@ decodeFrame(std::string &buf, std::string &payload)
     if (crc_text.size() != 8 ||
         crc_text.find_first_not_of("0123456789abcdef") != std::string::npos)
         return -1;
-    if (header.empty() ||
-        header.find_first_not_of("0123456789") != std::string::npos)
-        return -1;
-    const std::size_t len = static_cast<std::size_t>(
-        std::strtoull(header.c_str(), nullptr, 10));
-    if (len > kMaxPayload)
+    std::uint64_t len = 0;
+    if (!parseUint(header, kMaxPayload, len))
         return -1;
     if (buf.size() < nl + 1 + len + 1)
         return 0;
@@ -98,9 +95,7 @@ decodeFrame(std::string &buf, std::string &payload)
         return -1;
     payload = buf.substr(nl + 1, len);
     buf.erase(0, nl + 1 + len + 1);
-    const std::uint32_t declared = static_cast<std::uint32_t>(
-        std::strtoull(crc_text.c_str(), nullptr, 16));
-    if (crc32(payload.data(), payload.size()) != declared)
+    if (crcHex(crc32(payload.data(), payload.size())) != crc_text)
         return -1;
     return 1;
 }

@@ -156,13 +156,6 @@ class EventQueue
     std::uint64_t coalesced() const { return coalesced_; }
 
     /**
-     * Total schedule() calls since construction — the coalescing
-     * ordering stamp (see scheduleCoalesced()). One sequence number is
-     * consumed per schedule() call, so this is also nextSeq_.
-     */
-    std::uint64_t scheduleCalls() const { return nextSeq_; }
-
-    /**
      * Toggle completion coalescing; off, scheduleCoalesced() degrades to
      * schedule(). Output-identical either way (see scheduleCoalesced());
      * executed() + coalesced() is invariant under the toggle.

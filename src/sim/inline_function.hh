@@ -41,9 +41,8 @@ inline std::atomic<std::uint64_t> inline_function_heap_fallbacks{0};
  * Process-wide count of InlineFunction constructions that spilled to the
  * heap because the callable exceeded its inline buffer. The simulator's
  * hot paths are contractually allocation-free, so for any smoke run this
- * must stay zero; Machine::heapFallbacks() exposes the per-run delta and
- * tests assert it (scripts/check_invariants.sh backs the same rule at
- * compile time).
+ * must stay zero; tests assert the delta across a run
+ * (scripts/check_invariants.sh backs the same rule at compile time).
  */
 inline std::uint64_t
 inlineFunctionHeapFallbacks()

@@ -1,6 +1,7 @@
 #include "system/campaign.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -112,7 +113,8 @@ validateGrid(const CampaignGrid &grid, std::string &error)
         }
     }
     for (double z : grid.zipfThetas) {
-        if (!(z >= 0.0) || z >= 2.0) {
+        // -0 would be a second point, labelled "-0", of the same input.
+        if (!(z >= 0.0) || z >= 2.0 || std::signbit(z)) {
             error = "zipf theta must be in [0, 2)";
             return false;
         }

@@ -1,8 +1,8 @@
 #include "system/config.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/grammar.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
 
@@ -89,45 +89,17 @@ parseGeometrySpec(const std::string &spec, MemGeometry &out, std::string &error)
         return false;
     }
 
-    auto parseUnsigned = [](const std::string &s, std::uint64_t &v,
-                            bool allow_suffix) {
-        char *end = nullptr;
-        unsigned long long raw = std::strtoull(s.c_str(), &end, 10);
-        // Cap before scaling so a suffix cannot overflow the multiply.
-        if (end == s.c_str() || s[0] == '-' || s[0] == '+' ||
-            raw > 64 * kGiB)
-            return false;
-        std::string suffix(end);
-        std::uint64_t scale = 1;
-        if (suffix == "KiB" && allow_suffix)
-            scale = kKiB;
-        else if (suffix == "MiB" && allow_suffix)
-            scale = kMiB;
-        else if (!suffix.empty())
-            return false;
-        v = static_cast<std::uint64_t>(raw) * scale;
-        return true;
-    };
-
     // Leading "SxV[xB]" shape, then ":"-separated knobs.
-    std::size_t colon = spec.find(':');
-    std::string shape = spec.substr(0, colon);
+    const std::vector<std::string> parts = splitOn(spec, ':');
+    const std::string &shape = parts[0];
     std::vector<std::uint64_t> dims;
-    std::size_t pos = 0;
-    while (pos <= shape.size()) {
-        std::size_t x = shape.find('x', pos);
-        std::string tok = shape.substr(
-            pos, x == std::string::npos ? std::string::npos : x - pos);
+    for (const std::string &tok : splitOn(shape, 'x')) {
         std::uint64_t v = 0;
-        if (!parseUnsigned(tok, v, /*allow_suffix=*/false) || v == 0 ||
-            v > (std::uint64_t{1} << 20)) {
+        if (!parseUint(tok, std::uint64_t{1} << 20, v) || v == 0) {
             error = "geometry shape '" + shape + "' is not SxV[xB]";
             return false;
         }
         dims.push_back(v);
-        if (x == std::string::npos)
-            break;
-        pos = x + 1;
     }
     if (dims.size() < 2 || dims.size() > 3) {
         error = "geometry shape '" + shape + "' is not SxV[xB]";
@@ -138,21 +110,27 @@ parseGeometrySpec(const std::string &spec, MemGeometry &out, std::string &error)
     if (dims.size() == 3)
         out.banksPerVault = static_cast<unsigned>(dims[2]);
 
-    while (colon != std::string::npos) {
-        std::size_t next = spec.find(':', colon + 1);
-        std::string knob = spec.substr(
-            colon + 1,
-            next == std::string::npos ? std::string::npos : next - colon - 1);
-        std::size_t eq = knob.find('=');
-        std::string key = eq == std::string::npos ? knob : knob.substr(0, eq);
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+        const std::string &knob = parts[i];
+        const std::size_t eq = knob.find('=');
+        const std::string key = knob.substr(0, eq);
+        std::string num = eq == std::string::npos ? "" : knob.substr(eq + 1);
+        std::uint64_t scale = 1;
+        if (num.ends_with("KiB"))
+            scale = kKiB;
+        else if (num.ends_with("MiB"))
+            scale = kMiB;
+        if (scale != 1)
+            num.resize(num.size() - 3);
+        // Cap before scaling so a suffix cannot overflow the multiply.
         std::uint64_t v = 0;
-        if (eq == std::string::npos ||
-            !parseUnsigned(knob.substr(eq + 1), v, /*allow_suffix=*/true) ||
-            v == 0 || v > 64 * kGiB) {
+        if (!parseUint(num, 64 * kGiB, v) || v == 0 ||
+            v * scale > 64 * kGiB) {
             error = "geometry knob '" + knob + "' is not row=N or vault=N "
                     "in (0, 64 GiB]";
             return false;
         }
+        v *= scale;
         if (key == "row")
             out.rowBytes = v;
         else if (key == "vault")
@@ -162,7 +140,6 @@ parseGeometrySpec(const std::string &spec, MemGeometry &out, std::string &error)
                     "' (expected row/vault)";
             return false;
         }
-        colon = next;
     }
     return validateGeometry(out, error);
 }

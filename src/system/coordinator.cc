@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/grammar.hh"
 #include "common/json.hh"
 #include "common/json_parse.hh"
 #include "common/logging.hh"
@@ -46,9 +47,7 @@ parseFaultInject(const std::string &spec, std::vector<FaultInjection> &out,
                  std::string &error)
 {
     out.clear();
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
+    for (const std::string &item : splitOn(spec, ',')) {
         if (item.empty())
             continue;
         const std::size_t at = item.find('@');
@@ -76,15 +75,13 @@ parseFaultInject(const std::string &spec, std::vector<FaultInjection> &out,
             f.sticky = true;
             idx.pop_back();
         }
-        errno = 0;
-        f.index = static_cast<std::size_t>(
-            std::strtoull(idx.c_str(), nullptr, 10));
-        if (idx.empty() || errno == ERANGE ||
-            idx.find_first_not_of("0123456789") != std::string::npos) {
+        std::uint64_t index = 0;
+        if (!parseUint(idx, SIZE_MAX, index)) {
             error = "fault '" + item + "': '" + idx +
                     "' is not a job index";
             return false;
         }
+        f.index = static_cast<std::size_t>(index);
         out.push_back(f);
     }
     if (out.empty()) {

@@ -452,7 +452,6 @@ Machine::finalizePhase()
         Tick span = s.finishedAt > phaseStart_ ? s.finishedAt - phaseStart_
                                                : 0;
         coreBusyTicks_ += s.computeTicks;
-        coreElapsedSum_ += span;
         if (span > 0) {
             double d = static_cast<double>(span);
             util_sum += static_cast<double>(s.computeTicks) / d;

@@ -82,9 +82,6 @@ class Machine
     /** The machine's event queue (drivers of beginPhase() run it). */
     EventQueue &eq() { return eq_; }
 
-    /** Total elapsed simulated time across the phases run so far. */
-    Tick elapsed() const { return eq_.now(); }
-
     /** Aggregate energy activity since construction. */
     EnergyActivity energyActivity() const;
 
@@ -127,18 +124,6 @@ class Machine
     std::uint64_t simEvents() const
     {
         return eq_.executed() + eq_.coalesced() + eagerIssues_;
-    }
-
-    /**
-     * InlineFunction heap fallbacks observed process-wide since this
-     * Machine was constructed. The hot path is contractually
-     * allocation-free, so tests assert this stays zero across a run
-     * (diagnostic only — never serialized into reports, which keeps the
-     * byte-identity oracle untouched).
-     */
-    std::uint64_t heapFallbacks() const
-    {
-        return inlineFunctionHeapFallbacks() - heapFallbackBase_;
     }
 
   private:
@@ -216,12 +201,9 @@ class Machine
     std::vector<std::uint32_t> pendingArrivals_;
     /** Local arrivals issued synchronously instead of via an event. */
     std::uint64_t eagerIssues_ = 0;
-    /** inlineFunctionHeapFallbacks() snapshot at construction. */
-    std::uint64_t heapFallbackBase_ = inlineFunctionHeapFallbacks();
 
     // Cumulative activity for the energy model.
     Tick coreBusyTicks_ = 0;  ///< sum over units of compute ticks
-    Tick coreElapsedSum_ = 0; ///< sum over units of per-phase durations
     unsigned finished_ = 0;
 
     /**

@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "common/grammar.hh"
 #include "engine/spark.hh"
 
 namespace mondrian {
@@ -180,18 +181,7 @@ scenarioFromSpec(const std::string &spec, Scenario &out, std::string &error)
     }
 
     // Chain grammar: ">"-joined stage tokens.
-    std::vector<std::string> tokens;
-    std::string::size_type pos = 0;
-    while (true) {
-        std::string::size_type next = spec.find('>', pos);
-        tokens.push_back(spec.substr(
-            pos, next == std::string::npos ? next : next - pos));
-        if (next == std::string::npos)
-            break;
-        pos = next + 1;
-    }
-
-    for (const std::string &token : tokens) {
+    for (const std::string &token : splitOn(spec, '>')) {
         if (token.empty()) {
             error = "scenario spec '" + spec +
                     "' has an empty stage (stray '>')";

@@ -1,10 +1,9 @@
 #include "system/traffic.hh"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 
+#include "common/grammar.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -54,58 +53,13 @@ TrafficSpec::name() const
 
 namespace {
 
-/** Split @p s on @p sep into non-empty trimmed-as-is pieces. */
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t end = s.find(sep, start);
-        if (end == std::string::npos)
-            end = s.size();
-        if (end > start)
-            out.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return out;
-}
-
-/** Plain decimal digits in range: strtoull alone would wrap "-1",
- *  saturate an overflow and skip leading blanks. */
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || s[0] < '0' || s[0] > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size() || errno == ERANGE)
-        return false;
-    out = v;
-    return true;
-}
-
-/** A finite number: "nan" would slip past every range check. */
-bool
-parseF64(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || !std::isfinite(v))
-        return false;
-    out = v;
-    return true;
-}
-
 bool
 parseMix(const std::string &val, std::vector<TrafficMixEntry> &out,
          std::string &error)
 {
     for (const std::string &item : splitOn(val, '+')) {
+        if (item.empty())
+            continue;
         // name[:weight] — the weight is numeric after the last ':', so
         // mix names themselves may not contain ':' (presets and basic
         // ops never do).
@@ -113,7 +67,7 @@ parseMix(const std::string &val, std::vector<TrafficMixEntry> &out,
         std::string name = item;
         std::size_t colon = item.rfind(':');
         if (colon != std::string::npos) {
-            if (!parseF64(item.substr(colon + 1), entry.weight)) {
+            if (!parseReal(item.substr(colon + 1), entry.weight)) {
                 error = "traffic mix entry '" + item +
                         "': malformed weight";
                 return false;
@@ -147,6 +101,8 @@ parseTrafficSpec(const std::string &spec, TrafficSpec &out,
         return false;
     }
     for (const std::string &item : splitOn(spec, ',')) {
+        if (item.empty())
+            continue;
         std::size_t eq = item.find('=');
         if (eq == std::string::npos) {
             if (item == "poisson") {
@@ -164,20 +120,20 @@ parseTrafficSpec(const std::string &spec, TrafficSpec &out,
         const std::string val = item.substr(eq + 1);
         bool ok = true;
         if (key == "lambda") {
-            ok = parseF64(val, out.lambdaQps);
+            ok = parseReal(val, out.lambdaQps);
         } else if (key == "queries") {
-            ok = parseU64(val, out.queries);
+            ok = parseUint(val, UINT64_MAX, out.queries);
         } else if (key == "warmup") {
-            ok = parseU64(val, out.warmup);
+            ok = parseUint(val, UINT64_MAX, out.warmup);
         } else if (key == "inflight") {
-            ok = parseU64(val, out.maxInFlight);
+            ok = parseUint(val, UINT64_MAX, out.maxInFlight);
         } else if (key == "seed") {
-            ok = parseU64(val, out.seed);
+            ok = parseUint(val, UINT64_MAX, out.seed);
         } else if (key == "mix") {
             if (!parseMix(val, out.mix, error))
                 return false;
         } else if (key == "mix-zipf") {
-            ok = parseF64(val, out.mixZipfTheta);
+            ok = parseReal(val, out.mixZipfTheta);
         } else {
             error = "unknown traffic key '" + key + "'";
             return false;

@@ -30,6 +30,10 @@
  *             | "mix-zipf=" T                 (skew the mix weights:
  *               entry r's weight is scaled by 1/(r+1)^T; needs a mix)
  *
+ * N is plain decimal digits, RATE, W and T one finite decimal number
+ * each (parseUint/parseReal, common/grammar.hh); empty items are
+ * skipped.
+ *
  * "none" (or lambda absent/0) is the degenerate spec: exactly one query
  * arriving at tick 0 — the classic single-query run, and the one every
  * campaign job without a traffic axis makes. The ServedRunner routes it

@@ -28,12 +28,14 @@
 #include <vector>
 
 #include "common/json_parse.hh"
+#include "malformed_numbers.hh"
 
 using namespace mondrian;
 
 namespace {
 
 const char *kCampaignBinary = MONDRIAN_BINARY_DIR "/mondrian_campaign";
+const char *kReportBinary = MONDRIAN_BINARY_DIR "/mondrian_report";
 
 struct TempPath
 {
@@ -46,14 +48,15 @@ struct TempPath
     ~TempPath() { std::remove(path.c_str()); }
 };
 
-/** Spawn mondrian_campaign with @p args and its stderr into @p log;
- *  returns the child pid. */
+/** Spawn @p binary (mondrian_campaign by default) with @p args and its
+ *  stderr into @p log; returns the child pid. */
 pid_t
 spawnCampaign(const std::vector<std::string> &args,
-              const std::string &log = "/dev/null")
+              const std::string &log = "/dev/null",
+              const char *binary = kCampaignBinary)
 {
     std::vector<char *> argv;
-    argv.push_back(const_cast<char *>(kCampaignBinary));
+    argv.push_back(const_cast<char *>(binary));
     for (const std::string &a : args)
         argv.push_back(const_cast<char *>(a.c_str()));
     argv.push_back(nullptr);
@@ -62,7 +65,7 @@ spawnCampaign(const std::vector<std::string> &args,
     if (pid == 0) {
         // Quiet child unless a test reads its warnings.
         ::freopen(log.c_str(), "w", stderr);
-        ::execv(kCampaignBinary, argv.data());
+        ::execv(binary, argv.data());
         _exit(127);
     }
     return pid;
@@ -166,12 +169,22 @@ TEST(ConcurrentAbort, CoordinatorPathExitsThreeWithIntactJournal)
 
 namespace {
 
-/** Run mondrian_campaign with @p args to completion; its exit code. */
+std::string
+fileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Run @p binary with @p args to completion; its exit code. */
 int
 campaignExitCode(const std::vector<std::string> &args,
-                 const std::string &log = "/dev/null")
+                 const std::string &log = "/dev/null",
+                 const char *binary = kCampaignBinary)
 {
-    const pid_t pid = spawnCampaign(args, log);
+    const pid_t pid = spawnCampaign(args, log, binary);
     int status = 0;
     if (pid <= 0 || ::waitpid(pid, &status, 0) != pid)
         return -1;
@@ -188,25 +201,40 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
         args.insert(args.end(), grid.begin(), grid.end());
         return args;
     };
+    auto ending = [&grid](const std::string &flag) {
+        std::vector<std::string> args = grid;
+        args.push_back(flag);
+        return args;
+    };
     ASSERT_EQ(campaignExitCode(with({"--seeds", "7", "--job-timeout", "1.5",
                                      "--heartbeat-timeout", "2"})),
               0);
 
-    // strtoull wraps "-1" and saturates an overflow to 2^64-1, and skips
-    // leading whitespace; NaN passes a `<= 0` check and turns the
-    // coordinator's kill timers off. The traffic grammar's numbers
-    // follow the same rules.
+    // Each grammar reads its numbers through common/grammar.hh: the C
+    // readers wrap "-1", saturate an overflow, skip a leading blank and
+    // take hex floats and inf; NaN passes a `<= 0` check, and inf or NaN
+    // would turn the coordinator's kill timers off.
     const std::vector<std::vector<std::string>> bad = {
         {"--seeds", "-1"},
         {"--seeds", "99999999999999999999"},
         {"--seeds", " 7"},
         {"--job-timeout", "nan"},
         {"--heartbeat-timeout", "nan"},
+        {"--job-timeout", "inf"},
+        {"--heartbeat-timeout", "1e999"},
         {"--retries", "4294967297"},
         // The grid has one job, so index 1 would never fire.
         {"--fault-inject", "crash@1"},
         {"--fault-inject", "crash@99999999999999999999"},
         {"--systems", "nmp-rand"},
+        // -0 would be a second grid point labelled "-0" of the same input.
+        {"--zipf", "0,-0"},
+        {"--geometry", " 2x8"},
+        {"--geometry", "4x16:vault= 256KiB"},
+        {"--exec-ablation", "radix= 9"},
+        {"--traffic", "poisson,lambda= 20,queries=4"},
+        {"--traffic", "poisson,lambda=0x10,queries=4"},
+        {"--traffic", "poisson,lambda=20,queries=4,mix=scan: 2"},
         {"--traffic", "lambda=1000,queries=-1"},
         {"--traffic", "lambda=1000,queries=99999999999999999999999"},
         {"--traffic", "lambda=1000,queries=18446744073709551615"},
@@ -214,24 +242,63 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
         {"--traffic", "lambda=1000,queries= 4"},
         {"--traffic", "lambda=1000,mix=scan:1+join:1,mix-zipf=nan"},
     };
-    for (const std::vector<std::string> &args : bad)
-        EXPECT_EQ(campaignExitCode(with(args)), 2) << args[0] << " " << args[1];
-    // Parsed before the worker dials anything.
-    EXPECT_EQ(campaignExitCode({"--worker-connect", "127.0.0.1:1",
-                                "--reconnect", "-1"}),
-              2);
+    TempPath log("malformed-number-log");
+    for (const std::vector<std::string> &args : bad) {
+        EXPECT_EQ(campaignExitCode(with(args), log.path), 2)
+            << args[0] << " " << args[1];
+        const std::string err = fileText(log.path);
+        EXPECT_TRUE(err.find(args[0].substr(2)) != std::string::npos ||
+                    err.find(args[1]) != std::string::npos)
+            << args[0] << " " << args[1] << ": " << err;
+    }
+
+    // Every malformed form in every numeric flag, the error naming it.
+    // The traffic, geometry, exec and fault grammars run the same table
+    // in their own parse tests.
+    struct Slot
+    {
+        std::vector<std::string> args; ///< ending in the flag
+        std::string good;
+        bool real;
+        const char *binary = kCampaignBinary;
+    };
+    const std::string golden =
+        MONDRIAN_SOURCE_DIR "/scripts/golden/served12-report.json";
+    const std::vector<Slot> slots = {
+        {ending("--log2-tuples"), "8", false},
+        {ending("--seeds"), "7", false},
+        {ending("--jobs"), "1", false},
+        {ending("--workers"), "0", false},
+        {ending("--retries"), "2", false},
+        {ending("--zipf"), "0.5", true},
+        {ending("--job-timeout"), "1.5", true},
+        {ending("--heartbeat-timeout"), "2", true},
+        {{"diff", golden, golden, "--rtol"}, "1e-6", true, kReportBinary},
+        // Parsed before the worker dials anything.
+        {{"--worker-connect", "127.0.0.1:1", "--reconnect"}, "3", false},
+    };
+    for (const Slot &slot : slots) {
+        const std::string &flag = slot.args.back();
+        auto run = [&](const std::string &value) {
+            std::vector<std::string> args = slot.args;
+            args.push_back(value);
+            return campaignExitCode(args, log.path, slot.binary);
+        };
+        // A good --reconnect would dial.
+        if (flag != "--reconnect") {
+            ASSERT_EQ(run(slot.good), 0) << flag << " " << slot.good;
+        }
+        for (const std::string &bad_value :
+             malformedNumbers(slot.good, slot.real)) {
+            EXPECT_EQ(run(bad_value), 2) << flag << " '" << bad_value << "'";
+            const std::string err = fileText(log.path);
+            EXPECT_NE(err.find(flag.substr(2)), std::string::npos)
+                << flag << " '" << bad_value << "': " << err;
+        }
+    }
 }
 
 namespace {
-
-std::string
-fileText(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 /** @p line without its first "total_time_ps" member. */
 std::string

@@ -13,6 +13,10 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "malformed_numbers.hh"
 
 using namespace mondrian;
 
@@ -223,9 +227,32 @@ TEST(Campaign, GeometrySpecsParseAndRoundTrip)
     EXPECT_FALSE(parseGeometrySpec("", geo, err));
     EXPECT_FALSE(parseGeometrySpec("4", geo, err));
     EXPECT_FALSE(parseGeometrySpec("4x", geo, err));
+    EXPECT_FALSE(parseGeometrySpec("4xx16", geo, err));
+    EXPECT_FALSE(parseGeometrySpec("4x16::row=2048", geo, err));
     EXPECT_FALSE(parseGeometrySpec("4x16:bogus=3", geo, err));
     EXPECT_FALSE(parseGeometrySpec("4x16:row=300", geo, err)); // not pow2
     EXPECT_FALSE(parseGeometrySpec("3x16", geo, err));         // not pow2
+
+    // Every malformed form in every number, the error naming its part.
+    struct Slot
+    {
+        const char *name, *before, *good, *after;
+    };
+    for (const Slot &slot : std::vector<Slot>{
+             {"shape", "", "2", "x8"},
+             {"shape", "2x", "8", ""},
+             {"shape", "2x8x", "4", ""},
+             {"row", "4x16:row=", "2048", ""},
+             {"vault", "4x16:vault=", "256", "KiB"}}) {
+        const std::string good =
+            std::string(slot.before) + slot.good + slot.after;
+        EXPECT_TRUE(parseGeometrySpec(good, geo, err)) << good << ": " << err;
+        for (const std::string &value : malformedNumbers(slot.good, false)) {
+            const std::string spec = slot.before + value + slot.after;
+            EXPECT_FALSE(parseGeometrySpec(spec, geo, err)) << spec;
+            EXPECT_NE(err.find(slot.name), std::string::npos) << err;
+        }
+    }
 }
 
 TEST(Campaign, ValidateGridRejectsInfeasibleCombinations)
@@ -285,7 +312,7 @@ TEST(Resume, ThetaKeyMatchesReportEncoding)
     // so a theta parsed back from a report keys identically to the
     // CLI-parsed original even when the original had more digits.
     CampaignJob cli, report;
-    cli.zipfTheta = 0.1234567890123456;   // what strtod produced
+    cli.zipfTheta = 0.1234567890123456;   // what the CLI parsed
     report.zipfTheta = 0.123456789012;    // what the report stores
     EXPECT_EQ(campaignJobKey(cli), campaignJobKey(report));
     // ... while thetas that differ within 12 digits still differ.
@@ -328,10 +355,28 @@ TEST(Campaign, ExecOverrideParseAndCanonicalName)
         EXPECT_NE(err.find("unknown exec-ablation knob"), std::string::npos)
             << err;
     }
-    EXPECT_FALSE(parseExecOverride("radix=9+", ov, err));
+    // An empty knob anywhere is a typo, not a no-op.
+    for (const char *stray : {"radix=9+", "+radix=9", "radix=9++tlb=16"}) {
+        EXPECT_FALSE(parseExecOverride(stray, ov, err)) << stray;
+        EXPECT_NE(err.find("knob '' is not key=value"), std::string::npos)
+            << err;
+    }
     // A repeated knob is a typo'd ablation point, not "last wins".
     EXPECT_FALSE(parseExecOverride("chunk=256+chunk=128", ov, err));
     EXPECT_NE(err.find("twice"), std::string::npos) << err;
+
+    // Every malformed form in every knob's value ("+9" splits into an
+    // empty value and a knob "9").
+    for (const std::string knob : {"radix=", "chunk=", "tlb="}) {
+        const std::string good = knob == "radix=" ? "9" : "16";
+        EXPECT_TRUE(parseExecOverride(knob + good, ov, err)) << err;
+        for (const std::string &value : malformedNumbers(good, false)) {
+            EXPECT_FALSE(parseExecOverride(knob + value, ov, err))
+                << knob << value;
+            EXPECT_NE(err.find("exec-ablation value '"), std::string::npos)
+                << err;
+        }
+    }
 }
 
 TEST(Campaign, ValidateGridRejectsThetaDuplicates)
@@ -345,6 +390,11 @@ TEST(Campaign, ValidateGridRejectsThetaDuplicates)
     EXPECT_NE(err.find("duplicate zipf-theta '0.123456789012'"),
               std::string::npos)
         << err;
+
+    // -0 labels as "-0": a second point of the same input as 0.
+    grid.zipfThetas = {0.0, -0.0};
+    EXPECT_FALSE(validateGrid(grid, err));
+    EXPECT_EQ(err, "zipf theta must be in [0, 2)");
 
     grid.zipfThetas = {0.0, 0.5, 0.75};
     EXPECT_TRUE(validateGrid(grid, err)) << err;

@@ -28,6 +28,8 @@
 #include "system/report.hh"
 #include "system/traffic.hh"
 
+#include "malformed_numbers.hh"
+
 using namespace mondrian;
 
 namespace {
@@ -106,6 +108,18 @@ TEST(FaultInject, RejectsMalformedSpecs)
     EXPECT_FALSE(parseFaultInject("explode@3", faults, error));
     EXPECT_FALSE(parseFaultInject("crash@x", faults, error));
     EXPECT_FALSE(parseFaultInject("crash@", faults, error));
+    // Every malformed index, first-attempt and sticky, naming the fault.
+    for (const char *sticky : {"", "!"}) {
+        ASSERT_TRUE(parseFaultInject("hang@3" + std::string(sticky), faults,
+                                     error))
+            << error;
+        for (const std::string &index : malformedNumbers("3", false)) {
+            const std::string spec = "hang@" + index + sticky;
+            EXPECT_FALSE(parseFaultInject(spec, faults, error)) << spec;
+            EXPECT_NE(error.find("fault '" + spec + "'"), std::string::npos)
+                << error;
+        }
+    }
 }
 
 // ------------------------------------------------ worker spec handshake

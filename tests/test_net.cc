@@ -28,6 +28,8 @@
 #include "system/coordinator.hh"
 #include "system/report.hh"
 
+#include "malformed_numbers.hh"
+
 using namespace mondrian;
 
 namespace {
@@ -158,6 +160,15 @@ TEST(Frame, HeaderViolationsAreDesync)
     // A header line that never terminates.
     buf = std::string(64, '1');
     EXPECT_EQ(decodeFrame(buf, out), -1);
+    // Every malformed length before a good CRC and payload.
+    const std::string wire = encodeFrame("{}");
+    const std::string rest = wire.substr(wire.find(' '));
+    buf = "2" + rest;
+    ASSERT_EQ(decodeFrame(buf, out), 1);
+    for (const std::string &len : malformedNumbers("2", false)) {
+        buf = len + rest;
+        EXPECT_EQ(decodeFrame(buf, out), -1) << "'" << len << "'";
+    }
 }
 
 // --------------------------------------------------------------- endpoints
@@ -183,6 +194,12 @@ TEST(Endpoint, RejectsMalformedSpecs)
     EXPECT_FALSE(parseEndpoint("host:", ep, error));
     EXPECT_FALSE(parseEndpoint("host:notaport", ep, error));
     EXPECT_FALSE(parseEndpoint("host:70000", ep, error));
+    for (const std::string &port : malformedNumbers("80", false)) {
+        const std::string spec = "host:" + port;
+        EXPECT_FALSE(parseEndpoint(spec, ep, error)) << spec;
+        EXPECT_NE(error.find("endpoint '" + spec + "'"), std::string::npos)
+            << error;
+    }
 }
 
 // ----------------------------------------------------------------- Channel

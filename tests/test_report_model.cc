@@ -401,8 +401,21 @@ TEST(ReportLoader, RejectsAGridBlockThatFailsValidation)
     ASSERT_NE(at, std::string::npos);
     json.replace(at, seeds.size(), "\"seeds\": [42, 42]");
     json.replace(json.find("\"total_runs\": 1"), 15, "\"total_runs\": 2");
-    const std::string err = loadError(json);
+    std::string err = loadError(json);
     EXPECT_NE(err.find("duplicate seed '42'"), std::string::npos) << err;
+
+    // A theta of -0, its run placed under it: a point labelled "-0" of
+    // the same input as theta 0.
+    json = tinyReportJson();
+    const std::string thetas = "\"zipf_thetas\": [\n      0\n    ]";
+    ASSERT_NE(json.find(thetas), std::string::npos);
+    json.replace(json.find(thetas), thetas.size(), "\"zipf_thetas\": [-0]");
+    const std::string theta = "\"zipf_theta\": 0,";
+    ASSERT_NE(json.find(theta), std::string::npos);
+    json.replace(json.find(theta), theta.size(), "\"zipf_theta\": -0,");
+    err = loadError(json);
+    EXPECT_NE(err.find("zipf theta must be in [0, 2)"), std::string::npos)
+        << err;
 }
 
 namespace {

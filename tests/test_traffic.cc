@@ -12,6 +12,9 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
+
+#include "malformed_numbers.hh"
 
 using namespace mondrian;
 
@@ -136,6 +139,31 @@ TEST(TrafficSpec, RejectsMalformedSpecs)
           "lambda=1000,mix=scan:1+join:1,mix-zipf=nan",
           "lambda=nan", "lambda=1000,mix=scan:inf"})
         EXPECT_FALSE(parseTrafficSpec(bad, t, err)) << bad;
+    // Every malformed form in every numeric slot, the error naming it.
+    struct Slot
+    {
+        const char *name, *before, *good, *after;
+        bool real;
+    };
+    for (const Slot &slot : std::vector<Slot>{
+             {"lambda", "lambda=", "1000", ",queries=4", true},
+             {"queries", "lambda=1000,queries=", "4", "", false},
+             {"warmup", "lambda=1000,queries=4,warmup=", "1", "", false},
+             {"inflight", "lambda=1000,inflight=", "2", "", false},
+             {"seed", "lambda=1000,seed=", "3", "", false},
+             {"mix", "lambda=1000,mix=scan:", "2", "+join:1", true},
+             {"mix-zipf", "lambda=1000,mix=scan:1+join:1,mix-zipf=", "0.5",
+              "", true}}) {
+        const std::string good =
+            std::string(slot.before) + slot.good + slot.after;
+        EXPECT_TRUE(parseTrafficSpec(good, t, err)) << good << ": " << err;
+        for (const std::string &value :
+             malformedNumbers(slot.good, slot.real)) {
+            const std::string spec = slot.before + value + slot.after;
+            EXPECT_FALSE(parseTrafficSpec(spec, t, err)) << spec;
+            EXPECT_NE(err.find(slot.name), std::string::npos) << err;
+        }
+    }
 
     // The arrival schedule is allocated whole before the run, so queries
     // is bounded at parse time rather than failing mid-campaign.

@@ -30,18 +30,16 @@
 #include <signal.h>
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/file_io.hh"
+#include "common/grammar.hh"
 #include "common/logging.hh"
 #include "net/socket.hh"
 #include "system/analysis.hh"
@@ -122,8 +120,8 @@ usage(const char *prog)
         "  --out PATH             write the JSON report to PATH (default: stdout)\n"
         "  --resume REPORT        reuse results from a prior report\n"
         "                         (mondrian-campaign-v4): grid points whose\n"
-        "                         (config, workload, traffic) hash matches\n"
-        "                         are not re-simulated\n"
+        "                         8-coordinate grid key matches are not\n"
+        "                         re-simulated\n"
         "  --dry-run              print the expanded job list (all axes,\n"
         "                         baseline pairing, cache hits) and exit\n"
         "                         without simulating\n"
@@ -224,15 +222,12 @@ printList()
                 "poisson,lambda=2000,queries=64\n");
 }
 
+/** The items of a CSV flag value; empty items are skipped. */
 std::vector<std::string>
 splitCsv(const std::string &s)
 {
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
+    std::vector<std::string> out = splitOn(s, ',');
+    std::erase(out, "");
     return out;
 }
 
@@ -253,30 +248,26 @@ argValue(int argc, char **argv, int &i, const char *flag)
 
 /**
  * Parse @p s as an unsigned integer in [0, @p max]; exit 2 naming @p flag
- * on garbage or an out-of-range value. strtoull skips leading whitespace
- * and wraps a leading '-', so a leading digit is demanded.
+ * on garbage or an out-of-range value.
  */
 std::uint64_t
 parseU64(const std::string &s, const char *flag,
          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0')
+    std::uint64_t v = 0;
+    if (parseUint(s, max, v))
+        return v;
+    if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
         die(std::string(flag) + ": '" + s + "' is not an unsigned integer");
-    if (errno == ERANGE || v > max)
-        die(std::string(flag) + " must be in [0, " + std::to_string(max) +
-            "]");
-    return v;
+    die(std::string(flag) + " must be in [0, " + std::to_string(max) + "]");
 }
 
+/** Parse @p s as a finite number; exit 2 naming @p flag otherwise. */
 double
 parseDouble(const std::string &s, const char *flag)
 {
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
+    double v = 0.0;
+    if (!parseReal(s, v))
         die(std::string(flag) + ": '" + s + "' is not a number");
     return v;
 }

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/file_io.hh"
+#include "common/grammar.hh"
 #include "common/logging.hh"
 #include "system/analysis.hh"
 
@@ -178,9 +179,7 @@ main(int argc, char **argv)
             baseline_arg = argValue(argc, argv, i, "--baseline");
         } else if (arg == "--rtol") {
             std::string v = argValue(argc, argv, i, "--rtol");
-            char *end = nullptr;
-            rtol = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || !(rtol >= 0.0))
+            if (!parseReal(v, rtol) || rtol < 0.0)
                 die("--rtol: '" + v + "' is not a non-negative number");
         } else if (arg == "--out") {
             out_path = argValue(argc, argv, i, "--out");
