@@ -1,6 +1,6 @@
 #include "engine/ops.hh"
 
-#include <map>
+#include <algorithm>
 
 #include "common/logging.hh"
 #include "engine/op_helpers.hh"
@@ -14,21 +14,30 @@ namespace {
 
 constexpr std::uint32_t kGroupRecBytes = sizeof(GroupRecord);
 
-/** Aggregate @p tuples into per-key records (key-ordered). */
-std::map<std::uint64_t, GroupRecord>
-aggregate(const std::vector<Tuple> &tuples)
+/**
+ * Aggregate @p tuples into per-key records, in key order: a key sort,
+ * then one fold per run of equal keys. Every field folds commutatively
+ * (sums wrap mod 2^64), so the records do not depend on the order in
+ * which a key's tuples arrive.
+ */
+std::vector<GroupRecord>
+aggregate(std::vector<Tuple> tuples)
 {
-    std::map<std::uint64_t, GroupRecord> groups;
+    radixSortByKey(tuples);
+    std::vector<GroupRecord> groups;
     for (const Tuple &t : tuples) {
-        GroupRecord &g = groups[t.key];
-        g.key = t.key;
+        if (groups.empty() || groups.back().key != t.key) {
+            groups.emplace_back();
+            groups.back().key = t.key;
+        }
+        GroupRecord &g = groups.back();
         g.count++;
         g.sum += t.payload;
         g.min = std::min(g.min, t.payload);
         g.max = std::max(g.max, t.payload);
         g.sumsq += t.payload * t.payload;
     }
-    for (auto &[key, g] : groups)
+    for (GroupRecord &g : groups)
         g.avg = static_cast<double>(g.sum) / static_cast<double>(g.count);
     return groups;
 }
@@ -83,7 +92,7 @@ runGroupBy(MemoryPool &pool, const ExecConfig &cfg, const Relation &rel)
         // Output region sizing needs group counts; aggregate functionally
         // first, per partition.
         std::vector<std::uint64_t> unit_groups(cfg.numUnits, 0);
-        std::vector<std::map<std::uint64_t, GroupRecord>> agg(P);
+        std::vector<std::vector<GroupRecord>> agg(P);
         for (unsigned p = 0; p < P; ++p) {
             std::vector<Tuple> tuples;
             for (auto &[base, n] : cpuRangeSegments(res, res.bounds[p],
@@ -92,7 +101,7 @@ runGroupBy(MemoryPool &pool, const ExecConfig &cfg, const Relation &rel)
                 tuples.resize(at + n);
                 pool.store().read(base, tuples.data() + at, n * kTupleBytes);
             }
-            agg[p] = aggregate(tuples);
+            agg[p] = aggregate(std::move(tuples));
             unit_groups[cpuUnitOfPartition(p, P, cfg.numUnits)] +=
                 agg[p].size();
         }
@@ -143,9 +152,10 @@ runGroupBy(MemoryPool &pool, const ExecConfig &cfg, const Relation &rel)
                          });
             }
             // Emit the finished records and write them out functionally.
-            for (auto &[key, g] : agg[p]) {
+            pool.store().write(out_base[u] + out_cursor[u] * kGroupRecBytes,
+                               agg[p].data(), agg[p].size() * kGroupRecBytes);
+            for (const GroupRecord &g : agg[p]) {
                 Addr oa = out_base[u] + out_cursor[u]++ * kGroupRecBytes;
-                pool.store().writeValue(oa, g);
                 rec.store(oa, kGroupRecBytes);
                 rec.compute(2.0);
                 checksum += g.digest();
@@ -207,10 +217,11 @@ runGroupBy(MemoryPool &pool, const ExecConfig &cfg, const Relation &rel)
                 rec.scanFixed(part.base, part.count, kTupleBytes,
                               cfg.readChunkBytes, cfg.simd, k.aggregate);
             }
+            pool.store().write(out_addr, groups.data(),
+                               groups.size() * kGroupRecBytes);
             std::uint64_t g_idx = 0;
-            for (auto &[key, g] : groups) {
+            for (const GroupRecord &g : groups) {
                 Addr oa = out_addr + g_idx++ * kGroupRecBytes;
-                pool.store().writeValue(oa, g);
                 rec.store(oa, kGroupRecBytes);
                 checksum += g.digest();
             }

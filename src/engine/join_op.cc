@@ -189,10 +189,10 @@ runJoin(MemoryPool &pool, const ExecConfig &cfg, const Relation &r,
             std::vector<std::uint64_t> w(cfg.numUnits, 0);
             for (unsigned p = 0; p < P; ++p) {
                 unsigned u = cpuUnitOfPartition(p, P, cfg.numUnits);
-                for (const Tuple &t : out_parts[p]) {
-                    pool.store().writeValue(
-                        out_base[u] + w[u]++ * kTupleBytes, t);
-                }
+                pool.store().write(out_base[u] + w[u] * kTupleBytes,
+                                   out_parts[p].data(),
+                                   out_parts[p].size() * kTupleBytes);
+                w[u] += out_parts[p].size();
             }
             for (unsigned u = 0; u < cfg.numUnits; ++u)
                 exec.outputRegions.emplace_back(out_base[u],
@@ -272,10 +272,8 @@ runJoin(MemoryPool &pool, const ExecConfig &cfg, const Relation &r,
                          });
             }
             // Functional output write.
-            for (std::size_t i = 0; i < out_tuples.size(); ++i) {
-                pool.store().writeValue(out_addr + i * kTupleBytes,
-                                        out_tuples[i]);
-            }
+            pool.store().write(out_addr, out_tuples.data(),
+                               out_tuples.size() * kTupleBytes);
             matches += out_tuples.size();
             rec.fence();
         }

@@ -54,6 +54,7 @@ Partitioner::shuffleNmp(
         vaults, std::vector<std::uint64_t>(vaults, 0));
     for (unsigned sv = 0; sv < vaults; ++sv) {
         src[sv] = in.gather(pool_, sv);
+        sim_assert(src[sv].size() <= UINT32_MAX); // FIFO index width
         dest[sv].resize(src[sv].size());
         for (std::size_t j = 0; j < src[sv].size(); ++j) {
             unsigned dv = fn(src[sv][j].key);
@@ -122,29 +123,49 @@ Partitioner::shuffleNmp(
         // shuffling sources interleave in the memory network (Fig. 2).
         // Any permutation is functionally correct; this one is
         // deterministic.
-        for (unsigned dv = 0; dv < vaults; ++dv) {
-            // Per-source FIFO of tuple indices destined for dv.
-            std::vector<std::vector<std::uint64_t>> fifo(vaults);
-            for (unsigned sv = 0; sv < vaults; ++sv)
-                for (std::size_t j = 0; j < dest[sv].size(); ++j)
-                    if (dest[sv][j] == dv)
-                        fifo[sv].push_back(j);
-            std::vector<std::size_t> pos(vaults, 0);
-            std::uint64_t arrival = 0;
-            bool progress = true;
-            while (progress) {
-                progress = false;
-                for (unsigned sv = 0; sv < vaults; ++sv) {
-                    if (pos[sv] < fifo[sv].size()) {
-                        std::uint64_t j = fifo[sv][pos[sv]++];
-                        addrOf[sv][j] = out.tupleAddr(dv, arrival);
-                        out.writeTuple(pool_, dv, arrival, src[sv][j]);
-                        ++arrival;
-                        progress = true;
-                    }
-                }
+        //
+        // The per-source FIFOs of every destination are one flat index
+        // array, filled by a counting-sort pass: FIFO (dv, sv) holds
+        // source sv's tuple indices for dv in source order, between
+        // head[dv * vaults + sv] and tail[dv * vaults + sv].
+        std::vector<std::uint64_t> head(std::size_t{vaults} * vaults);
+        std::uint64_t run = 0;
+        for (unsigned dv = 0; dv < vaults; ++dv)
+            for (unsigned sv = 0; sv < vaults; ++sv) {
+                head[std::size_t{dv} * vaults + sv] = run;
+                run += counts[sv][dv];
             }
-            sim_assert(arrival == inbound[dv]);
+        std::vector<std::uint64_t> tail = head;
+        std::vector<std::uint32_t> fifo(total);
+        for (unsigned sv = 0; sv < vaults; ++sv)
+            for (std::size_t j = 0; j < dest[sv].size(); ++j)
+                fifo[tail[std::size_t{dest[sv][j]} * vaults + sv]++] =
+                    static_cast<std::uint32_t>(j);
+        // One destination at a time, in arrival order; a source leaves
+        // the round robin once its FIFO is drained.
+        std::vector<Tuple> arrived;
+        std::vector<unsigned> active;
+        for (unsigned dv = 0; dv < vaults; ++dv) {
+            std::uint64_t *next = &head[std::size_t{dv} * vaults];
+            const std::uint64_t *end = &tail[std::size_t{dv} * vaults];
+            active.clear();
+            for (unsigned sv = 0; sv < vaults; ++sv)
+                if (next[sv] < end[sv])
+                    active.push_back(sv);
+            arrived.clear();
+            while (!active.empty()) {
+                std::size_t keep = 0;
+                for (unsigned sv : active) {
+                    std::uint32_t j = fifo[next[sv]++];
+                    addrOf[sv][j] = out.tupleAddr(dv, arrived.size());
+                    arrived.push_back(src[sv][j]);
+                    if (next[sv] < end[sv])
+                        active[keep++] = sv;
+                }
+                active.resize(keep);
+            }
+            sim_assert(arrived.size() == inbound[dv]);
+            out.scatter(pool_, dv, arrived);
         }
         if (arming) {
             for (unsigned dv = 0; dv < vaults; ++dv) {

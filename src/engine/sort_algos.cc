@@ -1,6 +1,8 @@
 #include "engine/sort_algos.hh"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -19,6 +21,30 @@ LocalSorter::mergePassCount(std::uint64_t n, std::uint64_t initial_run)
         ++passes;
     }
     return passes;
+}
+
+void
+radixSortByKey(std::vector<Tuple> &tuples)
+{
+    if (tuples.size() < 2)
+        return;
+    std::uint64_t differ = 0; // key bits that are not the same in all
+    for (const Tuple &t : tuples)
+        differ |= t.key ^ tuples[0].key;
+    std::vector<Tuple> buf(tuples.size());
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+        if (((differ >> shift) & 0xff) == 0)
+            continue;
+        std::array<std::size_t, 256> at{};
+        for (const Tuple &t : tuples)
+            ++at[(t.key >> shift) & 0xff];
+        std::size_t sum = 0;
+        for (std::size_t &c : at)
+            sum += std::exchange(c, sum);
+        for (const Tuple &t : tuples)
+            buf[at[(t.key >> shift) & 0xff]++] = t;
+        tuples.swap(buf);
+    }
 }
 
 Addr
@@ -42,8 +68,7 @@ LocalSorter::functionalSort(Addr base, std::uint64_t count)
         return;
     std::vector<Tuple> tuples(count);
     pool_.store().read(base, tuples.data(), count * kTupleBytes);
-    std::sort(tuples.begin(), tuples.end(),
-              [](const Tuple &a, const Tuple &b) { return a.key < b.key; });
+    radixSortByKey(tuples);
     pool_.store().write(base, tuples.data(), count * kTupleBytes);
 }
 
@@ -160,8 +185,7 @@ LocalSorter::sortSegments(
         tuples.resize(at + n);
         pool_.store().read(base, tuples.data() + at, n * kTupleBytes);
     }
-    std::sort(tuples.begin(), tuples.end(),
-              [](const Tuple &a, const Tuple &b) { return a.key < b.key; });
+    radixSortByKey(tuples);
     std::size_t at = 0;
     for (const auto &[base, n] : segments) {
         pool_.store().write(base, tuples.data() + at, n * kTupleBytes);

@@ -84,7 +84,7 @@ class LocalSorter
     void emitQuicksort(Addr base, std::uint64_t count, TraceRecorder &rec,
                        SortPasses &passes);
 
-    /** Functionally sort @p count tuples at @p base. */
+    /** Functionally sort @p count tuples at @p base (stable, by key). */
     void functionalSort(Addr base, std::uint64_t count);
 
     MemoryPool &pool_;
@@ -98,6 +98,12 @@ class LocalSorter
     };
     std::vector<Scratch> scratch_;
 };
+
+/**
+ * Stable LSD radix sort of @p tuples by key, one pass per 8-bit digit
+ * that not every key shares. Every functional key sort of the engine.
+ */
+void radixSortByKey(std::vector<Tuple> &tuples);
 
 } // namespace mondrian
 

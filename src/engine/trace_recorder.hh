@@ -18,6 +18,7 @@
 #ifndef MONDRIAN_ENGINE_TRACE_RECORDER_HH
 #define MONDRIAN_ENGINE_TRACE_RECORDER_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "common/logging.hh"
@@ -174,6 +175,14 @@ class TraceRecorder
             run_len = 0;
         };
 
+        // The last full chunk stepped: its carry in, whole cycles and
+        // carry out. A full chunk that starts from a bit-equal carry
+        // steps through the identical doubles, so it reuses them.
+        bool memo = false;
+        std::uint64_t memo_in = 0;
+        std::uint64_t memo_cycles = 0;
+        double memo_out = 0.0;
+
         for (std::uint64_t start = 0; start < count; start += per_chunk) {
             const std::uint64_t n =
                 (count - start) < per_chunk ? (count - start) : per_chunk;
@@ -181,12 +190,24 @@ class TraceRecorder
             // Whole cycles this chunk emits, with the identical carry
             // stepping compute() would perform per tuple.
             std::uint64_t chunk_cycles = 0;
-            for (std::uint64_t j = 0; j < n; ++j) {
-                carry_ += cycles_per_tuple;
-                auto whole = static_cast<std::uint64_t>(carry_);
-                if (whole > 0) {
-                    chunk_cycles += whole;
-                    carry_ -= static_cast<double>(whole);
+            const auto carry_in = std::bit_cast<std::uint64_t>(carry_);
+            if (n == per_chunk && memo && carry_in == memo_in) {
+                chunk_cycles = memo_cycles;
+                carry_ = memo_out;
+            } else {
+                for (std::uint64_t j = 0; j < n; ++j) {
+                    carry_ += cycles_per_tuple;
+                    auto whole = static_cast<std::uint64_t>(carry_);
+                    if (whole > 0) {
+                        chunk_cycles += whole;
+                        carry_ -= static_cast<double>(whole);
+                    }
+                }
+                if (n == per_chunk) {
+                    memo = true;
+                    memo_in = carry_in;
+                    memo_cycles = chunk_cycles;
+                    memo_out = carry_;
                 }
             }
             if (run_len > 0 && bytes == run_bytes &&

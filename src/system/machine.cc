@@ -300,14 +300,11 @@ void
 Machine::asyncDram(Tick when, unsigned src_node, Addr addr,
                    std::uint32_t size, bool is_write)
 {
-    // Fire-and-forget traffic still reserves bandwidth everywhere; for
-    // reads the response payload crosses the network too.
-    if (!is_write) {
-        issueDram(when, src_node, addr, size, false, true,
-                  MemoryPath::DoneFn{});
-        return;
-    }
-    issueDram(when, src_node, addr, size, true, false,
+    // Fire-and-forget traffic reserves the request's network path and
+    // its vault. Nothing comes back: completeFlight recycles a flight
+    // without a callback at the vault, so a read's response (a prefetch
+    // fill's line) never crosses the network or the SerDes links.
+    issueDram(when, src_node, addr, size, is_write, /*need_response=*/false,
               MemoryPath::DoneFn{});
 }
 

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "engine/ops.hh"
+#include "engine/sort_algos.hh"
 #include "engine/spark.hh"
 
 namespace mondrian {
@@ -76,29 +77,35 @@ stageOutputTuples(MemoryPool &pool, const OperatorExecution &exec,
       case OpKind::kJoin:
         // Join match tuples are materialized in the output regions.
         for (const auto &[addr, bytes] : exec.outputRegions) {
-            for (std::uint64_t off = 0; off + kTupleBytes <= bytes;
-                 off += kTupleBytes) {
-                out.push_back(
-                    pool.store().readValue<Tuple>(addr + off));
-            }
+            const std::size_t at = out.size();
+            out.resize(at + bytes / kTupleBytes);
+            pool.store().read(addr, out.data() + at,
+                              (out.size() - at) * kTupleBytes);
         }
         break;
       case OpKind::kGroupBy:
         // Group records (64 B) flow onward as (group key, sum) tuples.
         for (const auto &[addr, bytes] : exec.outputRegions) {
-            for (std::uint64_t off = 0;
-                 off + sizeof(GroupRecord) <= bytes;
-                 off += sizeof(GroupRecord)) {
-                GroupRecord g =
-                    pool.store().readValue<GroupRecord>(addr + off);
+            std::vector<GroupRecord> groups(bytes / sizeof(GroupRecord));
+            pool.store().read(addr, groups.data(),
+                              groups.size() * sizeof(GroupRecord));
+            for (const GroupRecord &g : groups)
                 out.push_back(Tuple{g.key, g.sum});
-            }
         }
         break;
     }
-    std::sort(out.begin(), out.end(), [](const Tuple &a, const Tuple &b) {
-        return a.key != b.key ? a.key < b.key : a.payload < b.payload;
-    });
+    // (key, payload) is a total order on distinct tuples, so any sort
+    // gives these bytes: by key, then each run of equal keys by payload.
+    radixSortByKey(out);
+    for (auto run = out.begin(); run != out.end();) {
+        auto end = std::find_if(run, out.end(), [&](const Tuple &t) {
+            return t.key != run->key;
+        });
+        std::sort(run, end, [](const Tuple &a, const Tuple &b) {
+            return a.payload < b.payload;
+        });
+        run = end;
+    }
     return out;
 }
 

@@ -147,6 +147,70 @@ parseTrafficSpec(const std::string &spec, TrafficSpec &out,
     return error.empty();
 }
 
+namespace {
+
+/**
+ * Draw @p traffic's arrival schedule into @p out (when not null).
+ * @return false once an arrival would land after kMaxArrivalTick.
+ */
+bool
+walkArrivals(const TrafficSpec &traffic, std::vector<Arrival> *out)
+{
+    if (traffic.degenerate()) {
+        if (out)
+            *out = {Arrival{0, 0}};
+        return true;
+    }
+
+    const std::size_t num_types =
+        traffic.mix.empty() ? 1 : traffic.mix.size();
+    // Effective popularity of mix entry r: its weight scaled by the
+    // Zipf rank factor 1/(r+1)^theta.
+    std::vector<double> weights(num_types, 1.0);
+    double total_weight = 0.0;
+    for (std::size_t r = 0; r < num_types; ++r) {
+        if (!traffic.mix.empty())
+            weights[r] = traffic.mix[r].weight;
+        weights[r] /= std::pow(static_cast<double>(r + 1),
+                               traffic.mixZipfTheta);
+        total_weight += weights[r];
+    }
+
+    Random rng(traffic.seed);
+    if (out)
+        out->reserve(traffic.queries);
+    Tick t = 0;
+    for (std::uint64_t i = 0; i < traffic.queries; ++i) {
+        double gap_s;
+        if (traffic.process == ArrivalProcess::kPoisson) {
+            // Exponential gap: -ln(1-u)/lambda, u in [0,1).
+            gap_s = -std::log(1.0 - rng.nextDouble()) / traffic.lambdaQps;
+        } else {
+            gap_s = 1.0 / traffic.lambdaQps;
+        }
+        // Range-checked before llround, which has no value past 2^63.
+        const double gap_ps = gap_s * static_cast<double>(kSecond);
+        if (!(gap_ps <= static_cast<double>(kMaxArrivalTick - t)))
+            return false;
+        const auto gap = static_cast<Tick>(std::llround(gap_ps));
+        if (gap > kMaxArrivalTick - t)
+            return false;
+        t += gap;
+
+        std::size_t type = 0;
+        if (num_types > 1) {
+            double u = rng.nextDouble() * total_weight;
+            while (type + 1 < num_types && u >= weights[type])
+                u -= weights[type++];
+        }
+        if (out)
+            out->push_back(Arrival{t, type});
+    }
+    return true;
+}
+
+} // namespace
+
 std::string
 validateTrafficSpec(const TrafficSpec &traffic)
 {
@@ -175,52 +239,20 @@ validateTrafficSpec(const TrafficSpec &traffic)
             return "traffic mix weight for '" + e.scenario.name +
                    "' must be > 0";
     }
+    if (!walkArrivals(traffic, nullptr))
+        return "traffic lambda " +
+               JsonWriter::doubleString(traffic.lambdaQps) +
+               " is too low: the arrival schedule passes 2^62 ps";
     return "";
 }
 
 std::vector<Arrival>
 generateArrivals(const TrafficSpec &traffic)
 {
-    if (traffic.degenerate())
-        return {Arrival{0, 0}};
-
-    const std::size_t num_types =
-        traffic.mix.empty() ? 1 : traffic.mix.size();
-    // Effective popularity of mix entry r: its weight scaled by the
-    // Zipf rank factor 1/(r+1)^theta.
-    std::vector<double> weights(num_types, 1.0);
-    double total_weight = 0.0;
-    for (std::size_t r = 0; r < num_types; ++r) {
-        if (!traffic.mix.empty())
-            weights[r] = traffic.mix[r].weight;
-        weights[r] /= std::pow(static_cast<double>(r + 1),
-                               traffic.mixZipfTheta);
-        total_weight += weights[r];
-    }
-
-    Random rng(traffic.seed);
     std::vector<Arrival> out;
-    out.reserve(traffic.queries);
-    Tick t = 0;
-    for (std::uint64_t i = 0; i < traffic.queries; ++i) {
-        double gap_s;
-        if (traffic.process == ArrivalProcess::kPoisson) {
-            // Exponential gap: -ln(1-u)/lambda, u in [0,1).
-            gap_s = -std::log(1.0 - rng.nextDouble()) / traffic.lambdaQps;
-        } else {
-            gap_s = 1.0 / traffic.lambdaQps;
-        }
-        t += static_cast<Tick>(
-            std::llround(gap_s * static_cast<double>(kSecond)));
-
-        std::size_t type = 0;
-        if (num_types > 1) {
-            double u = rng.nextDouble() * total_weight;
-            while (type + 1 < num_types && u >= weights[type])
-                u -= weights[type++];
-        }
-        out.push_back(Arrival{t, type});
-    }
+    if (!walkArrivals(traffic, &out))
+        panic("traffic %s: arrival schedule passes kMaxArrivalTick",
+              traffic.name().c_str());
     return out;
 }
 

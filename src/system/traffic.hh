@@ -115,7 +115,16 @@ struct TrafficSpec
 bool parseTrafficSpec(const std::string &spec, TrafficSpec &out,
                       std::string &error);
 
-/** Validate a parsed spec; empty string when OK. */
+/**
+ * Latest tick an arrival may take (2^62 ps, about 53 simulated days), so
+ * the runs the last arrivals start stay far from the end of the clock.
+ */
+constexpr Tick kMaxArrivalTick = Tick{1} << 62;
+
+/**
+ * Validate a parsed spec; empty string when OK. A spec whose arrival
+ * schedule passes kMaxArrivalTick is refused, naming its lambda.
+ */
 std::string validateTrafficSpec(const TrafficSpec &traffic);
 
 /** One precomputed arrival. */

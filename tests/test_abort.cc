@@ -241,6 +241,8 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
         {"--traffic", "lambda=1000,inflight=-1"},
         {"--traffic", "lambda=1000,queries= 4"},
         {"--traffic", "lambda=1000,mix=scan:1+join:1,mix-zipf=nan"},
+        // A finite rate whose arrival schedule does not fit in a Tick.
+        {"--traffic", "lambda=1e-300,queries=2"},
     };
     TempPath log("malformed-number-log");
     for (const std::vector<std::string> &args : bad) {
@@ -296,6 +298,46 @@ TEST(CampaignCli, MalformedNumbersExitTwo)
                 << flag << " '" << bad_value << "': " << err;
         }
     }
+}
+
+TEST(CampaignCli, TrafficScheduleBeyondATickIsRefusedNamingLambda)
+{
+    // Refused by grid validation, before any run starts: --dry-run runs
+    // nothing and must still exit 2.
+    TempPath log("tick-overflow-log");
+    for (const char *spec : {"lambda=1e-300,queries=2",
+                             "fixed,lambda=1e-7,queries=2",
+                             "poisson,lambda=1e-9,queries=64"}) {
+        for (bool dry : {true, false}) {
+            std::vector<std::string> args = {"--systems", "cpu", "--ops",
+                                             "scan", "--log2-tuples", "8",
+                                             "--traffic", spec, "--quiet"};
+            if (dry)
+                args.push_back("--dry-run");
+            EXPECT_EQ(campaignExitCode(args, log.path), 2) << spec;
+            const std::string err = fileText(log.path);
+            EXPECT_NE(err.find("lambda"), std::string::npos)
+                << spec << ": " << err;
+        }
+    }
+    // One query a week fits easily.
+    EXPECT_EQ(campaignExitCode({"--systems", "cpu", "--ops", "scan",
+                                "--log2-tuples", "8", "--traffic",
+                                "fixed,lambda=1.6e-6,queries=2",
+                                "--dry-run"}),
+              0);
+}
+
+TEST(ReportCli, DiffNamesTheFirstMissingReport)
+{
+    // Both reports missing: the error names A, the first operand.
+    TempPath log("diff-missing-log");
+    const std::string a = "diff-missing-a.json";
+    const std::string b = "diff-missing-b.json";
+    EXPECT_EQ(campaignExitCode({"diff", a, b}, log.path, kReportBinary), 2);
+    const std::string err = fileText(log.path);
+    EXPECT_NE(err.find("cannot open '" + a + "'"), std::string::npos) << err;
+    EXPECT_EQ(err.find(b), std::string::npos) << err;
 }
 
 namespace {

@@ -216,6 +216,76 @@ TEST_P(OperatorTest, GroupByRecordsReadableFromMemory)
     EXPECT_EQ(checksum, exec.aggChecksum);
 }
 
+TEST_P(OperatorTest, GroupByFoldsDuplicateKeysWithWrappingSums)
+{
+    // Duplicate keys whose bytes differ in several radix digits, and
+    // payloads near 2^64 so that sum and sumsq wrap: every record must
+    // equal a scalar fold over a key-ordered map, and each output region
+    // must list its records in key order (on cpu, within each of the
+    // radix partitions it lists in turn).
+    const std::uint64_t n = GetParam().tuples;
+    std::vector<Tuple> all;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t g = (i * 7919) % 97;
+        // Low bytes permute the groups, so only the high byte orders them.
+        all.push_back(Tuple{(g << 40) + (g * 37 % 97) * 0x0101ull,
+                            ~std::uint64_t{0} - i * 0x9e3779b97f4a7c1ull});
+    }
+    const unsigned vaults = opGeo().totalVaults();
+    Relation rel = Relation::allocAcrossAll(*pool, n + vaults);
+    std::vector<std::vector<Tuple>> parts(vaults);
+    for (std::uint64_t i = 0; i < n; ++i)
+        parts[i % vaults].push_back(all[i]);
+    for (unsigned v = 0; v < vaults; ++v)
+        rel.scatter(*pool, v, parts[v]);
+
+    std::map<std::uint64_t, GroupRecord> ref;
+    bool wrapped = false;
+    for (const Tuple &t : all) {
+        GroupRecord &g = ref[t.key];
+        g.key = t.key;
+        g.count++;
+        wrapped = wrapped || g.sum + t.payload < g.sum;
+        g.sum += t.payload;
+        g.min = std::min(g.min, t.payload);
+        g.max = std::max(g.max, t.payload);
+        g.sumsq += t.payload * t.payload;
+    }
+    for (auto &[k, g] : ref)
+        g.avg = static_cast<double>(g.sum) / static_cast<double>(g.count);
+    ASSERT_TRUE(wrapped);
+
+    auto exec = runGroupBy(*pool, cfg, rel);
+    ASSERT_EQ(exec.groupCount, ref.size());
+    const std::uint64_t radix =
+        cfg.cpuStyle ? (std::uint64_t{1} << cfg.cpuPartitionBits) - 1 : 0;
+    auto rank = [radix](std::uint64_t key) {
+        return std::make_pair(key & radix, key);
+    };
+    std::size_t seen = 0;
+    for (auto &[base, bytes] : exec.outputRegions) {
+        std::uint64_t prev = 0;
+        for (std::uint64_t off = 0; off < bytes; off += sizeof(GroupRecord)) {
+            auto g = pool->store().readValue<GroupRecord>(base + off);
+            if (off > 0) {
+                EXPECT_GT(rank(g.key), rank(prev))
+                    << "records out of key order";
+            }
+            prev = g.key;
+            ASSERT_EQ(ref.count(g.key), 1u) << g.key;
+            const GroupRecord &r = ref.at(g.key);
+            EXPECT_EQ(g.count, r.count) << g.key;
+            EXPECT_EQ(g.sum, r.sum) << g.key;
+            EXPECT_EQ(g.min, r.min) << g.key;
+            EXPECT_EQ(g.max, r.max) << g.key;
+            EXPECT_EQ(g.sumsq, r.sumsq) << g.key;
+            EXPECT_EQ(g.avg, r.avg) << g.key;
+            ++seen;
+        }
+    }
+    EXPECT_EQ(seen, ref.size());
+}
+
 // --- Join -------------------------------------------------------------------
 
 TEST_P(OperatorTest, JoinMatchesEveryForeignKey)

@@ -202,6 +202,69 @@ TEST_P(SkewedShuffleTest, ZipfSkewDoesNotOverflow)
 
 INSTANTIATE_TEST_SUITE_P(Modes, SkewedShuffleTest, ::testing::Bool());
 
+TEST(PermutableShuffle, ZipfAddressesMatchThePerDestinationScan)
+{
+    // The permutable placement (round-robin arrival per destination) must
+    // give every tuple the address a scan of every source per destination
+    // gives it: the source FIFOs are built once, by counting sort, instead
+    // of one pass over all sources per destination.
+    for (double theta : {0.0, 0.99, 1.5}) {
+        MemoryPool pool(shuffleGeo());
+        WorkloadConfig wcfg;
+        wcfg.tuples = 4096;
+        wcfg.zipfTheta = theta;
+        Relation in = WorkloadGenerator(wcfg).makeGroupBy(pool, 4096);
+
+        ExecConfig cfg = nmpExec(8, /*permutable=*/true, false);
+        Partitioner part(pool, cfg);
+        std::vector<TraceRecorder> recs(8);
+        std::vector<std::pair<unsigned, PermutableRegion>> arming;
+        PartitionFn fn = PartitionFn::lowBits(8);
+        Relation out = part.shuffleNmp(in, fn, recs, &arming);
+
+        // Reference: the per-destination scan of every source's tuples.
+        std::vector<std::vector<Tuple>> src(8);
+        std::vector<std::vector<Addr>> want(8);
+        for (unsigned sv = 0; sv < 8; ++sv) {
+            src[sv] = in.gather(pool, sv);
+            want[sv].resize(src[sv].size());
+        }
+        for (unsigned dv = 0; dv < 8; ++dv) {
+            std::vector<std::vector<std::size_t>> fifo(8);
+            for (unsigned sv = 0; sv < 8; ++sv)
+                for (std::size_t j = 0; j < src[sv].size(); ++j)
+                    if (fn(src[sv][j].key) == dv)
+                        fifo[sv].push_back(j);
+            std::vector<std::size_t> pos(8, 0);
+            std::uint64_t arrival = 0;
+            for (bool progress = true; progress;) {
+                progress = false;
+                for (unsigned sv = 0; sv < 8; ++sv) {
+                    if (pos[sv] < fifo[sv].size()) {
+                        want[sv][fifo[sv][pos[sv]++]] =
+                            out.tupleAddr(dv, arrival++);
+                        progress = true;
+                    }
+                }
+            }
+            EXPECT_EQ(arrival, out.partition(dv).count);
+        }
+
+        // Source sv's permutable stores, in order, are its tuples'
+        // addresses; each holds that tuple.
+        for (unsigned sv = 0; sv < 8; ++sv) {
+            std::vector<Addr> got;
+            for (const TraceOp &op : recs[sv].trace().expanded())
+                if (op.kind == TraceOpKind::kPermutableStore)
+                    got.push_back(op.addr);
+            ASSERT_EQ(got, want[sv]) << "theta " << theta << " source "
+                                     << sv;
+            for (std::size_t j = 0; j < got.size(); ++j)
+                ASSERT_EQ(pool.store().readValue<Tuple>(got[j]), src[sv][j]);
+        }
+    }
+}
+
 TEST(SkewedShuffle, UniformCapacityUnchanged)
 {
     // The skew fix must not disturb uniform workloads: capacities stay at

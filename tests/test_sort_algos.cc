@@ -92,8 +92,50 @@ TEST_P(SorterStyleTest, SortsFunctionally)
     EXPECT_GT(rec.trace().size(), 0u);
 }
 
+TEST_P(SorterStyleTest, SortIsStableOnEqualKeys)
+{
+    // The local sort is a stable key sort: equal keys keep their input
+    // order. No report depends on that order (the paper14, served12 and
+    // pipeline14 goldens read the same under an unstable sort and under
+    // every equal-key run reversed); the test pins it so that a change
+    // to it is deliberate.
+    MemoryPool pool(sortGeo());
+    Relation rel = Relation::alloc(pool, {0}, 3000);
+    std::vector<Tuple> in;
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        in.push_back(Tuple{(i * 7919 % 61) << (8 * (i % 8)), i});
+    rel.scatter(pool, 0, in);
+    rel.partition(0).count = in.size();
+    ExecConfig cfg = styleConfig();
+    TraceRecorder rec;
+    LocalSorter(pool, cfg).sortPartition(rel, 0, rec);
+    std::stable_sort(in.begin(), in.end(),
+                     [](const Tuple &a, const Tuple &b) { return a.key < b.key; });
+    EXPECT_EQ(rel.gather(pool, 0), in);
+}
+
 INSTANTIATE_TEST_SUITE_P(Styles, SorterStyleTest,
                          ::testing::Values(0, 1, 2));
+
+TEST(RadixSortByKey, MatchesAStableSort)
+{
+    for (std::uint64_t n : {0, 1, 2, 17, 1000}) {
+        std::vector<Tuple> in;
+        std::uint64_t x = 0x243f6a8885a308d3ull;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            // Full-width keys, many of them repeated.
+            in.push_back(Tuple{i % 3 == 0 ? x : x % 7, i});
+        }
+        std::vector<Tuple> got = in;
+        radixSortByKey(got);
+        std::stable_sort(in.begin(), in.end(), [](const Tuple &a,
+                                                  const Tuple &b) {
+            return a.key < b.key;
+        });
+        EXPECT_EQ(got, in) << n;
+    }
+}
 
 TEST(Sorter, MergesortPassAccounting)
 {

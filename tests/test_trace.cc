@@ -133,6 +133,36 @@ TEST(TraceRle, ScanFixedExpandsToScanEmit)
         // And the RLE form must actually be compact for uniform costs.
         EXPECT_LT(rle.trace().size(), plain.trace().size());
     }
+    // A full chunk reuses the previous full chunk's cycles and carry when
+    // it starts from a bit-equal carry. Costs whose carry repeats (1.5,
+    // 6.0) reuse it; costs whose carry drifts (0.1, 1/3, 7.3) never may.
+    // Both chunk sizes, with and without a tail chunk, from a zero and a
+    // nonzero starting carry, and as a stream.
+    for (double cost : {1.5, 6.0, 0.1, 1.0 / 3.0, 7.3, 2.2}) {
+        for (std::uint32_t chunk : {64u, 256u}) {
+            for (std::uint64_t count : {0ull, 5ull, 16ull, 1024ull, 1037ull}) {
+                for (double lead : {0.0, 0.7}) {
+                    for (bool stream : {false, true}) {
+                        TraceRecorder rle, plain;
+                        rle.compute(lead);
+                        plain.compute(lead);
+                        rle.scanFixed(0x4000, count, 16, chunk, stream, cost);
+                        scanEmit(plain, 0x4000, count, 16, chunk, stream,
+                                 [&](std::uint64_t) { plain.compute(cost); });
+                        rle.fence();
+                        plain.fence();
+                        rle.compute(0.9);
+                        plain.compute(0.9);
+                        EXPECT_EQ(rle.trace().expanded(),
+                                  plain.trace().ops())
+                            << "cost " << cost << " chunk " << chunk
+                            << " count " << count << " lead " << lead
+                            << " stream " << stream;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(TraceRle, ScanFixedCarryContinuesAcrossCalls)

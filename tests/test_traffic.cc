@@ -175,6 +175,27 @@ TEST(TrafficSpec, RejectsMalformedSpecs)
         EXPECT_NE(err.find("queries"), std::string::npos) << err;
     }
 
+    // A finite rate so low that the arrival schedule passes
+    // kMaxArrivalTick (a gap of 1e-300 qps has no llround value at all)
+    // is refused at parse time, naming lambda, not panicked on mid-run.
+    for (const char *slow :
+         {"lambda=1e-300,queries=2", "fixed,lambda=1e-7,queries=2",
+          "fixed,lambda=2e-7,queries=2", "poisson,lambda=1e-9,queries=64"}) {
+        EXPECT_FALSE(parseTrafficSpec(slow, t, err)) << slow;
+        EXPECT_NE(err.find("lambda"), std::string::npos) << err;
+    }
+    // Fixed gaps of 0.95 * 2^61 ps: two fit under the limit, three do not.
+    TrafficSpec edge;
+    edge.process = ArrivalProcess::kFixed;
+    edge.lambdaQps = static_cast<double>(kSecond) /
+                     (0.95 * static_cast<double>(kMaxArrivalTick / 2));
+    edge.queries = 2;
+    EXPECT_EQ(validateTrafficSpec(edge), "");
+    EXPECT_LE(generateArrivals(edge).back().at, kMaxArrivalTick);
+    EXPECT_GT(generateArrivals(edge).back().at, kMaxArrivalTick / 2 * 3 / 2);
+    edge.queries = 3;
+    EXPECT_NE(validateTrafficSpec(edge).find("lambda"), std::string::npos);
+
     // validateTrafficSpec also works standalone on constructed specs.
     TrafficSpec bad;
     bad.lambdaQps = 1000.0;

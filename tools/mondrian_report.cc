@@ -267,8 +267,10 @@ main(int argc, char **argv)
     if (command == "diff") {
         if (positional.size() != 2)
             die("diff takes exactly two reports");
-        ReportDiff d = diffReports(loadOrDie(positional[0]),
-                                   loadOrDie(positional[1]), rtol);
+        // Named locals: A is loaded, and refused, before B.
+        const CampaignReport a = loadOrDie(positional[0]);
+        const CampaignReport b = loadOrDie(positional[1]);
+        ReportDiff d = diffReports(a, b, rtol);
         emit(renderDiff(d), out_path);
         return d.empty() ? 0 : 1;
     }
