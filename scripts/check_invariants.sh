@@ -17,8 +17,12 @@
 #       bench/ — unseeded RNG and unchecked numeric parsing both break
 #       the determinism contract (and let a CI bench run on garbage
 #       arguments).
-#   R4  The calendar queue's bucket-count/width power-of-two
-#       static_asserts stay in place (index math masks, never divides).
+#   R4  Index math masks, never divides: the calendar queue's
+#       bucket-count/width power-of-two static_asserts stay in place, and
+#       so does the cache constructor's guard that refuses a line size or
+#       set count that is not a power of two (its set and line indices are
+#       a mask and a shift; without the guard a bad geometry would index
+#       past the tag arrays instead of failing).
 #   R5  Compile probe: the hot-path TUs are re-checked with
 #       -fsyntax-only so every fitsInline/packing static_assert actually
 #       fires in this tree (a capture that outgrows its buffer fails
@@ -122,6 +126,12 @@ for pat in 'kNumBuckets & (kNumBuckets - 1)' 'kWidth & (kWidth - 1)'; do
              "'$pat' is missing"
     fi
 done
+for pat in 'isPowerOf2(cfg_.lineBytes)' 'isPowerOf2(sets)'; do
+    if ! grep -qF "$pat" src/core/cache.cc; then
+        note "R4 src/core/cache.cc: the constructor's power-of-two guard" \
+             "'$pat' is missing"
+    fi
+done
 
 # --------------------------------------------------------------------- R5
 # Re-run the compiler front end over the hot TUs so the fitsInline /
@@ -210,6 +220,12 @@ EOF
         "$sandbox/src/sim/event_queue.hh"
     expect_fail "missing power-of-two static_asserts (R4)"
 
+    # R4: the cache constructor's power-of-two guard deleted.
+    make_sandbox
+    sed -i '/isPowerOf2(cfg_.lineBytes)/,+1d;/isPowerOf2(sets)/,+3d' \
+        "$sandbox/src/core/cache.cc"
+    expect_fail "missing cache power-of-two guard (R4)"
+
     # R5: a hot-path closure that outgrows its inline buffer must fail
     # the compile probe even though it is named (and so passes R1).
     make_sandbox
@@ -227,7 +243,7 @@ namespace mondrian { namespace {
 EOF
     expect_fail "oversized hot-path closure (R5 compile probe)"
 
-    echo "OK: self-test caught all 7 seeded violations"
+    echo "OK: self-test caught all 8 seeded violations"
     exit 0
 fi
 

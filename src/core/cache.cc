@@ -2,51 +2,63 @@
 
 #include <algorithm>
 
+#include "common/intmath.hh"
 #include "common/logging.hh"
 
 namespace mondrian {
 
 Cache::Cache(const CacheConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.sizeBytes % (std::uint64_t{cfg_.lineBytes} * cfg_.associativity))
+    // Set and line indices are masks and shifts: refuse any geometry
+    // that would need a divide (or index past the arrays).
+    if (!isPowerOf2(cfg_.lineBytes))
+        fatal("cache lineBytes %u is not a power of two", cfg_.lineBytes);
+    if (cfg_.associativity == 0)
+        fatal("cache associativity is 0");
+    const std::uint64_t set_bytes =
+        std::uint64_t{cfg_.lineBytes} * cfg_.associativity;
+    if (cfg_.sizeBytes % set_bytes)
         fatal("cache size must be a multiple of line*assoc");
-    numSets_ = cfg_.sizeBytes / (std::uint64_t{cfg_.lineBytes} *
-                                 cfg_.associativity);
+    const std::uint64_t sets = cfg_.sizeBytes / set_bytes;
+    if (!isPowerOf2(sets))
+        fatal("cache sizeBytes %llu gives %llu sets, not a power of two",
+              static_cast<unsigned long long>(cfg_.sizeBytes),
+              static_cast<unsigned long long>(sets));
     if (cfg_.prefetchDepth > CacheAccessResult::kMaxPrefetch)
         fatal("prefetchDepth %u exceeds inline result capacity %u",
               cfg_.prefetchDepth, CacheAccessResult::kMaxPrefetch);
-    tags_.assign(numSets_ * cfg_.associativity, kNoTag);
-    stamps_.assign(numSets_ * cfg_.associativity, 0);
-    flags_.assign(numSets_ * cfg_.associativity, 0);
+    lineShift_ = floorLog2(cfg_.lineBytes);
+    setMask_ = sets - 1;
+    wayBits_ = ceilLog2(cfg_.associativity);
+    tags_.assign(sets * cfg_.associativity, kNoTag);
+    stamps_.assign(sets * cfg_.associativity, 0);
+    flags_.assign(sets * cfg_.associativity, 0);
 }
 
-Cache::Probe
-Cache::probe(std::uint64_t line) const
+std::size_t
+Cache::find(std::size_t base, std::uint64_t line) const
 {
-    // Single pass over the set: find the tag (dense scan — invalid ways
-    // hold kNoTag, which no real line equals) while tracking the victim
-    // a fill would pick: first invalid way, else LRU. The one victim
-    // policy serves demand fills and prefetch inserts alike, keeping the
-    // replacement behavior of the two paths identical by construction.
-    const std::size_t base = setOf(line) * cfg_.associativity;
-    Probe p{kNoWay, base};
-    bool invalid_victim = false;
-    for (std::size_t w = 0; w < cfg_.associativity; ++w) {
-        std::size_t i = base + w;
-        if (tags_[i] == line) {
-            p.hit = i;
-            return p; // victim is irrelevant on a hit
-        }
-        if (invalid_victim)
-            continue;
-        if (!(flags_[i] & kValid)) {
-            p.victim = i;
-            invalid_victim = true;
-        } else if (w == 0 || stamps_[i] < stamps_[p.victim]) {
-            p.victim = i;
-        }
-    }
-    return p;
+    // Dense tag scan: invalid ways hold kNoTag, which no real line equals.
+    for (std::size_t i = base; i < base + cfg_.associativity; ++i)
+        if (tags_[i] == line)
+            return i;
+    return kNoWay;
+}
+
+std::size_t
+Cache::victim(std::size_t base) const
+{
+    // The first way with the minimum stamp. Invalid ways hold stamp 0 and
+    // valid ones at least 1 (stamps are unique once set), so this is
+    // "first invalid way, else LRU". The one rule serves demand fills and
+    // prefetch inserts alike. Each way's key packs (stamp, way) into one
+    // word (stamps stay far below 2^(64 - wayBits_)), so the scan is a
+    // plain minimum with no branch on which way is older (that branch is
+    // unpredictable).
+    std::uint64_t oldest = stamps_[base] << wayBits_;
+    for (unsigned w = 1; w < cfg_.associativity; ++w)
+        oldest = std::min(oldest, (stamps_[base + w] << wayBits_) | w);
+    return base + (oldest & ((std::uint64_t{1} << wayBits_) - 1));
 }
 
 std::optional<Addr>
@@ -54,13 +66,13 @@ Cache::fillAt(std::size_t idx, std::uint64_t line, bool dirty,
               bool prefetched)
 {
     std::optional<Addr> writeback;
-    if ((flags_[idx] & (kValid | kDirty)) == (kValid | kDirty)) {
-        writeback = tags_[idx] * cfg_.lineBytes;
+    if (flags_[idx] & kDirty) {
+        writeback = tags_[idx] << lineShift_;
         stats_.writebacks++;
     }
     tags_[idx] = line;
-    flags_[idx] = static_cast<std::uint8_t>(
-        kValid | (dirty ? kDirty : 0) | (prefetched ? kPrefetched : 0));
+    flags_[idx] = static_cast<std::uint8_t>((dirty ? kDirty : 0) |
+                                            (prefetched ? kPrefetched : 0));
     stamps_[idx] = ++stamp_;
     return writeback;
 }
@@ -70,11 +82,11 @@ Cache::access(Addr addr, bool is_write)
 {
     stats_.accesses++;
     CacheAccessResult res;
-    std::uint64_t line = lineAddr(addr);
-    Probe p = probe(line);
+    const std::uint64_t line = lineAddr(addr);
+    const std::size_t base = setBase(line);
+    const std::size_t i = find(base, line);
 
-    if (p.hit != kNoWay) {
-        std::size_t i = p.hit;
+    if (i != kNoWay) {
         res.hit = true;
         res.prefetchHit = (flags_[i] & kPrefetched) != 0;
         if (res.prefetchHit) {
@@ -83,7 +95,7 @@ Cache::access(Addr addr, bool is_write)
             // Keep the stream rolling: prefetch ahead of the consumed
             // line too, not just on demand misses.
             for (unsigned d = 1; d <= cfg_.prefetchDepth; ++d) {
-                res.prefetchFills.push_back((line + d) * cfg_.lineBytes);
+                res.prefetchFills.push_back((line + d) << lineShift_);
                 stats_.prefetchIssued++;
             }
         } else {
@@ -95,11 +107,11 @@ Cache::access(Addr addr, bool is_write)
         return res;
     }
 
-    // Miss: fill over the probe's victim, trigger the prefetcher.
+    // Miss: fill over the set's victim, trigger the prefetcher.
     stats_.misses++;
-    res.writebackAddr = fillAt(p.victim, line, is_write, false);
+    res.writebackAddr = fillAt(victim(base), line, is_write, false);
     for (unsigned d = 1; d <= cfg_.prefetchDepth; ++d) {
-        res.prefetchFills.push_back((line + d) * cfg_.lineBytes);
+        res.prefetchFills.push_back((line + d) << lineShift_);
         stats_.prefetchIssued++;
     }
     return res;
@@ -111,9 +123,9 @@ Cache::accessRun(Addr addr, std::uint32_t size, std::uint32_t n,
 {
     std::uint32_t done = 0;
     while (done < n) {
-        std::uint64_t line = lineAddr(addr + Addr{done} * size);
-        Probe p = probe(line);
-        if (p.hit == kNoWay || (flags_[p.hit] & kPrefetched))
+        const std::uint64_t line = lineAddr(addr + Addr{done} * size);
+        const std::size_t i = find(setBase(line), line);
+        if (i == kNoWay || (flags_[i] & kPrefetched))
             break; // boundary: the per-access path models this one
         // Count the accesses whose start falls on this same line; one
         // probe then covers them all.
@@ -124,11 +136,11 @@ Cache::accessRun(Addr addr, std::uint32_t size, std::uint32_t n,
         stats_.accesses += k;
         stats_.hits += k;
         if (is_write)
-            flags_[p.hit] |= kDirty;
+            flags_[i] |= kDirty;
         // k individual hits each do stamps_[i] = ++stamp_; only the last
         // value sticks, so bump the clock by k and store once.
         stamp_ += k;
-        stamps_[p.hit] = stamp_;
+        stamps_[i] = stamp_;
         done += k;
     }
     return done;
@@ -137,11 +149,11 @@ Cache::accessRun(Addr addr, std::uint32_t size, std::uint32_t n,
 bool
 Cache::insertPrefetch(Addr addr)
 {
-    std::uint64_t line = lineAddr(addr);
-    Probe p = probe(line);
-    if (p.hit != kNoWay)
+    const std::uint64_t line = lineAddr(addr);
+    const std::size_t base = setBase(line);
+    if (find(base, line) != kNoWay)
         return false; // already resident
-    fillAt(p.victim, line, false, true);
+    fillAt(victim(base), line, false, true);
     return true;
 }
 

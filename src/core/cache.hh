@@ -26,7 +26,11 @@
 
 namespace mondrian {
 
-/** Cache geometry and policy parameters. */
+/**
+ * Cache geometry and policy parameters. The line size and the set count
+ * (sizeBytes / (lineBytes * associativity)) must be powers of two: set
+ * and line indices are masks and shifts.
+ */
 struct CacheConfig
 {
     std::uint64_t sizeBytes = 32 * kKiB;
@@ -131,39 +135,43 @@ class Cache
     /** Tag value of an invalid way (no real line maps to it). */
     static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
 
-    static constexpr std::uint8_t kValid = 1;
-    static constexpr std::uint8_t kDirty = 2;
-    static constexpr std::uint8_t kPrefetched = 4;
+    // A way is valid iff its tag is not kNoTag; kDirty implies valid.
+    static constexpr std::uint8_t kDirty = 1;
+    static constexpr std::uint8_t kPrefetched = 2;
 
-    std::uint64_t lineAddr(Addr a) const { return a / cfg_.lineBytes; }
-    std::size_t setOf(std::uint64_t line) const { return line % numSets_; }
+    std::uint64_t lineAddr(Addr a) const { return a >> lineShift_; }
+    std::size_t setBase(std::uint64_t line) const
+    {
+        return static_cast<std::size_t>(line & setMask_) * cfg_.associativity;
+    }
 
     /** Sentinel way index: no matching way in the set. */
     static constexpr std::size_t kNoWay = ~std::size_t{0};
 
-    /** One-pass set lookup: matching way (or kNoWay) plus fill victim. */
-    struct Probe
-    {
-        std::size_t hit;    ///< way holding the line, or kNoWay
-        std::size_t victim; ///< way a fill would replace (miss only)
-    };
-    Probe probe(std::uint64_t line) const;
+    /** Way of the set at @p base holding @p line, or kNoWay. */
+    std::size_t find(std::size_t base, std::uint64_t line) const;
+
+    /** Way a fill into the set at @p base replaces. */
+    std::size_t victim(std::size_t base) const;
 
     /**
-     * Install @p line over way @p idx (a victim probe() selected).
+     * Install @p line over way @p idx (a victim() pick).
      * @return dirty victim address if any.
      */
     std::optional<Addr> fillAt(std::size_t idx, std::uint64_t line,
                                bool dirty, bool prefetched);
 
     CacheConfig cfg_;
-    std::size_t numSets_;
+    unsigned lineShift_;     ///< log2(lineBytes)
+    std::uint64_t setMask_;  ///< number of sets - 1
+    unsigned wayBits_;       ///< ceil(log2(associativity))
     // Structure-of-arrays line metadata: the tag probe — the per-access
     // hot loop — touches only the dense tag array. Invalid ways hold
-    // kNoTag so the probe needs no validity test.
-    std::vector<std::uint64_t> tags_;   ///< numSets_ x associativity
+    // kNoTag so the probe needs no validity test, and stamp 0 while
+    // valid ways hold at least 1, so the victim scan needs none either.
+    std::vector<std::uint64_t> tags_;   ///< sets x associativity
     std::vector<std::uint64_t> stamps_; ///< LRU stamps
-    std::vector<std::uint8_t> flags_;   ///< kValid | kDirty | kPrefetched
+    std::vector<std::uint8_t> flags_;   ///< kDirty | kPrefetched
     std::uint64_t stamp_ = 0;
     CacheStats stats_;
 };
