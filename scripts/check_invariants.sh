@@ -3,11 +3,6 @@
 # byte-identity and perf oracles only catch after the damage is done
 # (docs/testing.md has the full rationale for each).
 #
-#   R1  Hot-path schedule/callback sites take a *named* closure that is
-#       static_assert'ed to fit its InlineFunction inline buffer — no
-#       anonymous lambdas straight into schedule()/onComplete. The PR 8
-#       padding regression silently heap-allocated every event closure;
-#       named-plus-asserted closures turn that class into compile errors.
 #   R2  Every writeRunResult() call in the system layer declares its
 #       precision policy: either setPreciseDoubles(true) (IPC frames and
 #       resume journal, which must round-trip doubles exactly) or the
@@ -24,9 +19,10 @@
 #       a mask and a shift; without the guard a bad geometry would index
 #       past the tag arrays instead of failing).
 #   R5  Compile probe: the hot-path TUs are re-checked with
-#       -fsyntax-only so every fitsInline/packing static_assert actually
-#       fires in this tree (a capture that outgrows its buffer fails
-#       here even if the full build is stale).
+#       -fsyntax-only against the current headers. InlineFunction
+#       refuses a capture too large or over-aligned for its inline
+#       buffer, so a closure that outgrows its callback type fails here
+#       even if the full build is stale.
 #   R6  No strto*()/std::sto*() in src/ tools/ examples/ bench/: every
 #       number in a flag or spec is read by parseUint/parseReal
 #       (src/common/grammar.hh). The C readers skip blanks, take '+',
@@ -64,26 +60,6 @@ HOT_FILES=(
     src/core/core_model.cc
     src/system/traffic.cc
 )
-
-# --------------------------------------------------------------------- R1
-# Anonymous lambda passed straight into a schedule call: the capture's
-# size is never named, so nothing asserts it fits inline.
-for f in "${HOT_FILES[@]}"; do
-    if perl -0777 -ne '
-        while (/\bschedule(?:Coalesced|In)?\s*\(((?:[^()]|\([^()]*\))*)\)/gs) {
-            my $args = $1;
-            exit 1 if $args =~ /\[[^\]]*\]\s*(?:\(|\{|mutable)/s;
-        }' "$f"; then
-        :
-    else
-        note "R1 $f: anonymous lambda passed to schedule*();" \
-             "name it and static_assert fitsInline<>() first"
-    fi
-    if grep -q "schedule" "$f" && ! grep -q "fitsInline" "$f"; then
-        note "R1 $f: schedules events but carries no fitsInline" \
-             "static_assert"
-    fi
-done
 
 # --------------------------------------------------------------------- R2
 # writeRunResult call sites must declare a precision policy nearby.
@@ -134,9 +110,9 @@ for pat in 'isPowerOf2(cfg_.lineBytes)' 'isPowerOf2(sets)'; do
 done
 
 # --------------------------------------------------------------------- R5
-# Re-run the compiler front end over the hot TUs so the fitsInline /
-# kInlineFunctionPacked static_asserts are evaluated against the current
-# headers. -fsyntax-only keeps this to a few seconds per file.
+# Re-run the compiler front end over the hot TUs so every closure they
+# hand to an InlineFunction is checked against its capacity under the
+# current headers. -fsyntax-only keeps this to a few seconds per file.
 for f in "${HOT_FILES[@]}" src/sim/event_queue.cc; do
     if ! "$CXX" -std=c++20 -fsyntax-only -I src "$f" 2>/tmp/invariant-probe.$$; then
         note "R5 $f: compile probe failed (oversized closure or broken" \
@@ -171,18 +147,6 @@ if [[ "$SELF_TEST" -eq 1 ]]; then
         fi
         echo "self-test ok: caught $what"
     }
-
-    # R1: anonymous lambda handed straight to schedule().
-    make_sandbox
-    cat >> "$sandbox/src/system/machine.cc" <<'EOF'
-namespace mondrian { namespace {
-[[maybe_unused]] void selfTestR1(EventQueue &eq)
-{
-    eq.schedule(Tick{0}, []() {});
-}
-}}
-EOF
-    expect_fail "anonymous lambda in a schedule call (R1)"
 
     # R2: writeRunResult with no declared precision policy.
     make_sandbox
@@ -227,7 +191,7 @@ EOF
     expect_fail "missing cache power-of-two guard (R4)"
 
     # R5: a hot-path closure that outgrows its inline buffer must fail
-    # the compile probe even though it is named (and so passes R1).
+    # the compile probe: the callback type alone refuses it.
     make_sandbox
     cat >> "$sandbox/src/system/machine.cc" <<'EOF'
 namespace mondrian { namespace {
@@ -235,19 +199,17 @@ namespace mondrian { namespace {
 {
     struct Pad { unsigned char bytes[128]; };
     auto oversized = [p = Pad{}]() { (void)p; };
-    static_assert(EventQueue::Callback::fitsInline<decltype(oversized)>(),
-                  "hot-path closure must fit the inline buffer");
     eq.schedule(Tick{0}, std::move(oversized));
 }
 }}
 EOF
     expect_fail "oversized hot-path closure (R5 compile probe)"
 
-    echo "OK: self-test caught all 8 seeded violations"
+    echo "OK: self-test caught all 7 seeded violations"
     exit 0
 fi
 
 if [[ "$fail" -ne 0 ]]; then
     exit 1
 fi
-echo "OK: project invariants hold (R1-R6)"
+echo "OK: project invariants hold (R2-R6)"

@@ -164,8 +164,6 @@ TraceCore::issueMemOp(TraceOpKind kind, Addr addr, std::uint32_t size)
         stats_.bytesFromMem += size;
 
     auto on_done = [this, kind](Tick t) { completion(t, kind); };
-    static_assert(MemoryPath::DoneFn::fitsInline<decltype(on_done)>(),
-                  "core completion closure must fit the inline buffer");
     auto res = path_.request(time_, addr, size, is_write, sequential,
                              permutable, std::move(on_done));
 
@@ -372,8 +370,6 @@ TraceCore::maybeFinish()
     if (onFinish) {
         // Defer the callback so it observes a consistent simulator state.
         auto fire = [this]() { onFinish(id_, stats_.finishedAt); };
-        static_assert(EventQueue::Callback::fitsInline<decltype(fire)>(),
-                      "finish closure must fit the inline buffer");
         eq_.schedule(stats_.finishedAt, std::move(fire));
     }
 }

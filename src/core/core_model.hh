@@ -70,12 +70,11 @@ class MemoryPath
     virtual ~MemoryPath() = default;
 
     /**
-     * Completion callback type. Allocation-free up to 64 capture bytes —
-     * enough for every completion closure on the hot path.
+     * Completion callback type. Holds up to 16 capture bytes — enough
+     * for every completion closure in the build; a larger one does not
+     * compile.
      */
-    using DoneFn = InlineFunction<void(Tick), 64>;
-    static_assert(kInlineFunctionPacked<DoneFn>,
-                  "padding crept ahead of the completion callback buffer");
+    using DoneFn = InlineFunction<void(Tick), 16>;
 
     /** Outcome of a request: either satisfied immediately (cache hit)... */
     struct Result

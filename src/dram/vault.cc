@@ -47,8 +47,6 @@ VaultController::enqueue(MemRequest &&req)
             // Hot coalescing site: a partition burst acknowledges many
             // stores at one tick with no intervening schedules.
             auto ack = [cb = std::move(req.onComplete), now]() { cb(now); };
-            static_assert(EventQueue::Callback::fitsInline<decltype(ack)>(),
-                          "store-ack closure must fit the inline buffer");
             eq_.scheduleCoalesced(now, std::move(ack));
         }
         flushAppendRows(false);
@@ -219,8 +217,6 @@ VaultController::issue(MemRequest &&req)
         remaining -= chunk;
     }
 
-    // NB: the 16-byte-aligned callback is captured first so the closure
-    // packs tightly and stays within the event's inline buffer.
     auto complete = [cb = std::move(req.onComplete), this, done]() {
         --issued_;
         if (cb)
@@ -229,8 +225,6 @@ VaultController::issue(MemRequest &&req)
         if (issued_ == 0 && live_ == 0 && onDrained)
             onDrained();
     };
-    static_assert(EventQueue::Callback::fitsInline<decltype(complete)>(),
-                  "vault completion closure must fit the inline buffer");
     eq_.scheduleCoalesced(done, std::move(complete));
 }
 

@@ -33,11 +33,10 @@ struct MemRequest
 {
     /**
      * Inline capacity sized for the machine's pointer-sized completion
-     * closure with headroom; larger captures (tests) heap-allocate.
+     * closure, the widest the build gives it; a larger one does not
+     * compile.
      */
-    using Callback = InlineFunction<void(Tick), 40>;
-    static_assert(kInlineFunctionPacked<Callback>,
-                  "padding crept ahead of the completion callback buffer");
+    using Callback = InlineFunction<void(Tick), 8>;
 
     Addr addr = 0;
     std::uint32_t size = 0;
@@ -127,9 +126,7 @@ class VaultController
      * permutable append engine's row flushes can be the chronologically
      * last events of a phase.
      */
-    using DrainFn = InlineFunction<void(), 16>;
-    static_assert(kInlineFunctionPacked<DrainFn>,
-                  "padding crept ahead of the drain callback buffer");
+    using DrainFn = InlineFunction<void(), 8>;
     DrainFn onDrained;
 
   private:

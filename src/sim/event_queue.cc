@@ -9,19 +9,6 @@ namespace mondrian {
 
 namespace {
 
-/** Heap comparator: true when @p a orders after @p b (min at front). */
-struct LaterWhen
-{
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
-};
-
 /** Key order within a bucket: (when, seq) ascending. */
 struct EarlierKey
 {
@@ -32,6 +19,17 @@ struct EarlierKey
         if (a.when != b.when)
             return a.when < b.when;
         return a.seq < b.seq;
+    }
+};
+
+/** Heap comparator: orders the earliest key to the front. */
+struct LaterKey
+{
+    template <typename K>
+    bool
+    operator()(const K &a, const K &b) const
+    {
+        return EarlierKey{}(b, a);
     }
 };
 
@@ -57,21 +55,19 @@ EventQueue::growArena()
 }
 
 void
-EventQueue::placeOverflow(Tick when, std::uint64_t seq, Callback &&cb)
+EventQueue::placeOverflow(const Bucket::Key &k)
 {
-    overflow_.emplace_back(when, seq, std::move(cb));
-    std::push_heap(overflow_.begin(), overflow_.end(), LaterWhen{});
+    overflow_.push_back(k);
+    std::push_heap(overflow_.begin(), overflow_.end(), LaterKey{});
 }
 
 void
 EventQueue::pullOverflow()
 {
     while (!overflow_.empty() && overflow_.front().when < base_ + kHorizon) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), LaterWhen{});
-        Event ev = std::move(overflow_.back());
+        std::pop_heap(overflow_.begin(), overflow_.end(), LaterKey{});
+        fileKey(overflow_.back());
         overflow_.pop_back();
-        // Always lands in a bucket (inside the window).
-        place(ev.when, ev.seq, std::move(ev.cb));
     }
 }
 
@@ -210,7 +206,7 @@ EventQueue::reset()
     std::fill(occupied_.begin(), occupied_.end(), 0);
     summary_ = 0;
     overflow_.clear();
-    chunks_.clear(); // slot destructors release any heap captures
+    chunks_.clear();
     chunk0_ = nullptr;
     freeHead_ = kNilSlot;
     slotCount_ = 0;

@@ -10,11 +10,12 @@
  * near-now events (bank timings, bus bursts, completion callbacks landing
  * nanoseconds ahead) — and is allocation-free on that path:
  *
- *  - callbacks are InlineFunction, not std::function, so captures up to
- *    Callback::kInlineBytes live inside the event (no per-event new);
- *  - callbacks live in a chunked, pointer-stable slot arena and execute
- *    in place — an event is never moved or copied between its schedule
- *    and its invocation;
+ *  - callbacks are InlineFunction, not std::function, so every capture
+ *    lives inside the event (no per-event new; a capture larger than
+ *    Callback::kInlineBytes does not compile);
+ *  - every callback lives in a chunked, pointer-stable slot arena and
+ *    executes in place — an event is never moved or copied between its
+ *    schedule and its invocation;
  *  - a calendar (bucketed) front-end covers a sliding window of
  *    kHorizon ticks in kWidth-tick buckets; a bucket holds only compact
  *    24-byte ordering keys, sorted lazily when the window reaches it, so
@@ -22,8 +23,9 @@
  *    no compaction;
  *  - an occupancy bitmap with a one-word summary lets the window skip
  *    runs of empty buckets in one rotate-and-count;
- *  - the rare far-future event goes to an overflow binary heap and
- *    migrates into the calendar when the window reaches it;
+ *  - the rare far-future event files its ordering key in an overflow
+ *    binary heap, and the key migrates into the calendar when the window
+ *    reaches it;
  *  - same-tick completion bursts coalesce: scheduleCoalesced() appends a
  *    callback to the previously scheduled event as a "follower" when
  *    that is provably order-preserving, eliding the queue insert and pop
@@ -51,14 +53,11 @@ class EventQueue
 {
   public:
     /**
-     * Inline capacity covers every simulator hot-path closure (the widest
-     * is a vault completion carrying a MemRequest::Callback, 64 bytes);
-     * larger captures still work but heap-allocate.
+     * Inline capacity covers every closure the build schedules (the
+     * widest is a vault completion carrying a MemRequest::Callback, 32
+     * bytes); a larger one does not compile.
      */
-    using Callback = InlineFunction<void(), 64>;
-    static_assert(kInlineFunctionPacked<Callback>,
-                  "padding crept ahead of the event callback buffer "
-                  "(PR 8 regression class: nested captures spill to heap)");
+    using Callback = InlineFunction<void(), 32>;
 
     EventQueue();
     EventQueue(const EventQueue &) = delete;
@@ -70,13 +69,13 @@ class EventQueue
     /**
      * Schedule @p cb to run at absolute time @p when (>= now). The
      * callable is constructed directly in queue storage — no intermediate
-     * Callback object, no per-event allocation for inline-sized captures.
+     * Callback object, no per-event allocation.
      */
     template <typename F>
     void
     schedule(Tick when, F &&cb)
     {
-        scheduleGetSlot(when, std::forward<F>(cb));
+        place(when, std::forward<F>(cb));
     }
 
     /** Schedule @p cb to run @p delta ticks from now. */
@@ -106,7 +105,9 @@ class EventQueue
      * normally, itself becoming the next coalescing candidate. (c) is
      * decided by comparing E's (tick, seq) against the event currently
      * executing: the queue pops in global order, so E is still pending
-     * iff its key is lexicographically greater.
+     * iff its key is lexicographically greater. E may lie beyond the
+     * calendar window: its key then waits in the overflow heap, while
+     * its slot, and so its followers, stay in the arena.
      *
      * The simulator routes completion traffic here: bursts of requests
      * acknowledged at one tick (permutable-store acks, network responses
@@ -124,10 +125,8 @@ class EventQueue
             appendFollower(std::forward<F>(cb));
             return;
         }
-        const std::uint32_t si = scheduleGetSlot(when, std::forward<F>(cb));
+        const std::uint32_t si = place(when, std::forward<F>(cb));
         if (coalesceOn_) {
-            // si is kNilSlot when place() overflowed to the heap; heap
-            // events have no slot to chain followers onto.
             coalSlot_ = si;
             coalWhen_ = when;
             coalSeq_ = nextSeq_ - 1;
@@ -185,18 +184,6 @@ class EventQueue
     void reset();
 
   private:
-    /** Far-future event as stored in the overflow heap. */
-    struct Event
-    {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-
-        Event(Tick w, std::uint64_t s, Callback c)
-            : when(w), seq(s), cb(std::move(c))
-        {}
-    };
-
     /** No-slot sentinel (slot indices are arena offsets). */
     static constexpr std::uint32_t kNilSlot = ~std::uint32_t{0};
 
@@ -305,12 +292,7 @@ class EventQueue
             i = static_cast<std::uint32_t>(slotCount_++);
         }
         Slot &s = slot(i);
-        // Fresh callables construct straight into the slot; an already
-        // wrapped Callback (overflow-heap migration) move-assigns.
-        if constexpr (std::is_same_v<std::decay_t<F>, Callback>)
-            s.cb = std::forward<F>(cb);
-        else
-            s.cb.emplace(std::forward<F>(cb));
+        s.cb.emplace(std::forward<F>(cb));
         // head doubles as the freelist link; reset it. tail needs no
         // reset: appendFollower writes it before the first read.
         s.head = kNilSlot;
@@ -319,43 +301,39 @@ class EventQueue
 
     void growArena();
 
-    /** schedule(), returning the arena slot of the new event. */
-    template <typename F>
-    std::uint32_t
-    scheduleGetSlot(Tick when, F &&cb)
-    {
-        if (when < now_)
-            schedulePastPanic(when);
-        const std::uint32_t si =
-            place(when, nextSeq_++, std::forward<F>(cb));
-        ++size_;
-        return si;
-    }
-
     /**
-     * File an event into its bucket or the overflow heap. @return the
-     * arena slot holding the callback, or kNilSlot for overflow events
-     * (which have no slot to chain followers onto).
+     * schedule(): put @p cb in an arena slot and file its key into its
+     * bucket, or into the overflow heap when it lies beyond the window.
+     * @return the slot.
      */
     template <typename F>
     std::uint32_t
-    place(Tick when, std::uint64_t seq, F &&cb)
+    place(Tick when, F &&cb)
     {
+        if (when < now_)
+            schedulePastPanic(when);
+        const Bucket::Key k{when, nextSeq_++, allocSlot(std::forward<F>(cb))};
+        ++size_;
         // The window's first bucket holds now() (the window only moves
         // to pop), so when >= now() >= base_ and rel cannot wrap.
         const std::uint64_t rel =
             (when >> kWidthBits) - (base_ >> kWidthBits);
-        if (rel >= kNumBuckets) {
-            placeOverflow(when, seq, std::forward<F>(cb));
-            return kNilSlot;
-        }
-        const std::size_t idx = bucketIndexOf(when);
-        std::uint32_t si = allocSlot(std::forward<F>(cb));
-        buckets_[idx].keys.push_back(Bucket::Key{when, seq, si});
+        if (rel >= kNumBuckets)
+            placeOverflow(k);
+        else
+            fileKey(k);
+        return k.slot;
+    }
+
+    /** Append @p k to its bucket, which must lie inside the window. */
+    void
+    fileKey(const Bucket::Key &k)
+    {
+        const std::size_t idx = bucketIndexOf(k.when);
+        buckets_[idx].keys.push_back(k);
         if (occupied_[idx >> 6] == 0)
             summary_ |= std::uint64_t{1} << (idx >> 6);
         occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        return si;
     }
 
     /** Chain @p cb onto the current coalescing candidate's slot. */
@@ -374,9 +352,9 @@ class EventQueue
         ++pendingFollowers_;
     }
 
-    void placeOverflow(Tick when, std::uint64_t seq, Callback &&cb);
+    void placeOverflow(const Bucket::Key &k);
 
-    /** Migrate overflow events that now fall inside the window. */
+    /** Migrate overflow keys that now fall inside the window. */
     void pullOverflow();
 
     /** Advance base_ to the first bucket with live events. */
@@ -409,7 +387,7 @@ class EventQueue
     std::vector<Bucket> buckets_;         ///< kNumBuckets rings
     std::vector<std::uint64_t> occupied_; ///< bitmap over buckets
     std::uint64_t summary_ = 0; ///< bit w set iff occupied_[w] != 0
-    std::vector<Event> overflow_;         ///< min-heap beyond horizon
+    std::vector<Bucket::Key> overflow_;   ///< min-heap beyond horizon
     /** Pointer-stable callback arena; keys reference slots by index. */
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     Slot *chunk0_ = nullptr; ///< chunks_[0].get() (hot-path shortcut)

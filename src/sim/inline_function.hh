@@ -1,19 +1,20 @@
 /**
  * @file
- * Small-buffer-optimized move-only callable wrapper for hot paths.
+ * Fixed-capacity move-only callable wrapper for hot paths.
  *
  * The simulator schedules millions of events and memory-completion
  * callbacks per run; wrapping each in a std::function costs a heap
  * allocation whenever the capture exceeds the library's tiny SSO buffer.
- * InlineFunction stores the callable inline in a caller-chosen buffer, so
- * the common capture sizes (a `this` pointer, a few PODs, a nested
- * completion callback) never touch the allocator. Oversized or
- * over-aligned callables fall back to the heap transparently, so the type
- * is always correct and only ever *faster* than std::function.
+ * InlineFunction stores the callable inline in a caller-chosen buffer and
+ * never allocates: a callable that is too large or over-aligned for the
+ * buffer is refused at compile time (the constructor and emplace() are
+ * constrained on fitsInline()), so each alias's capacity is checked
+ * against every closure the build gives it.
  *
  * Differences from std::function, all deliberate:
  *  - move-only (so it can carry move-only captures, which the event and
  *    completion paths use to hand callbacks through without copies);
+ *  - fixed capacity, no allocation;
  *  - no target()/target_type() RTTI;
  *  - calling an empty InlineFunction is undefined (callers check bool()).
  */
@@ -21,35 +22,12 @@
 #ifndef MONDRIAN_SIM_INLINE_FUNCTION_HH
 #define MONDRIAN_SIM_INLINE_FUNCTION_HH
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace mondrian {
-
-namespace detail {
-// Relaxed is enough: the tally is a diagnostic, never a synchronization
-// edge. Hot paths never touch it — only the (supposedly cold) fallback
-// branches below increment it.
-inline std::atomic<std::uint64_t> inline_function_heap_fallbacks{0};
-} // namespace detail
-
-/**
- * Process-wide count of InlineFunction constructions that spilled to the
- * heap because the callable exceeded its inline buffer. The simulator's
- * hot paths are contractually allocation-free, so for any smoke run this
- * must stay zero; tests assert the delta across a run
- * (scripts/check_invariants.sh backs the same rule at compile time).
- */
-inline std::uint64_t
-inlineFunctionHeapFallbacks()
-{
-    return detail::inline_function_heap_fallbacks.load(
-        std::memory_order_relaxed);
-}
 
 template <typename Signature, std::size_t InlineBytes>
 class InlineFunction; // primary template; only the partial spec exists
@@ -60,27 +38,37 @@ class InlineFunction<R(Args...), InlineBytes>
   public:
     static constexpr std::size_t kInlineBytes = InlineBytes;
 
+    /** Whether a callable of type @p Fn fits the inline buffer. */
+    template <typename Fn>
+    static constexpr bool
+    fitsInline()
+    {
+        return sizeof(Fn) <= InlineBytes && alignof(Fn) <= alignof(void *);
+    }
+
+    /**
+     * Whether @p F is a callable with this signature (and not an
+     * InlineFunction or nullptr). The constructor and emplace() take it
+     * when it also fits inline.
+     */
+    template <typename F>
+    static constexpr bool
+    callable()
+    {
+        using Fn = std::decay_t<F>;
+        return !std::is_same_v<Fn, InlineFunction> &&
+               !std::is_same_v<Fn, std::nullptr_t> &&
+               std::is_invocable_r_v<R, Fn &, Args...>;
+    }
+
     InlineFunction() = default;
     InlineFunction(std::nullptr_t) {}
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                  !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    template <typename F>
+        requires(callable<F>() && fitsInline<std::decay_t<F>>())
     InlineFunction(F &&f) // NOLINT: implicit, like std::function
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            detail::inline_function_heap_fallbacks.fetch_add(
-                1, std::memory_order_relaxed);
-            ::new (static_cast<void *>(buf_))
-                (Fn *)(new Fn(std::forward<F>(f)));
-            ops_ = &heapOps<Fn>;
-        }
+        construct(std::forward<F>(f));
     }
 
     InlineFunction(InlineFunction &&other) noexcept { moveFrom(other); }
@@ -91,25 +79,13 @@ class InlineFunction<R(Args...), InlineBytes>
      * InlineFunction without routing the new callable through a
      * temporary object and a relocate call.
      */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    template <typename F>
+        requires(callable<F>() && fitsInline<std::decay_t<F>>())
     void
     emplace(F &&f)
     {
         destroy();
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            detail::inline_function_heap_fallbacks.fetch_add(
-                1, std::memory_order_relaxed);
-            ::new (static_cast<void *>(buf_))
-                (Fn *)(new Fn(std::forward<F>(f)));
-            ops_ = &heapOps<Fn>;
-        }
+        construct(std::forward<F>(f));
     }
 
     InlineFunction &
@@ -144,29 +120,26 @@ class InlineFunction<R(Args...), InlineBytes>
         return ops_->invoke(buf_, std::forward<Args>(args)...);
     }
 
-    /** Whether a callable of type @p Fn is stored without allocating. */
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
+  private:
+    template <typename F>
+    void
+    construct(F &&f)
     {
-        return sizeof(Fn) <= InlineBytes &&
-               alignof(Fn) <= alignof(std::max_align_t);
+        using Fn = std::decay_t<F>;
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+        ops_ = &inlineOps<Fn>;
     }
 
-  private:
     /**
-     * Per-callable-type vtable (invoke / relocate / destroy). The
-     * relocate and destroy slots are null when the stored callable is
-     * trivially copyable / trivially destructible: the common simulator
-     * capture (a couple of pointers and PODs) then moves with one
-     * inline memcpy and destructs for free, with no indirect call on
-     * either path.
+     * Per-callable-type vtable (invoke / relocate / destroy). The destroy
+     * slot is null when the stored callable is trivially destructible:
+     * the common simulator capture (a couple of pointers and PODs) then
+     * destructs for free, with no indirect call.
      */
     struct Ops
     {
         R (*invoke)(unsigned char *, Args &&...);
-        /** Move-construct into @p dst from @p src, destroying @p src.
-         *  Null means "memcpy the whole inline buffer". */
+        /** Move-construct into @p dst from @p src, destroying @p src. */
         void (*relocate)(unsigned char *dst, unsigned char *src);
         /** Null means trivially destructible: nothing to run. */
         void (*destroy)(unsigned char *);
@@ -177,13 +150,6 @@ class InlineFunction<R(Args...), InlineBytes>
     inlinePtr(unsigned char *buf)
     {
         return std::launder(reinterpret_cast<Fn *>(buf));
-    }
-
-    template <typename Fn>
-    static Fn *&
-    heapPtr(unsigned char *buf)
-    {
-        return *std::launder(reinterpret_cast<Fn **>(buf));
     }
 
     template <typename Fn>
@@ -210,41 +176,18 @@ class InlineFunction<R(Args...), InlineBytes>
     }
 
     template <typename Fn>
-    static R
-    invokeHeap(unsigned char *buf, Args &&...args)
-    {
-        return (*heapPtr<Fn>(buf))(std::forward<Args>(args)...);
-    }
-
-    template <typename Fn>
-    static void
-    destroyHeap(unsigned char *buf)
-    {
-        delete heapPtr<Fn>(buf);
-    }
-
-    template <typename Fn>
     static constexpr Ops inlineOps{
         &invokeInline<Fn>,
         &relocateInline<Fn>,
         std::is_trivially_destructible_v<Fn> ? nullptr
                                              : &destroyInline<Fn>};
 
-    // Heap targets relocate by moving the owning pointer, which the
-    // buffer memcpy fallback already does — relocate stays null.
-    template <typename Fn>
-    static constexpr Ops heapOps{&invokeHeap<Fn>, nullptr,
-                                 &destroyHeap<Fn>};
-
     void
     moveFrom(InlineFunction &other) noexcept
     {
         ops_ = other.ops_;
         if (ops_) {
-            if (ops_->relocate)
-                ops_->relocate(buf_, other.buf_);
-            else
-                __builtin_memcpy(buf_, other.buf_, InlineBytes);
+            ops_->relocate(buf_, other.buf_);
             other.ops_ = nullptr;
         }
     }
@@ -256,27 +199,11 @@ class InlineFunction<R(Args...), InlineBytes>
             ops_->destroy(buf_);
     }
 
-    // The buffer leads so no padding precedes it: with a 16-byte-aligned
-    // buffer, an ops_-first layout would insert 8 dead bytes and round
-    // sizeof up a whole alignment quantum — enough to push a nested
-    // callback capture past its outer buffer and onto the heap.
-    alignas(std::max_align_t) mutable unsigned char buf_[InlineBytes];
+    // Pointer-aligned, so no padding can precede the buffer and sizeof
+    // is the capacity plus the ops pointer.
+    alignas(void *) mutable unsigned char buf_[InlineBytes];
     const Ops *ops_ = nullptr;
 };
-
-/**
- * Compile-time layout pin: true iff InlineFunction type @p IF has its
- * minimal packed size — the inline buffer immediately followed by the ops
- * pointer, rounded up to the buffer alignment. Any padding inserted ahead
- * of the buffer (the PR 8 regression: 8 dead bytes that pushed nested
- * captures to the heap) grows sizeof past this bound. static_assert it
- * next to every hot-path Callback alias.
- */
-template <typename IF>
-inline constexpr bool kInlineFunctionPacked =
-    sizeof(IF) ==
-    (IF::kInlineBytes + sizeof(void *) + alignof(std::max_align_t) - 1) /
-        alignof(std::max_align_t) * alignof(std::max_align_t);
 
 } // namespace mondrian
 

@@ -167,8 +167,6 @@ Machine::Machine(const SystemConfig &cfg, MemoryPool &pool)
     // Permutable-append row flushes carry no completion callback; the
     // vault's drain hook is how the phase logic sees their retirement.
     auto drained = [this]() { checkPhaseQuiesce(); };
-    static_assert(VaultController::DrainFn::fitsInline<decltype(drained)>(),
-                  "drain hook closure must fit the inline buffer");
     for (auto &v : vaults_)
         v->onDrained = drained;
 }
@@ -211,8 +209,6 @@ Machine::deliverFlight(Flight *f)
     req.size = f->size;
     req.isWrite = f->isWrite;
     auto on_complete = [f](Tick t) { f->m->completeFlight(f, t); };
-    static_assert(MemRequest::Callback::fitsInline<decltype(on_complete)>(),
-                  "hot-path completion closure must fit the inline buffer");
     req.onComplete = std::move(on_complete);
     vaults_[f->dv]->enqueue(std::move(req));
 }
@@ -242,8 +238,6 @@ Machine::completeFlight(Flight *f, Tick t)
         done(back);
         m->checkPhaseQuiesce();
     };
-    static_assert(EventQueue::Callback::fitsInline<decltype(respond)>(),
-                  "hot-path response closure must fit the inline buffer");
     eq_.scheduleCoalesced(back, std::move(respond));
 }
 
@@ -291,8 +285,6 @@ Machine::issueDram(Tick when, unsigned src_node, Addr addr,
         --m->pendingArrivals_[f->dv];
         m->deliverFlight(f);
     };
-    static_assert(EventQueue::Callback::fitsInline<decltype(arrival)>(),
-                  "hot-path arrival closure must fit the inline buffer");
     eq_.schedule(std::max(arrive, eq_.now()), std::move(arrival));
 }
 
@@ -401,8 +393,6 @@ Machine::checkPhaseQuiesce()
                 barrierFired_ = true;
                 checkPhaseQuiesce();
             };
-            static_assert(EventQueue::Callback::fitsInline<decltype(fire)>(),
-                          "barrier closure must fit the inline buffer");
             eq_.schedule(eq_.now() + phase.barriers * 2 * barrier,
                          std::move(fire));
             return;

@@ -317,8 +317,6 @@ struct ServedDriver
         const std::size_t i = scheduled++;
         ServedDriver *d = this;
         auto arrive = [d, i]() { d->onArrival(i); };
-        static_assert(EventQueue::Callback::fitsInline<decltype(arrive)>(),
-                      "arrival closure must fit the inline buffer");
         machine.eq().schedule(arrivals[i].at, std::move(arrive));
     }
 

@@ -46,19 +46,23 @@ lcgNext(std::uint64_t &s)
 
 TEST(EventCoalescing, FollowersRunInsideHeadEvent)
 {
-    EventQueue eq;
-    eq.setCoalescing(true);
-    std::vector<int> order;
-    eq.scheduleCoalesced(10, [&] { order.push_back(0); });
-    eq.scheduleCoalesced(10, [&] { order.push_back(1); });
-    eq.scheduleCoalesced(10, [&] { order.push_back(2); });
-    EXPECT_EQ(eq.pending(), 3u); // followers still count as pending
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    // One real pop, two absorbed callbacks.
-    EXPECT_EQ(eq.executed(), 1u);
-    EXPECT_EQ(eq.coalesced(), 2u);
-    EXPECT_EQ(eq.pending(), 0u);
+    // The second tick lies ~19 calendar windows ahead: the head's key
+    // starts in the overflow heap, its slot and followers in the arena.
+    for (const Tick t : {Tick{10}, Tick{10'000'000}}) {
+        EventQueue eq;
+        eq.setCoalescing(true);
+        std::vector<int> order;
+        eq.scheduleCoalesced(t, [&] { order.push_back(0); });
+        eq.scheduleCoalesced(t, [&] { order.push_back(1); });
+        eq.scheduleCoalesced(t, [&] { order.push_back(2); });
+        EXPECT_EQ(eq.pending(), 3u); // followers still count as pending
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+        // One real pop, two absorbed callbacks.
+        EXPECT_EQ(eq.executed(), 1u);
+        EXPECT_EQ(eq.coalesced(), 2u);
+        EXPECT_EQ(eq.pending(), 0u);
+    }
 }
 
 TEST(EventCoalescing, InterveningScheduleBreaksChain)
@@ -99,13 +103,17 @@ TEST(EventCoalescing, ExecutingCandidateIsNotJoined)
 
 namespace {
 
+/** Calendar window of EventQueue (4096 buckets of 128 ticks). */
+constexpr Tick kHorizon = 4096 * 128;
+
 /**
  * Deterministic scheduling script mixing every coalescing-relevant
  * pattern: same-tick completion bursts, chain-breaking plain schedules,
- * ticks in the past-relative-to-candidate, far-future overflow events,
- * and bursts issued at runtime from inside executing events. The script
- * is identical for both queues; only the coalescing toggle differs, so
- * the pop order must not.
+ * ticks in the past-relative-to-candidate, far-future bursts whose keys
+ * start in the overflow heap, and bursts issued at runtime from inside
+ * executing events, some beyond the window and some at the executing
+ * event's own tick. The script is identical for both queues; only the
+ * coalescing toggle differs, so the pop order must not.
  */
 std::vector<int>
 runCoalescingScript(bool coalesce, std::uint64_t &executed,
@@ -129,7 +137,17 @@ runCoalescingScript(bool coalesce, std::uint64_t &executed,
         void
         burst()
         {
-            const Tick t = eq.now() + 1 + (lcgNext(rng) >> 40) % 300;
+            Tick t = eq.now();
+            switch ((lcgNext(rng) >> 40) % 8) {
+              case 0: // beyond the window: the candidate's key overflows
+                t += kHorizon + (lcgNext(rng) >> 40) % kHorizon;
+                break;
+              case 1: // this tick, from inside the executing candidate
+                break;
+              default:
+                t += 1 + (lcgNext(rng) >> 40) % 300;
+                break;
+            }
             const unsigned n = 1 + (lcgNext(rng) >> 40) % 6;
             for (unsigned i = 0; i < n; ++i) {
                 const int id = next_id++;
@@ -163,12 +181,15 @@ runCoalescingScript(bool coalesce, std::uint64_t &executed,
             eq.schedule(frontier, [&order, id] { order.push_back(id); });
             break;
           }
-          case 2: { // far-future event (overflow heap, no slot to chain)
+          case 2: { // far-future burst: followers chain onto an overflow key
             const Tick t = frontier + 10'000'000 +
                            (lcgNext(rng) >> 35) % 100'000'000;
-            const int id = next_id++;
-            eq.scheduleCoalesced(t,
-                                 [&order, id] { order.push_back(id); });
+            const unsigned n = 1 + (lcgNext(rng) >> 40) % 3;
+            for (unsigned k = 0; k < n; ++k) {
+                const int id = next_id++;
+                eq.scheduleCoalesced(t,
+                                     [&order, id] { order.push_back(id); });
+            }
             break;
           }
           default: { // completion burst at the frontier

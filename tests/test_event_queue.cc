@@ -189,23 +189,6 @@ TEST(EventQueue, MoveOnlyCallbacks)
     EXPECT_EQ(seen, 7);
 }
 
-TEST(EventQueue, LargeCapturesFallBackToHeap)
-{
-    // Captures beyond the inline buffer still work (transparent heap
-    // fallback).
-    EventQueue eq;
-    struct Big
-    {
-        char data[512];
-    };
-    Big big{};
-    big.data[0] = 42;
-    char seen = 0;
-    eq.schedule(1, [big, &seen] { seen = big.data[0]; });
-    eq.run();
-    EXPECT_EQ(seen, 42);
-}
-
 TEST(EventQueue, ResetAfterMixedScheduling)
 {
     EventQueue eq;

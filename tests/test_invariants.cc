@@ -1,107 +1,63 @@
 /**
  * @file
- * Runtime half of the project-invariant suite (the compile-time half is
- * the static_asserts scripts/check_invariants.sh probes): the
- * InlineFunction heap-fallback counter works, and the hot path stays
- * allocation-free — zero fallbacks — across real cpu/nmp/mondrian smoke
- * runs. This is the test-time tripwire for the PR 8 bug class, where a
- * layout shift silently pushed every event closure to the heap and only
- * gprof noticed.
+ * The InlineFunction capacity rule: a callable the inline buffer cannot
+ * hold (too large or over-aligned) is refused at compile time, so every
+ * simulator callback is allocation-free by construction. The lint half
+ * is scripts/check_invariants.sh rule R5, whose seed schedules an
+ * oversized event closure and must fail to compile.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <type_traits>
+#include <utility>
 
 #include "sim/inline_function.hh"
-#include "system/campaign.hh"
-#include "system/traffic.hh"
 
 using namespace mondrian;
 
 namespace {
 
-std::uint64_t
-fallbackDelta(std::uint64_t before)
-{
-    return inlineFunctionHeapFallbacks() - before;
-}
+using Fn = InlineFunction<int(), 16>;
 
-/** One in-process run of @p kind over @p op at 2^10 tuples. */
-void
-runSmoke(SystemKind kind, OpKind op)
+struct Exact
 {
-    CampaignGrid grid;
-    grid.systems = {kind};
-    grid.scenarios = {degenerateScenario(op)};
-    grid.log2Tuples = {10};
-    grid.seeds = {42};
-    CampaignRunner runner(grid);
-    const CampaignReport report = runner.run(1);
-    ASSERT_EQ(report.runs.size(), 1u);
-    ASSERT_FALSE(report.runs[0].failed);
-}
+    unsigned char bytes[Fn::kInlineBytes];
+    int operator()() const { return bytes[0] + bytes[Fn::kInlineBytes - 1]; }
+};
+
+struct TooBig
+{
+    unsigned char bytes[Fn::kInlineBytes + 1];
+    int operator()() const { return 0; }
+};
+
+struct alignas(16) OverAligned
+{
+    int operator()() const { return 0; }
+};
+
+template <typename F>
+constexpr bool kEmplaceable = requires(Fn g, F f) { g.emplace(std::move(f)); };
 
 } // namespace
 
-TEST(InlineFunctionFallback, CounterTracksOversizedCaptures)
+TEST(InlineFunction, RefusesCapturesItCannotHoldInline)
 {
-    struct Pad
-    {
-        unsigned char bytes[64];
-    };
+    EXPECT_FALSE((std::is_constructible_v<Fn, TooBig>));
+    EXPECT_FALSE(kEmplaceable<TooBig>);
+    EXPECT_FALSE((std::is_constructible_v<Fn, OverAligned>));
+    EXPECT_FALSE(kEmplaceable<OverAligned>);
 
-    const std::uint64_t before = inlineFunctionHeapFallbacks();
+    static_assert(sizeof(Exact) == Fn::kInlineBytes);
+    EXPECT_TRUE((std::is_constructible_v<Fn, Exact>));
+    EXPECT_TRUE(kEmplaceable<Exact>);
 
-    // Small capture: stays inline, counter untouched.
-    int x = 7;
-    InlineFunction<int(), 16> small([x]() { return x; });
-    EXPECT_EQ(small(), 7);
-    EXPECT_EQ(fallbackDelta(before), 0u);
-
-    // Capture larger than the inline buffer: falls back, counts once.
-    Pad p{};
-    p.bytes[0] = 3;
-    InlineFunction<int(), 16> big([p]() { return int{p.bytes[0]}; });
-    EXPECT_EQ(big(), 3);
-    EXPECT_EQ(fallbackDelta(before), 1u);
-
-    // emplace() over an existing target counts its own fallback too.
-    big.emplace([p]() { return int{p.bytes[0]} + 1; });
-    EXPECT_EQ(big(), 4);
-    EXPECT_EQ(fallbackDelta(before), 2u);
-
-    // Moving an already-fallen-back target must not count again.
-    InlineFunction<int(), 16> moved(std::move(big));
-    EXPECT_EQ(moved(), 4);
-    EXPECT_EQ(fallbackDelta(before), 2u);
-}
-
-TEST(HotPathAllocationFree, CpuSmokeRunHasZeroFallbacks)
-{
-    const std::uint64_t before = inlineFunctionHeapFallbacks();
-    runSmoke(SystemKind::kCpu, OpKind::kScan);
-    runSmoke(SystemKind::kCpu, OpKind::kJoin);
-    EXPECT_EQ(fallbackDelta(before), 0u)
-        << "a cpu hot-path closure outgrew its inline buffer";
-}
-
-TEST(HotPathAllocationFree, NmpSmokeRunHasZeroFallbacks)
-{
-    const std::uint64_t before = inlineFunctionHeapFallbacks();
-    runSmoke(SystemKind::kNmp, OpKind::kScan);
-    runSmoke(SystemKind::kNmp, OpKind::kJoin);
-    EXPECT_EQ(fallbackDelta(before), 0u)
-        << "an nmp hot-path closure outgrew its inline buffer";
-}
-
-TEST(HotPathAllocationFree, MondrianSmokeRunHasZeroFallbacks)
-{
-    const std::uint64_t before = inlineFunctionHeapFallbacks();
-    runSmoke(SystemKind::kMondrian, OpKind::kScan);
-    runSmoke(SystemKind::kMondrian, OpKind::kSort);
-    runSmoke(SystemKind::kMondrian, OpKind::kGroupBy);
-    runSmoke(SystemKind::kMondrian, OpKind::kJoin);
-    EXPECT_EQ(fallbackDelta(before), 0u)
-        << "a mondrian hot-path closure outgrew its inline buffer";
+    Exact e{};
+    e.bytes[0] = 3;
+    e.bytes[Fn::kInlineBytes - 1] = 4;
+    Fn f(e);
+    EXPECT_EQ(f(), 7);
+    Fn moved(std::move(f));
+    EXPECT_EQ(moved(), 7);
 }
